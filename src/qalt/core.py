@@ -107,14 +107,9 @@ def embed_gate(u: Matrix, targets, n: int) -> Matrix:
             f"gate of shape {u.shape} does not fit {t} qubit target(s)")
     rest = [q for q in range(n) if q not in targets]
     order = targets + rest
-    size = 2 ** n
-    # p[x] = index of basis state x once the `order` factors are moved front.
-    p = np.zeros(size, dtype=np.intp)
-    for x in range(size):
-        y = 0
-        for q in order:
-            y = (y << 1) | ((x >> (n - 1 - q)) & 1)
-        p[x] = y
+    # p[x] = index of basis state x once the `order` factors are moved front:
+    # the basis index tensor read in `order`, moved back to register order.
+    p = np.arange(2 ** n).reshape((2,) * n).transpose(np.argsort(order)).ravel()
     big = np.kron(u, np.eye(2 ** (n - t), dtype=complex))
     return big[np.ix_(p, p)]
 

@@ -153,48 +153,54 @@ def compose(s: KrausSet, t: KrausSet, tol: float = DEFAULT_TOL) -> KrausSet:
 # Quantum alternation
 # ---------------------------------------------------------------------------
 
-def _controlled_embed(pieces, r: int, input_sig: Signature,
-                      output_sig: Signature) -> Matrix:
-    """Sum of |k><k| (x) E_k in the block layout of qbit^r (x) sig.
+def _case_elements(branches, n: int) -> list[Matrix]:
+    """The element multiset of a 2^n-way alternation, before canonicalization.
 
-    ``pieces`` maps control index k to an operator from the input space to
-    the output space.
+    One operator sum_k Pi_k (x) E_k for every tuple (E_k) of operators of the
+    nonempty branches, in ``itertools.product`` order (first branch major),
+    each E_k scaled by one over the square root of the product of the other
+    nonempty branches' sizes.  Empty branches drop out; all empty yields the
+    empty list.  Pi_k (x) E_k is laid out as qbit^n (x) sig, block by block.
     """
-    count = 2 ** r
-    din, dout = dim(input_sig), dim(output_sig)
-    kron = np.zeros((count * dout, count * din), dtype=complex)
-    for k, e in pieces.items():
-        kron[k * dout:(k + 1) * dout, k * din:(k + 1) * din] = e
-    order_out = qbit_kron_order(r, output_sig)
-    order_in = qbit_kron_order(r, input_sig)
-    return kron[np.ix_(order_out, order_in)]
+    if len(branches) != 2 ** n:
+        raise BranchCountMismatch(
+            f"expected {2 ** n} branches for {n} control qubit(s), "
+            f"got {len(branches)}")
+    sig_in, sig_out = branches[0].input_sig, branches[0].output_sig
+    for b in branches:
+        if b.input_sig != sig_in or b.output_sig != sig_out:
+            raise SignatureMismatch(
+                f"alternation branches must share signatures: "
+                f"{sig_in.blocks}->{sig_out.blocks} vs "
+                f"{b.input_sig.blocks}->{b.output_sig.blocks}")
+    populated = [(k, b.ops) for k, b in enumerate(branches) if b.ops]
+    if not populated:
+        return []
+    sizes = [len(ops) for _, ops in populated]
+    scales = [math.sqrt(math.prod(sizes[:i] + sizes[i + 1:]))
+              for i in range(len(sizes))]
+    din, dout = dim(sig_in), dim(sig_out)
+    order_out = qbit_kron_order(n, sig_out)
+    order_in = qbit_kron_order(n, sig_in)
+    elements = []
+    for combo in itertools.product(*[ops for _, ops in populated]):
+        # control-major Kronecker layout first, then reordered into blocks
+        kron = np.zeros((2 ** n * dout, 2 ** n * din), dtype=complex)
+        for (k, _), e, scale in zip(populated, combo, scales):
+            kron[k * dout:(k + 1) * dout, k * din:(k + 1) * din] = e / scale
+        elements.append(kron[np.ix_(order_out, order_in)])
+    return elements
 
 
 def alternation_elements(s: KrausSet, t: KrausSet) -> list[Matrix]:
     """The element multiset of the alternation, before canonicalization.
 
     One operator Pi_0 (x) E/sqrt(|t|) + Pi_1 (x) F/sqrt(|s|) for each pair
-    (E, F).  When one side is empty the surviving branch keeps its operators
-    unscaled under its own projection; both empty yields the empty list.
+    (E, F), E-major.  When one side is empty the surviving branch keeps its
+    operators unscaled under its own projection; both empty yields the empty
+    list.
     """
-    if s.input_sig != t.input_sig or s.output_sig != t.output_sig:
-        raise SignatureMismatch(
-            f"alternation branches must share signatures: "
-            f"{s.input_sig.blocks}->{s.output_sig.blocks} vs "
-            f"{t.input_sig.blocks}->{t.output_sig.blocks}")
-    sig_in, sig_out = s.input_sig, s.output_sig
-    out = []
-    if s.ops and t.ops:
-        ns, nt = math.sqrt(len(s.ops)), math.sqrt(len(t.ops))
-        for e, f in itertools.product(s.ops, t.ops):
-            out.append(_controlled_embed({0: e / nt, 1: f / ns}, 1, sig_in, sig_out))
-    elif s.ops:
-        for e in s.ops:
-            out.append(_controlled_embed({0: e}, 1, sig_in, sig_out))
-    elif t.ops:
-        for f in t.ops:
-            out.append(_controlled_embed({1: f}, 1, sig_in, sig_out))
-    return out
+    return _case_elements([s, t], 1)
 
 
 def alternate(s: KrausSet, t: KrausSet, tol: float = DEFAULT_TOL) -> KrausSet:
@@ -204,9 +210,7 @@ def alternate(s: KrausSet, t: KrausSet, tol: float = DEFAULT_TOL) -> KrausSet:
     Pi_0 (x) U_0 + Pi_1 (x) U_1; in general it superposes every pair of
     branch operators without measuring the control.
     """
-    elements = alternation_elements(s, t)
-    return make_kraus(qbit_tensor(s.input_sig), qbit_tensor(t.output_sig),
-                      elements, tol)
+    return alternate_case([s, t], 1, tol)
 
 
 def alternate_case(branches, n: int, tol: float = DEFAULT_TOL) -> KrausSet:
@@ -218,29 +222,11 @@ def alternate_case(branches, n: int, tol: float = DEFAULT_TOL) -> KrausSet:
     in the binary case.
     """
     branches = list(branches)
-    if len(branches) != 2 ** n:
-        raise BranchCountMismatch(
-            f"expected {2 ** n} branches for {n} control qubit(s), "
-            f"got {len(branches)}")
-    sig_in, sig_out = branches[0].input_sig, branches[0].output_sig
-    for b in branches:
-        if b.input_sig != sig_in or b.output_sig != sig_out:
-            raise SignatureMismatch("case branches must share signatures")
-    qsig_in, qsig_out = sig_in, sig_out
+    elements = _case_elements(branches, n)
+    qsig_in, qsig_out = branches[0].input_sig, branches[0].output_sig
     for _ in range(n):
         qsig_in = qbit_tensor(qsig_in)
         qsig_out = qbit_tensor(qsig_out)
-    populated = [(k, b) for k, b in enumerate(branches) if b.ops]
-    elements = []
-    for combo in itertools.product(*[b.ops for _, b in populated]):
-        pieces = {}
-        for pos, (k, _) in enumerate(populated):
-            norm = 1.0
-            for other, (_, b) in enumerate(populated):
-                if other != pos:
-                    norm *= len(b.ops)
-            pieces[k] = combo[pos] / math.sqrt(norm)
-        elements.append(_controlled_embed(pieces, n, sig_in, sig_out))
     return make_kraus(qsig_in, qsig_out, elements, tol)
 
 

@@ -1,11 +1,14 @@
 """Denotational semantics: programs to Kraus sets, plus a direct evaluator.
 
-The variable-to-factor layout lives entirely in this module: qubits occupy
-tensor factors in allocation order (first allocated = leading factor), bits
-select signature blocks in allocation order (first allocated = most
-significant).  Every permutation needed to make a statement's qubit the
-leading factor is derived from the two functions
-:func:`leading_order` / :func:`leading_permutation` below and nowhere else.
+The variable-to-factor layout lives entirely in this module.  A context's
+basis is one index tensor with a length-2 axis per variable, the bits first
+and then the qubits, each in allocation order (:func:`_layout`).  So bits
+select signature blocks (first allocated = most significant) and qubits are
+the tensor factors of a block (first allocated = leading factor).  Every
+layout map is read off that tensor: allocation, discard and measurement take
+one value on a variable's axis (:func:`_where`), and moving the controls of
+an alternation to the front transposes its axes (:func:`leading_order`,
+:func:`leading_permutation`).
 
 ``denote`` interprets an elaborated program as one composed Kraus set.
 ``eval_direct`` is an independent cross-checking oracle: it updates the
@@ -67,15 +70,31 @@ def signature_of(ctx: Context) -> Signature:
     return Signature((2 ** m,) * (2 ** k))
 
 
-def _insert_bit(x: int, width: int, pos: int, v: int) -> int:
-    """Insert bit ``v`` at ``pos`` of a value that will have ``width`` bits."""
-    high = x >> (width - 1 - pos)
-    low = x & ((1 << (width - 1 - pos)) - 1)
-    return (high << (width - pos)) | (v << (width - 1 - pos)) | low
+def _layout(ctx: Context) -> tuple[list[str], np.ndarray]:
+    """The context's basis as an index tensor with one axis per variable.
+
+    Axes are the bits, then the qubits, each in allocation order; the entry
+    at (v_1, ..., v_n) is the basis index where variable i holds v_i.
+    """
+    names = ctx.bits() + ctx.qubits()
+    return names, np.arange(2 ** len(names)).reshape((2,) * len(names))
 
 
-def _get_bit(x: int, width: int, pos: int) -> int:
-    return (x >> (width - 1 - pos)) & 1
+def _where(ctx: Context, name: str, v: int) -> np.ndarray:
+    """Basis indices of ``ctx`` where ``name`` holds ``v``, increasing.
+
+    Entry g is the index, in ``ctx``, of basis vector g of the context
+    without ``name``.
+    """
+    names, index = _layout(ctx)
+    return index.take(v, axis=names.index(name)).ravel()
+
+
+def _rows(indices: np.ndarray, d: int) -> Matrix:
+    """0/1 matrix whose row i is basis vector ``indices[i]`` of C^d."""
+    op = np.zeros((indices.size, d), dtype=complex)
+    op[np.arange(indices.size), indices] = 1.0
+    return op
 
 
 def leading_order(ctx: Context, controls: list[str]) -> np.ndarray:
@@ -86,21 +105,12 @@ def leading_order(ctx: Context, controls: list[str]) -> np.ndarray:
     qubits in context order), of context-layout basis vector ``g``.  Blocks
     are untouched.
     """
-    qubits = ctx.qubits()
-    m = len(qubits)
-    k = len(ctx.bits())
-    cpos = [qubits.index(c) for c in controls]
-    rest = [i for i in range(m) if i not in cpos]
-    d_block = 2 ** m
-    d = 2 ** k * d_block
-    out = np.zeros(d, dtype=np.intp)
-    for g in range(d):
-        blk, x = divmod(g, d_block)
-        y = 0
-        for i in cpos + rest:
-            y = (y << 1) | _get_bit(x, m, i)
-        out[g] = blk * d_block + y
-    return out
+    names, index = _layout(ctx)
+    controls = list(controls)
+    lead = ctx.bits() + controls + [q for q in ctx.qubits() if q not in controls]
+    # read as the lead layout, the index tensor moved back to context axis
+    # order holds each context basis vector's lead index
+    return index.transpose(np.argsort([names.index(n) for n in lead])).ravel()
 
 
 def leading_permutation(ctx: Context, controls: list[str]) -> Matrix:
@@ -134,76 +144,31 @@ def _apply_gate_matrix(ctx: Context, names: list[str], u: Matrix) -> Matrix:
     return np.kron(np.eye(2 ** len(ctx.bits()), dtype=complex), embedded)
 
 
-def _new_qbit_matrix(ctx: Context) -> Matrix:
-    """Allocation isometry appending a |0> qubit as the trailing factor."""
-    m = len(ctx.qubits())
+def _allocation_matrix(out: Context, name: str) -> Matrix:
+    """Isometry into ``out`` from the context without ``name``, which reads 0.
+
+    Allocation appends ``name`` as the last variable of its kind, so this is
+    the append of a trailing |0> qubit or of a 0-valued least significant bit.
+    """
+    # copied into C order, like every other operator
+    return _rows(_where(out, name, 0), dim(signature_of(out))).T.copy()
+
+
+def _discard_matrices(ctx: Context, name: str) -> list[Matrix]:
+    """{<v| on the axis of ``name``}: the partial trace over a qubit or a bit."""
     d = dim(signature_of(ctx))
-    g = np.arange(d)
-    new_idx = (g >> m << (m + 1)) + ((g & ((1 << m) - 1)) << 1)
-    v = np.zeros((2 * d, d), dtype=complex)
-    v[new_idx, g] = 1.0
-    return v
-
-
-def _new_bit_matrix(ctx: Context) -> Matrix:
-    """Allocation isometry tagging the state with a fresh 0-valued bit."""
-    m = len(ctx.qubits())
-    d = dim(signature_of(ctx))
-    g = np.arange(d)
-    new_idx = (g >> m << (m + 1)) + (g & ((1 << m) - 1))
-    v = np.zeros((2 * d, d), dtype=complex)
-    v[new_idx, g] = 1.0
-    return v
-
-
-def _discard_qbit_matrices(ctx: Context, name: str) -> list[Matrix]:
-    qubits = ctx.qubits()
-    m = len(qubits)
-    p = qubits.index(name)
-    d = dim(signature_of(ctx))
-    d_out = d // 2
-    ops = []
-    for v in (0, 1):
-        sel = np.zeros((d_out, d), dtype=complex)
-        for g_out in range(d_out):
-            blk, y = divmod(g_out, 2 ** (m - 1))
-            x = _insert_bit(y, m, p, v)
-            sel[g_out, blk * 2 ** m + x] = 1.0
-        ops.append(sel)
-    return ops
-
-
-def _discard_bit_matrices(ctx: Context, name: str) -> list[Matrix]:
-    bits = ctx.bits()
-    k = len(bits)
-    j = bits.index(name)
-    m = len(ctx.qubits())
-    d = dim(signature_of(ctx))
-    d_out = d // 2
-    ops = []
-    for v in (0, 1):
-        sel = np.zeros((d_out, d), dtype=complex)
-        for g_out in range(d_out):
-            blk, x = divmod(g_out, 2 ** m)
-            sel[g_out, _insert_bit(blk, k, j, v) * 2 ** m + x] = 1.0
-        ops.append(sel)
-    return ops
+    return [_rows(_where(ctx, name, v), d) for v in (0, 1)]
 
 
 def _measure_matrices(ctx: Context, name: str) -> list[Matrix]:
     """Measurement into a fresh leading branch tag: {inj_v . Pi_v}."""
-    qubits = ctx.qubits()
-    m = len(qubits)
-    p = qubits.index(name)
-    sig = signature_of(ctx)
-    d = dim(sig)
+    d = dim(signature_of(ctx))
     ops = []
     for v in (0, 1):
-        proj = np.zeros((d, d), dtype=complex)
-        for g in range(d):
-            if _get_bit(g % 2 ** m, m, p) == v:
-                proj[g, g] = 1.0
-        ops.append(injection(v, sig) @ proj)
+        kept = _where(ctx, name, v)
+        op = np.zeros((2 * d, d), dtype=complex)
+        op[v * d + kept, kept] = 1.0
+        ops.append(op)
     return ops
 
 
@@ -247,17 +212,26 @@ def _denote_block(block: list, ctx: Context) -> tuple[KrausSet, Context]:
     return kset, ctx
 
 
+def _alternation_parts(stmt) -> tuple[list[str], list[list]]:
+    """Control names and branch blocks of a quantum if or case.
+
+    Block k is the branch for control value k, the first control being the
+    most significant bit.
+    """
+    if isinstance(stmt, ast.QIf):
+        return [stmt.control.base], [stmt.then_block, stmt.else_block]
+    return ([c.base for c in stmt.controls],
+            [arm.block for arm in sorted(stmt.arms, key=lambda a: a.label)])
+
+
 def _denote_stmt(stmt, ctx: Context) -> tuple[KrausSet, Context]:
     sig = signature_of(ctx)
     if isinstance(stmt, ast.Skip):
         return identity_kraus(sig), ctx
-    if isinstance(stmt, ast.NewQbit):
-        out = ctx.add(stmt.name.base, QBIT)
-        op = _new_qbit_matrix(ctx)
-        return make_kraus(sig, signature_of(out), [op]), out
-    if isinstance(stmt, ast.NewBit):
-        out = ctx.add(stmt.name.base, BIT)
-        op = _new_bit_matrix(ctx)
+    if isinstance(stmt, (ast.NewQbit, ast.NewBit)):
+        name = stmt.name.base
+        out = ctx.add(name, QBIT if isinstance(stmt, ast.NewQbit) else BIT)
+        op = _allocation_matrix(out, name)
         return make_kraus(sig, signature_of(out), [op]), out
     if isinstance(stmt, ast.ApplyGate):
         names = [t.base for t in stmt.targets]
@@ -265,12 +239,8 @@ def _denote_stmt(stmt, ctx: Context) -> tuple[KrausSet, Context]:
         return make_kraus(sig, sig, [op]), ctx
     if isinstance(stmt, ast.Discard):
         name = stmt.name.base
-        if ctx.kind_of(name) == QBIT:
-            ops = _discard_qbit_matrices(ctx, name)
-        else:
-            ops = _discard_bit_matrices(ctx, name)
         out = ctx.remove(name)
-        return make_kraus(sig, signature_of(out), ops), out
+        return make_kraus(sig, signature_of(out), _discard_matrices(ctx, name)), out
     if isinstance(stmt, ast.MeasureThenElse):
         then_k, out_ctx = _denote_block(stmt.then_block, ctx)
         else_k, _ = _denote_block(stmt.else_block, ctx)
@@ -278,33 +248,20 @@ def _denote_stmt(stmt, ctx: Context) -> tuple[KrausSet, Context]:
         summed = branch_sum(then_k, else_k)
         merged = merge_kraus(then_k.output_sig)
         return compose(merged, compose(summed, measure)), out_ctx
-    if isinstance(stmt, ast.QIf):
-        name = stmt.control.base
-        pos = ctx.index_of(name)
-        inner = ctx.remove(name)
-        then_k, inner_out = _denote_block(stmt.then_block, inner)
-        else_k, _ = _denote_block(stmt.else_block, inner)
-        alt = alternate(then_k, else_k)
-        out_ctx = inner_out.insert(min(pos, len(inner_out.entries)), name, QBIT)
-        p_in = leading_permutation(ctx, [name])
-        p_out = leading_permutation(out_ctx, [name])
-        enter = make_kraus(sig, alt.input_sig, [p_in])
-        leave = make_kraus(alt.output_sig, signature_of(out_ctx), [p_out.conj().T])
-        return compose(leave, compose(alt, enter)), out_ctx
-    if isinstance(stmt, ast.QCase):
-        names = [c.base for c in stmt.controls]
-        positions = [ctx.index_of(n) for n in names]
+    if isinstance(stmt, (ast.QIf, ast.QCase)):
+        names, blocks = _alternation_parts(stmt)
         inner = ctx
         for name in names:
             inner = inner.remove(name)
         branches = []
-        inner_out = None
-        for arm in sorted(stmt.arms, key=lambda a: a.label):
-            bk, inner_out = _denote_block(arm.block, inner)
-            branches.append(bk)
-        alt = alternate_case(branches, len(names))
+        for block in blocks:
+            kset, inner_out = _denote_block(block, inner)
+            branches.append(kset)
+        # one control goes through `alternate`, so span traces see it used
+        alt = (alternate(*branches) if len(names) == 1
+               else alternate_case(branches, len(names)))
         out_ctx = inner_out
-        for pos, name in sorted(zip(positions, names)):
+        for pos, name in sorted((ctx.index_of(n), n) for n in names):
             out_ctx = out_ctx.insert(min(pos, len(out_ctx.entries)), name, QBIT)
         p_in = leading_permutation(ctx, names)
         p_out = leading_permutation(out_ctx, names)
@@ -319,8 +276,7 @@ def _prepare(program, ctx: Context) -> ast.Program:
         program = ast.parse(program)
     elif not isinstance(program, ast.Program):
         program = ast.Program([program])
-    typed = typecheck(program, ctx)
-    return typecheck(elaborate(typed), ctx)
+    return elaborate(typecheck(program, ctx))
 
 
 def denote(program, ctx: Context | None = None) -> Denotation:
@@ -348,46 +304,32 @@ def run(program, initial: DensityState | None = None,
     return apply(d.kraus, initial, tol)
 
 
-def measure_stats(rho: DensityState, name: str, ctx: Context) -> tuple[float, float]:
-    """Outcome probabilities (p0, p1) of measuring qubit ``name`` in ``rho``."""
-    if not ctx.has(name):
-        raise UnknownName(f"name '{name}' is not in scope")
-    if ctx.kind_of(name) != QBIT:
-        raise KindError(f"'{name}' has kind bit, expected qbit")
-    if rho.signature != signature_of(ctx):
-        raise SignatureMismatch("state does not match the context layout")
-    qubits = ctx.qubits()
-    m = len(qubits)
-    p = qubits.index(name)
-    probs = [0.0, 0.0]
-    for block in rho.blocks:
-        diag = np.diag(block).real
-        for x, value in enumerate(diag):
-            probs[_get_bit(x, m, p)] += float(value)
-    return probs[0], probs[1]
-
-
 def outcome_probability(rho: DensityState, ctx: Context,
                         assignment: dict) -> float:
     """Joint probability of reading the given qubit values simultaneously."""
     if rho.signature != signature_of(ctx):
         raise SignatureMismatch("state does not match the context layout")
-    qubits = ctx.qubits()
-    m = len(qubits)
+    names, index = _layout(ctx)
     wanted = {}
     for name, value in assignment.items():
         if not ctx.has(name):
             raise UnknownName(f"name '{name}' is not in scope")
         if ctx.kind_of(name) != QBIT:
             raise KindError(f"'{name}' has kind bit, expected qbit")
-        wanted[qubits.index(name)] = int(value)
-    total = 0.0
-    for block in rho.blocks:
-        diag = np.diag(block).real
-        for x, value in enumerate(diag):
-            if all(_get_bit(x, m, p) == v for p, v in wanted.items()):
-                total += float(value)
-    return total
+        wanted[names.index(name)] = int(value)
+    if any(v not in (0, 1) for v in wanted.values()):
+        return 0.0
+    picked = index[tuple(wanted.get(a, slice(None)) for a in range(len(names)))]
+    diag = np.concatenate([np.diag(block).real for block in rho.blocks])
+    # summed term by term in basis order (np.sum's pairwise order would move
+    # the last digit of printed probabilities); + 0.0 turns -0.0 into 0.0
+    return float(np.cumsum(diag[picked.ravel()])[-1]) + 0.0
+
+
+def measure_stats(rho: DensityState, name: str, ctx: Context) -> tuple[float, float]:
+    """Outcome probabilities (p0, p1) of measuring qubit ``name`` in ``rho``."""
+    return (outcome_probability(rho, ctx, {name: 0}),
+            outcome_probability(rho, ctx, {name: 1}))
 
 
 # ---------------------------------------------------------------------------
@@ -496,21 +438,16 @@ def _stmt_direct_kraus(stmt) -> list[Matrix]:
         positions = [qubits.index(t.base) for t in stmt.targets]
         emb = _embed_direct(_gate_matrix(stmt.gate), positions, m)
         return [np.kron(np.eye(nblocks, dtype=complex), emb)]
-    if isinstance(stmt, ast.NewQbit):
-        return [_new_qbit_matrix(ctx)]
-    if isinstance(stmt, ast.NewBit):
-        return [_new_bit_matrix(ctx)]
+    if isinstance(stmt, (ast.NewQbit, ast.NewBit)):
+        return [_allocation_matrix(out_ctx, stmt.name.base)]
     if isinstance(stmt, ast.Discard):
-        if ctx.kind_of(stmt.name.base) == QBIT:
-            return _discard_qbit_matrices(ctx, stmt.name.base)
-        return _discard_bit_matrices(ctx, stmt.name.base)
+        return _discard_matrices(ctx, stmt.name.base)
     if isinstance(stmt, ast.MeasureThenElse):
-        p = ctx.qubits().index(stmt.control.base)
         d = nblocks * 2 ** m
         projs = []
         for v in (0, 1):
-            diag = np.array([1.0 if _get_bit(g % 2 ** m, m, p) == v else 0.0
-                             for g in range(d)])
+            diag = np.zeros(d)
+            diag[_where(ctx, stmt.control.base, v)] = 1.0
             projs.append(np.diag(diag).astype(complex))
         out = []
         for elems, proj in ((_block_direct_kraus(stmt.then_block), projs[0]),
@@ -518,12 +455,7 @@ def _stmt_direct_kraus(stmt) -> list[Matrix]:
             out.extend(e @ proj for e in elems)
         return out
     if isinstance(stmt, (ast.QIf, ast.QCase)):
-        if isinstance(stmt, ast.QIf):
-            names = [stmt.control.base]
-            blocks = [stmt.then_block, stmt.else_block]
-        else:
-            names = [c.base for c in stmt.controls]
-            blocks = [arm.block for arm in sorted(stmt.arms, key=lambda a: a.label)]
+        names, blocks = _alternation_parts(stmt)
         r = len(names)
         branch_elems = [_coalesce_direct(_block_direct_kraus(b)) for b in blocks]
         inner_in = blocks[0][0].ctx_in
@@ -557,12 +489,9 @@ def _direct_step(stmt, rho: Matrix) -> Matrix:
         positions = [qubits.index(t.base) for t in stmt.targets]
         return _conjugate_full(rho, _gate_matrix(stmt.gate), positions, m, nblocks)
     if isinstance(stmt, ast.MeasureThenElse):
-        p = ctx.qubits().index(stmt.control.base)
-        d = rho.shape[0]
         total = None
         for v, block in ((0, stmt.then_block), (1, stmt.else_block)):
-            keep = np.array([g for g in range(d)
-                             if _get_bit(g % 2 ** m, m, p) == v])
+            keep = _where(ctx, stmt.control.base, v)
             projected = np.zeros_like(rho)
             projected[np.ix_(keep, keep)] = rho[np.ix_(keep, keep)]
             for inner in block:
@@ -596,7 +525,8 @@ def eval_direct(program, initial: DensityState | None = None,
         initial = unit_state()
     if initial.signature != signature_of(ctx):
         raise SignatureMismatch("initial state does not match the context")
-    core = _prepare(program, ctx)
+    # the only reader of per-statement contexts: annotate the elaborated copy
+    core = typecheck(_prepare(program, ctx), ctx)
     rho = np.array(initial.full())
     for stmt in core.body:
         rho = _direct_step(stmt, rho)

@@ -19,11 +19,13 @@ from qalt import (
     measure_stats,
     oracle_context,
     outcome_probability,
+    parse,
     qft_context,
     run,
     toffoli_matrix,
     typecheck,
 )
+from qalt.cli import TOFFOLI_SOURCE
 from qalt.errors import UnsupportedArity
 
 
@@ -51,15 +53,22 @@ class TestTruthTable:
 
 class TestGenerators:
     def test_all_generated_programs_typecheck_and_elaborate(self):
-        jobs = [(gen_deutsch(TruthTable.from_bits("01")), Context.empty())]
+        # denote and run typecheck only before elaborating, which relies on
+        # the elaborated program typechecking again to the same context
+        jobs = [(gen_deutsch(f), Context.empty())
+                for f in constant_tables(1) + balanced_tables(1)]
         jobs += [(gen_deutsch_jozsa(f), Context.empty())
-                 for f in constant_tables(2) + balanced_tables(2)[:2]]
-        jobs += [(gen_qft(n), qft_context(n)) for n in (1, 2, 3, 4)]
-        jobs += [(gen_grover_oracle(2, 2), oracle_context(2))]
+                 for n in (1, 2, 3, 4)
+                 for f in constant_tables(n) + balanced_tables(n)[:2]]
+        jobs += [(gen_qft(n), qft_context(n)) for n in range(1, 7)]
+        jobs += [(gen_grover_oracle(x0, n), oracle_context(n))
+                 for n in (1, 2, 3) for x0 in range(2 ** n)]
+        jobs += [(parse(TOFFOLI_SOURCE),
+                  Context.of(("q0", "qbit"), ("q1", "qbit"), ("q2", "qbit")))]
         for program, ctx in jobs:
             typed = typecheck(program, ctx)
-            core = elaborate(typed)
-            typecheck(core, ctx)
+            again = typecheck(elaborate(typed), ctx)
+            assert again.ctx_out == typed.ctx_out
 
     def test_deutsch_statement_shape(self):
         program = gen_deutsch(TruthTable.from_bits("01"))

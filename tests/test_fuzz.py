@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from helpers import rand_density
-from qalt import Context, denote, eval_direct, parse, pretty, run, typecheck
+from qalt import (Context, denote, elaborate, eval_direct, parse, pretty, run,
+                  typecheck)
 from qalt.errors import ParseError
 from qalt.semantics import signature_of
 
@@ -101,6 +102,15 @@ def test_fuzzed_round_trip():
         tree = parse(source)
         assert parse(pretty(tree)) == tree
         typecheck(tree)
+
+
+@pytest.mark.parametrize("seed", [20240607, 20240608, 20240609, 20240610])
+def test_fuzzed_programs_typecheck_again_after_elaboration(seed):
+    # denote and run typecheck only before elaborating
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        typed = typecheck(parse(random_program(rng)))
+        assert typecheck(elaborate(typed)).ctx_out == typed.ctx_out
 
 
 def test_fuzzed_denotations_are_valid_maps():

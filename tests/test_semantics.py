@@ -31,7 +31,7 @@ from qalt import (
 )
 from qalt.core import H, ID2, PI0, PI1
 from qalt.errors import KindError, UnknownName
-from qalt.semantics import leading_permutation, signature_of
+from qalt.semantics import leading_order, leading_permutation, signature_of
 
 CTX_Q = Context.of(("q", "qbit"))
 CTX_2 = Context.of(("q0", "qbit"), ("q1", "qbit"))
@@ -39,6 +39,31 @@ CTX_3 = Context.of(("q0", "qbit"), ("q1", "qbit"), ("q2", "qbit"))
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0],
                  [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+
+
+def insert_bit(x: int, width: int, pos: int, v: int) -> int:
+    """Insert bit ``v`` at ``pos`` (0 = most significant) of a width-bit value."""
+    high = x >> (width - 1 - pos)
+    low = x & ((1 << (width - 1 - pos)) - 1)
+    return (high << (width - pos)) | (v << (width - 1 - pos)) | low
+
+
+def get_bit(x: int, width: int, pos: int) -> int:
+    return (x >> (width - 1 - pos)) & 1
+
+
+def mixed_contexts(max_vars: int = 5):
+    """Every context over the names a, b, c, ... with every mix of kinds."""
+    for n in range(max_vars + 1):
+        for kinds in itertools.product(("qbit", "bit"), repeat=n):
+            yield Context.of(*zip("abcdefgh", kinds))
+
+
+def kraus_equal(got, sig_in, sig_out, raw_ops) -> bool:
+    """Same operators in the same canonical order, entry for entry."""
+    want = make_kraus(sig_in, sig_out, raw_ops)
+    return (len(got.ops) == len(want.ops)
+            and all(np.array_equal(x, y) for x, y in zip(got.ops, want.ops)))
 
 
 def state_deviation(a: DensityState, b: DensityState) -> float:
@@ -99,6 +124,72 @@ class TestTableEntries:
                        [ast.ApplyGate([ast.NameRef("q1")], ast.NamedGate("X"))])
         d = denote(stmt, CTX_2)
         assert np.abs(d.kraus.ops[0] - CNOT).max() < 1e-12
+
+
+class TestLayoutMaps:
+    """Allocation, discard and measurement against bit arithmetic.
+
+    Context layout: basis index blk * 2^m + x, where blk holds the k bits and
+    x the m qubits, each most significant first in allocation order.
+    """
+
+    def test_allocation_appends_zero(self):
+        for ctx in mixed_contexts():
+            m, k = len(ctx.qubits()), len(ctx.bits())
+            d = 2 ** (k + m)
+            for kind in ("qbit", "bit"):
+                out = ctx.add("z", kind)
+                op = np.zeros((2 * d, d), dtype=complex)
+                for g in range(d):
+                    blk, x = divmod(g, 2 ** m)
+                    if kind == "qbit":
+                        row = blk * 2 ** (m + 1) + insert_bit(x, m + 1, m, 0)
+                    else:
+                        row = insert_bit(blk, k + 1, k, 0) * 2 ** m + x
+                    op[row, g] = 1.0
+                d_new = denote(f"new {kind} z", ctx)
+                assert d_new.output_ctx == out
+                assert kraus_equal(d_new.kraus, signature_of(ctx),
+                                   signature_of(out), [op]), (ctx, kind)
+
+    def test_discard_selects_each_value(self):
+        for ctx in mixed_contexts():
+            m, k = len(ctx.qubits()), len(ctx.bits())
+            d_out = 2 ** (k + m - 1)
+            for name in ctx.names():
+                ops = []
+                for v in (0, 1):
+                    op = np.zeros((d_out, 2 * d_out), dtype=complex)
+                    for g in range(d_out):
+                        if ctx.kind_of(name) == "qbit":
+                            blk, y = divmod(g, 2 ** (m - 1))
+                            p = ctx.qubits().index(name)
+                            col = blk * 2 ** m + insert_bit(y, m, p, v)
+                        else:
+                            blk, x = divmod(g, 2 ** m)
+                            j = ctx.bits().index(name)
+                            col = insert_bit(blk, k, j, v) * 2 ** m + x
+                        op[g, col] = 1.0
+                    ops.append(op)
+                d = denote(f"discard {name}", ctx)
+                assert kraus_equal(d.kraus, signature_of(ctx),
+                                   signature_of(ctx.remove(name)), ops), (ctx, name)
+
+    def test_measure_projects_into_branch_tag(self):
+        for ctx in mixed_contexts():
+            m = len(ctx.qubits())
+            sig = signature_of(ctx)
+            d = sum(sig.blocks)
+            for p, name in enumerate(ctx.qubits()):
+                ops = []
+                for v in (0, 1):
+                    op = np.zeros((2 * d, d), dtype=complex)
+                    for g in range(d):
+                        if get_bit(g % 2 ** m, m, p) == v:
+                            op[v * d + g, g] = 1.0
+                    ops.append(op)
+                assert kraus_equal(measure_kraus(ctx, name), sig,
+                                   dsum(sig, sig), ops), (ctx, name)
 
 
 class TestDenotePrograms:
@@ -403,6 +494,34 @@ class TestOutcomeProbability:
         p0, _ = measure_stats(rho, "q0", CTX_2)
         assert p_joint == pytest.approx(p0, abs=1e-10)
 
+    def test_sums_over_every_block(self):
+        # two bits: four blocks, each contributing its matching diagonal
+        rng = np.random.default_rng(61)
+        ctx = Context.of(("q", "qbit"), ("b", "bit"), ("r", "qbit"), ("c", "bit"))
+        rho = rand_density(rng, signature_of(ctx), trace=0.8)
+        diag = np.concatenate([np.diag(block).real for block in rho.blocks])
+
+        def expected(**values):
+            return sum(float(diag[g]) for g in range(16)
+                       if all(get_bit(g % 4, 2, ["q", "r"].index(n)) == v
+                              for n, v in values.items()))
+
+        for vq, vr in itertools.product((0, 1), repeat=2):
+            got = outcome_probability(rho, ctx, {"q": vq, "r": vr})
+            assert got == pytest.approx(expected(q=vq, r=vr), abs=1e-14)
+        assert measure_stats(rho, "r", ctx) == pytest.approx(
+            (expected(r=0), expected(r=1)), abs=1e-14)
+        assert outcome_probability(rho, ctx, {}) == pytest.approx(0.8, abs=1e-12)
+        assert outcome_probability(rho, ctx, {"q": 2}) == 0.0
+
+    def test_unknown_and_kind_errors(self):
+        rho = rand_density(np.random.default_rng(67), Signature((2, 2)))
+        ctx = Context.of(("b", "bit"), ("q", "qbit"))
+        with pytest.raises(UnknownName):
+            outcome_probability(rho, ctx, {"q": 0, "nope": 1})
+        with pytest.raises(KindError):
+            outcome_probability(rho, ctx, {"b": 0})
+
 
 class TestLeadingPermutation:
     def test_identity_when_control_leads(self):
@@ -413,6 +532,24 @@ class TestLeadingPermutation:
         swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0],
                          [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
         assert np.array_equal(perm, swap)
+
+    def test_order_matches_bit_arithmetic(self):
+        for ctx in mixed_contexts():
+            qubits = ctx.qubits()
+            m, k = len(qubits), len(ctx.bits())
+            for r in range(m + 1):
+                for controls in itertools.permutations(qubits, r):
+                    lead = ([qubits.index(c) for c in controls]
+                            + [i for i, q in enumerate(qubits) if q not in controls])
+                    want = []
+                    for g in range(2 ** (k + m)):
+                        blk, x = divmod(g, 2 ** m)
+                        y = 0
+                        for i in lead:
+                            y = (y << 1) | get_bit(x, m, i)
+                        want.append(blk * 2 ** m + y)
+                    got = leading_order(ctx, list(controls))
+                    assert got.tolist() == want, (ctx, controls)
 
     def test_unitary(self):
         ctx = Context.of(("b", "bit"), ("x", "qbit"), ("y", "qbit"), ("z", "qbit"))
