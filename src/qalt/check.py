@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 
 import numpy as np
 
@@ -37,10 +38,25 @@ GATE_UNITARY_TOL = 1e-9
 # Meta expressions
 # ---------------------------------------------------------------------------
 
+_ARITH = {"+": operator.add, "-": operator.sub,
+          "*": operator.mul, "/": operator.truediv}
+
+
+def _finite(value, e):
+    if isinstance(value, float) and not math.isfinite(value):
+        raise NonConstantBound(
+            f"meta expression '{ast.expr_str(e)}' is not finite")
+    return value
+
+
 def eval_expr(e, env: dict):
-    """Evaluate a meta expression; loop variables come from ``env``."""
+    """Evaluate a meta expression; loop variables come from ``env``.
+
+    Raises :class:`NonConstantBound` for an unbound variable, a division by
+    zero or overflow, and a value that is not a finite number.
+    """
     if isinstance(e, ast.Num):
-        return e.value
+        return _finite(e.value, e)
     if isinstance(e, ast.Var):
         if e.name in env:
             return env[e.name]
@@ -53,14 +69,11 @@ def eval_expr(e, env: dict):
     if isinstance(e, ast.BinOp):
         left = eval_expr(e.left, env)
         right = eval_expr(e.right, env)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if e.op == "/":
-            return left / right
+        try:
+            return _finite(_ARITH[e.op](left, right), e)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise NonConstantBound(
+                f"meta expression '{ast.expr_str(e)}' fails: {exc}") from None
     raise TypeError(f"not a meta expression: {e!r}")
 
 

@@ -1,9 +1,10 @@
 """Command-line front door: run programs, inspect denotations, compare maps.
 
 Exit codes: 0 success (and true verdicts), 1 language error, 2 semantic,
-numeric or false-verdict outcome, 3 I/O error.  Structured output is a
-single JSON document per invocation with complex numbers encoded as
-[re, im] pairs; identical invocations produce byte-identical output.
+numeric or false-verdict outcome and command-line usage errors (such as a
+``--tol`` that is not a finite number above 0), 3 I/O error.  Structured
+output is a single JSON document per invocation with complex numbers encoded
+as [re, im] pairs; identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -117,7 +118,16 @@ def _guarded(fn):
 
 _FMT = click.option("--format", "fmt", type=click.Choice(["text", "structured"]),
                     default="text", show_default=True, help="Output format.")
+
+
+def _check_tol(ctx, param, value):
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise click.BadParameter(f"must be finite and greater than 0, got {value}")
+    return value
+
+
 _TOL = click.option("--tol", type=float, default=None, envvar="QALT_TOL",
+                    callback=_check_tol,
                     help="Numeric tolerance (default 1e-9, env QALT_TOL).")
 _CTX = click.option("--ctx", "ctx_spec", default=None,
                     help="Initial context, e.g. 'q0:qbit,q1:qbit'.")

@@ -265,13 +265,11 @@ def qbit_kron_order(r: int, sig: Signature) -> np.ndarray:
     basis vector ``b``.
     """
     d = dim(sig)
-    count = 2 ** r
-    order = np.zeros(count * d, dtype=np.intp)
-    for off, n in zip(block_offsets(sig), sig.blocks):
-        for x in range(count):
-            for j in range(n):
-                order[count * off + x * n + j] = x * d + off + j
-    return order
+    controls = np.arange(2 ** r, dtype=np.intp)[:, None] * d
+    # block-layout block i is (control x, entry j) of sig's block i, x major
+    return np.concatenate([
+        (controls + off + np.arange(n, dtype=np.intp)).ravel()
+        for off, n in zip(block_offsets(sig), sig.blocks)])
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,11 @@ class BranchContextMismatch(TypecheckError):
 
 
 class NonConstantBound(LanguageError):
-    """A meta-level loop bound or index did not reduce to an integer."""
+    """A meta-level loop bound or index did not reduce to an integer.
+
+    Also raised when a meta expression divides by zero, overflows or yields
+    a value that is not finite.
+    """
 
 
 class UnsupportedArity(LanguageError):

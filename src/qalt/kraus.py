@@ -50,9 +50,12 @@ COALESCE_TOL = 1e-12
 class KrausSet:
     """Canonical Kraus decomposition between two signature spaces.
 
-    ``ops`` is a tuple of frozen matrices, each dim(output) x dim(input),
-    sorted by a deterministic key.  The empty tuple is the zero superoperator.
-    Use :func:`make_kraus` to construct one from raw operators.
+    ``ops`` is a tuple of frozen matrices, each dim(output) x dim(input), in
+    canonical order: lexicographic over the entries rounded to 12 digits,
+    then over the exact entries, each entry as (re, im) in row-major order
+    and -0.0 equal to 0.0; operators equal under both keep their input order.
+    The empty tuple is the zero superoperator.  Use :func:`make_kraus` to
+    construct one from raw operators.
     """
 
     input_sig: Signature
@@ -77,35 +80,68 @@ class KrausSet:
         return total
 
 
-def _canonical_key(m: Matrix):
-    r = np.round(m, 12) + 0.0  # normalize -0.0
-    flat = np.stack([r.real, r.imag], axis=-1).reshape(-1)
-    exact = np.stack([m.real, m.imag], axis=-1).reshape(-1)
-    return (m.shape, tuple(flat), tuple(exact))
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def _canonical_key(m: Matrix) -> bytes:
+    """Sort key of one operator of a set: its canonical order as bytes.
+
+    The order is lexicographic over the entries rounded to 12 digits, then
+    over the exact entries, each entry as (re, im) in row-major order, with
+    -0.0 equal to 0.0.  Each float is written as a big-endian unsigned
+    integer that orders like the float (negatives bit-flipped, positives
+    with the sign bit set), so comparing keys as bytes is that order.
+    All operators of one set share a shape, so the shape is not encoded.
+    """
+    # a fresh C-contiguous buffer, so the float view is valid for any m
+    parts = np.empty((2,) + m.shape, dtype=complex)
+    np.round(m, 12, out=parts[0])
+    parts[1] = m
+    bits = (parts.view(np.float64) + 0.0).view(np.uint64)  # + 0.0 folds -0.0
+    # sign set: flip all bits; sign clear: set the sign bit
+    bits ^= (bits.view(np.int64) >> 63).view(np.uint64) | _SIGN_BIT
+    return bits.astype(">u8").tobytes()
 
 
 def _coalesce(ops: list[Matrix]) -> list[Matrix]:
-    """Drop zero operators and fold l equal occurrences into sqrt(l) * E."""
+    """Drop zero operators and fold l equal occurrences into sqrt(l) * E.
+
+    Each operator joins the first group whose representative lies within
+    :data:`COALESCE_TOL` of it entrywise, else it starts a group.  Folding
+    repeats until a pass merges nothing.
+    """
     current = [m for m in ops if np.abs(m).max() > COALESCE_TOL]
-    while True:
-        groups: list[list] = []  # [representative, count]
-        for m in current:
-            for g in groups:
-                if g[0].shape == m.shape and np.abs(g[0] - m).max() <= COALESCE_TOL:
-                    g[1] += 1
-                    break
-            else:
-                groups.append([m, 1])
-        merged = [g[0] * math.sqrt(g[1]) if g[1] > 1 else g[0] for g in groups]
-        if len(merged) == len(current):
-            return merged
+    while len(current) > 1:
+        reps = np.empty((len(current), current[0].size), dtype=complex)
+        firsts: list[int] = []
+        counts: list[int] = []
+        for i, m in enumerate(current):
+            row, g = m.reshape(-1), len(firsts)
+            if g:
+                near = np.abs(reps[:g] - row).max(axis=1) <= COALESCE_TOL
+                first = near.argmax()
+                if near[first]:
+                    counts[first] += 1
+                    continue
+            reps[g] = row
+            firsts.append(i)
+            counts.append(1)
+        if len(firsts) == len(current):
+            break
         # scaling may have created new collisions; fold again
-        current = merged
+        current = [current[i] * math.sqrt(c) if c > 1 else current[i]
+                   for i, c in zip(firsts, counts)]
+    return current
 
 
 def make_kraus(input_sig: Signature, output_sig: Signature, raw_ops,
                tol: float = DEFAULT_TOL) -> KrausSet:
     """Canonicalize a multiset of operators into a valid Kraus set.
+
+    Zero operators are dropped and equal occurrences coalesced, then the
+    survivors are sorted into the order described at :class:`KrausSet` (the
+    sort key is a bytes encoding of that order).  The positivity of
+    I - sum E'E is checked on every call.
 
     Raises :class:`DimensionMismatch` if an operator has the wrong shape and
     :class:`TraceConditionViolated` if the coalesced set has sum E'E > I
@@ -121,7 +157,8 @@ def make_kraus(input_sig: Signature, output_sig: Signature, raw_ops,
                 f"{input_sig.blocks} into {output_sig.blocks}")
         ops.append(m)
     ops = _coalesce(ops)
-    ops.sort(key=_canonical_key)
+    if len(ops) > 1:  # sort computes keys even for a single element
+        ops.sort(key=_canonical_key)
     total = np.zeros((shape[1], shape[1]), dtype=complex)
     for e in ops:
         total += e.conj().T @ e

@@ -655,18 +655,19 @@ def parse(text: str) -> Program:
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
-def _expr_str(e: Expr, parent_prec: int = 0, right_side: bool = False) -> str:
+def expr_str(e: Expr, parent_prec: int = 0, right_side: bool = False) -> str:
+    """Source text of a meta expression, parenthesised only where needed."""
     if isinstance(e, Num):
         return repr(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):
-        inner = _expr_str(e.operand, 3)
+        inner = expr_str(e.operand, 3)
         return f"-{inner}"
     if isinstance(e, BinOp):
         prec = _PREC[e.op]
-        text = (f"{_expr_str(e.left, prec)} {e.op} "
-                f"{_expr_str(e.right, prec, right_side=True)}")
+        text = (f"{expr_str(e.left, prec)} {e.op} "
+                f"{expr_str(e.right, prec, right_side=True)}")
         if prec < parent_prec or (prec == parent_prec and right_side):
             return f"({text})"
         return text
@@ -692,19 +693,19 @@ def _float_str(x: float) -> str:
 def _name_str(n: NameRef) -> str:
     if n.index is None:
         return n.base
-    return f"{n.base}[{_expr_str(n.index)}]"
+    return f"{n.base}[{expr_str(n.index)}]"
 
 
 def _gate_str(g) -> str:
     if isinstance(g, NamedGate):
         return g.name
     if isinstance(g, RkGate):
-        return f"Rk({_expr_str(g.k)})"
+        return f"Rk({expr_str(g.k)})"
     if isinstance(g, PhaseGate):
-        return f"Phase({_expr_str(g.theta)})"
+        return f"Phase({expr_str(g.theta)})"
     if isinstance(g, OracleGate):
         bits = "".join(str(b) for b in g.table)
-        return f"OracleU({bits}, {_expr_str(g.point)})"
+        return f"OracleU({bits}, {expr_str(g.point)})"
     if isinstance(g, MatrixGate):
         rows = ", ".join(
             "[" + ", ".join(_complex_str(z) for z in row) + "]"
@@ -751,8 +752,8 @@ def _stmt_lines(stmt, indent: int) -> list[str]:
             lines.append(pad + "  }")
         return lines
     if isinstance(stmt, ForLoop):
-        head = (f"for {stmt.var} = {_expr_str(stmt.lo)} "
-                f"to {_expr_str(stmt.hi)} {{")
+        head = (f"for {stmt.var} = {expr_str(stmt.lo)} "
+                f"to {expr_str(stmt.hi)} {{")
         lines = [pad + head]
         lines += _block_lines(stmt.body, indent + 1)
         lines.append(pad + "}")

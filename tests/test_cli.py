@@ -163,6 +163,51 @@ class TestEquivAndOrder:
         assert result.exit_code == 2
 
 
+class TestTolerance:
+    def _equiv_without_denoting(self, runner, tmp_path, monkeypatch, args, env=None):
+        def no_denote(*_args, **_kwargs):
+            raise AssertionError("denote reached with an invalid tolerance")
+        monkeypatch.setattr("qalt.cli.denote", no_denote)
+        src = write(tmp_path, "p.q", "skip\n")
+        return runner.invoke(main, ["equiv", src, src, "--ctx", "a:qbit", *args],
+                             env=env)
+
+    @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("inf", "inf"),
+                                              ("0", "0.0"), ("-1", "-1.0")])
+    def test_rejected_before_denotation(self, runner, tmp_path, monkeypatch,
+                                        value, shown):
+        result = self._equiv_without_denoting(runner, tmp_path, monkeypatch,
+                                              ["--tol", value])
+        assert result.exit_code == 2
+        assert "Invalid value for '--tol'" in result.output
+        assert f"got {shown}" in result.output
+        assert "extensionally equal" not in result.output
+
+    def test_environment_variable_rejected(self, runner, tmp_path, monkeypatch):
+        result = self._equiv_without_denoting(runner, tmp_path, monkeypatch,
+                                              [], env={"QALT_TOL": "nan"})
+        assert result.exit_code == 2
+        assert "got nan" in result.output
+        assert "extensionally equal" not in result.output
+
+    def test_valid_tolerance_accepted(self, runner, tmp_path):
+        src = write(tmp_path, "p.q", "skip\n")
+        result = runner.invoke(main, ["equiv", src, src, "--ctx", "a:qbit",
+                                      "--tol", "1e-6"])
+        assert result.exit_code == 0
+        assert "extensionally equal: True" in result.output
+
+
+class TestMetaArithmetic:
+    def test_division_by_zero_is_one_error_line(self, runner, tmp_path):
+        src = write(tmp_path, "z.q", "a *= Rk(1/0)\n")
+        result = runner.invoke(main, ["denote", src, "--ctx", "a:qbit"])
+        assert result.exit_code == 1
+        assert result.output == (
+            "error: meta expression '1 / 0' fails: division by zero\n")
+        assert isinstance(result.exception, SystemExit)  # no uncaught error
+
+
 class TestDemo:
     @pytest.mark.parametrize("name", ["deutsch", "dj", "qft", "toffoli",
                                       "nonmonotone", "phase"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -203,6 +204,27 @@ class TestQbitKronOrder:
         # qbit (x) (1,1): block layout (b0 q=0, b0 q=1, b1 q=0, b1 q=1)
         # kron layout    (q=0 b0,  q=0 b1,  q=1 b0,  q=1 b1)
         assert qbit_kron_order(1, Signature((1, 1))).tolist() == [0, 2, 1, 3]
+
+    def test_matches_index_loop(self):
+        def by_loop(r, sig):
+            d, count = sum(sig.blocks), 2 ** r
+            order = np.zeros(count * d, dtype=np.intp)
+            off = 0
+            for n in sig.blocks:
+                for x in range(count):
+                    for j in range(n):
+                        order[count * off + x * n + j] = x * d + off + j
+                off += n
+            return order
+
+        sigs = [Signature(b) for k in (1, 2, 3)
+                for b in itertools.product((1, 2, 3), repeat=k)]
+        sigs += [Signature((4,)), Signature((8, 1, 2)), Signature((1, 16))]
+        for r in (1, 2, 3):
+            for sig in sigs:
+                got = qbit_kron_order(r, sig)
+                assert got.dtype == np.intp
+                assert np.array_equal(got, by_loop(r, sig))
 
 
 class TestDensityState:

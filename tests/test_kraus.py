@@ -26,7 +26,7 @@ from qalt import (
     to_choi,
     zero_kraus,
 )
-from qalt.core import H, ID2, PI0, PI1, X, block_diag
+from qalt.core import H, ID2, PI0, PI1, X, block_diag, is_psd
 from qalt.errors import (
     BranchCountMismatch,
     DimensionMismatch,
@@ -34,6 +34,7 @@ from qalt.errors import (
     SignatureMismatch,
     TraceConditionViolated,
 )
+from qalt.kraus import COALESCE_TOL, _canonical_key, _coalesce
 
 Q = Signature((2,))
 ONE = Signature((1,))
@@ -78,6 +79,118 @@ class TestMakeKraus:
         a = kraus_of(PI1, PI0)
         b = kraus_of(PI0, PI1)
         assert all(np.array_equal(x, y) for x, y in zip(a.ops, b.ops))
+
+
+def tuple_key(m):
+    """The canonical order as Python tuples: reference for the bytes key."""
+    r = np.round(m, 12) + 0.0  # -0.0 -> 0.0
+    rounded = np.stack([r.real, r.imag], axis=-1).reshape(-1)
+    exact = np.stack([m.real, m.imag], axis=-1).reshape(-1)
+    return (tuple(rounded), tuple(exact))
+
+
+def pairwise_coalesce(ops):
+    """First-match grouping by a pairwise loop: reference for _coalesce."""
+    current = [m for m in ops if np.abs(m).max() > COALESCE_TOL]
+    while True:
+        groups = []  # [representative, count]
+        for m in current:
+            for g in groups:
+                if np.abs(g[0] - m).max() <= COALESCE_TOL:
+                    g[1] += 1
+                    break
+            else:
+                groups.append([m, 1])
+        merged = [g[0] * math.sqrt(g[1]) if g[1] > 1 else g[0] for g in groups]
+        if len(merged) == len(current):
+            return merged
+        current = merged
+
+
+# signed zeros, values equal after rounding to 12 digits but not exactly,
+# offsets below the rounding digit, and magnitudes far apart
+AWKWARD = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 0.1, 0.1 + 1e-13,
+                    0.1 - 4e-13, 1e-13, -1e-13, 7e-12, 1e-300, -1e-300, 3e5])
+
+
+def awkward_set(rng):
+    """Operators of one random shape, with duplicates and near-duplicates."""
+    shape = tuple(rng.integers(1, 4, size=2))
+    ops = []
+    for _ in range(rng.integers(2, 9)):
+        if ops and rng.random() < 0.4:
+            m = ops[rng.integers(len(ops))].copy()
+            if rng.random() < 0.5:
+                m = m + rng.choice([1e-13, -1e-13]) * (rng.random(shape) < 0.5)
+        else:
+            m = rng.choice(AWKWARD, size=shape) + 1j * rng.choice(AWKWARD, size=shape)
+        ops.append(np.asfortranarray(m) if rng.random() < 0.3 else m)
+    return ops
+
+
+class TestCanonicalForm:
+    def test_key_order_matches_tuple_order(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(2000):
+            ops = awkward_set(rng)
+            if ops[0].shape[0] == ops[0].shape[1] and rng.random() < 0.3:
+                ops = [m.conj().T for m in ops]  # not C-contiguous
+            by_tuple = sorted(range(len(ops)), key=lambda i: tuple_key(ops[i]))
+            by_bytes = sorted(range(len(ops)), key=lambda i: _canonical_key(ops[i]))
+            assert by_bytes == by_tuple
+
+    def test_key_folds_signed_zeros_only(self):
+        zero = np.array([[0.0 + 0.0j, 1.0]])
+        negative_zero = np.array([[complex(-0.0, -0.0), 1.0]])
+        assert _canonical_key(zero) == _canonical_key(negative_zero)
+        assert _canonical_key(zero) < _canonical_key(zero + 1e-300)
+        assert _canonical_key(zero - 1e-300) < _canonical_key(zero)
+
+    def test_key_of_non_contiguous_operator(self):
+        m = np.arange(6).reshape(2, 3) * (1 - 0.5j)
+        view = m.conj().T
+        assert not view.flags.c_contiguous
+        assert _canonical_key(view) == _canonical_key(np.ascontiguousarray(view))
+
+    def test_coalesce_matches_pairwise_loop(self):
+        rng = np.random.default_rng(99)
+        k = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        cases = [[k / 2] * 4,                        # one group of four
+                 [k, k, math.sqrt(2) * k],           # merges again after scaling
+                 [k, np.zeros((2, 2)), k, np.full((2, 2), 1e-13)],
+                 # differences of exactly COALESCE_TOL merge; entries of
+                 # at most COALESCE_TOL count as zero
+                 [np.array([[COALESCE_TOL, 1.0], [0.0, 0.0]]),
+                  np.array([[0.0, 1.0], [0.0, 0.0]]),
+                  np.full((2, 2), COALESCE_TOL)]]
+        for _ in range(500):
+            base = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                    for _ in range(rng.integers(1, 4))]
+            ops = []
+            for _ in range(rng.integers(1, 12)):
+                m = base[rng.integers(len(base))]
+                # within, at and just beyond the tolerance, or a zero operator
+                step = rng.choice([0.0, 0.5e-12, 0.99e-12, 1.01e-12, 2e-12])
+                m = m + step * rng.choice([-1, 1], size=(2, 2))
+                ops.append(np.zeros((2, 2)) if rng.random() < 0.1 else m)
+            cases.append(ops)
+        for ops in cases:
+            got, want = _coalesce(list(ops)), pairwise_coalesce(list(ops))
+            assert len(got) == len(want)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        four = _coalesce([k / 2] * 4)
+        assert len(four) == 1 and np.array_equal(four[0], k)
+
+    def test_single_operator_still_canonicalised_and_checked(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("qalt.kraus.is_psd",
+                            lambda *a: calls.append(a) or is_psd(*a))
+        assert len(kraus_of(np.full((2, 2), 1e-13))) == 0
+        with pytest.raises(TraceConditionViolated):
+            kraus_of(2 * ID2)
+        (op,) = kraus_of(np.array([[-0.0, 1.0], [1.0, 0.0]])).ops
+        assert np.signbit(op[0, 0].real)  # stored as given, -0.0 kept
+        assert len(calls) == 3
 
 
 class TestCompose:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,6 +209,16 @@ class TestTypecheck:
     def test_unbound_loop_variable(self):
         with pytest.raises(NonConstantBound):
             typecheck(parse("for i = 1 to n { skip }"))
+
+    @pytest.mark.parametrize("source, text", [
+        ("q0 *= Rk(1/0)", "'1 / 0' fails: division by zero"),
+        ("for i = 1 to 4 / (2 - 2) { q0 *= H }", "'4 / (2 - 2)' fails"),
+        ("q0 *= Phase(1e308 * 10)", "'1e+308 * 10' is not finite"),
+        ("q0 *= Phase(1e999)", "'inf' is not finite"),
+    ])
+    def test_meta_arithmetic_faults(self, source, text):
+        with pytest.raises(NonConstantBound, match=re.escape(text)):
+            typecheck(parse(source), CTX_Q0)
 
     def test_deterministic(self):
         p = gen_qft(3)
