@@ -108,29 +108,22 @@ def _coalesce(ops: list[Matrix]) -> list[Matrix]:
 
     Each operator joins the first group whose representative lies within
     :data:`COALESCE_TOL` of it entrywise, else it starts a group.  Folding
-    repeats until a pass merges nothing.
+    repeats until a pass merges nothing.  All operators share one shape.
     """
     current = [m for m in ops if np.abs(m).max() > COALESCE_TOL]
     while len(current) > 1:
-        reps = np.empty((len(current), current[0].size), dtype=complex)
-        firsts: list[int] = []
-        counts: list[int] = []
-        for i, m in enumerate(current):
-            row, g = m.reshape(-1), len(firsts)
-            if g:
-                near = np.abs(reps[:g] - row).max(axis=1) <= COALESCE_TOL
-                first = near.argmax()
-                if near[first]:
-                    counts[first] += 1
-                    continue
-            reps[g] = row
-            firsts.append(i)
-            counts.append(1)
-        if len(firsts) == len(current):
+        groups: list[list] = []  # [representative, count]
+        for m in current:
+            for g in groups:
+                if np.abs(g[0] - m).max() <= COALESCE_TOL:
+                    g[1] += 1
+                    break
+            else:
+                groups.append([m, 1])
+        if len(groups) == len(current):
             break
         # scaling may have created new collisions; fold again
-        current = [current[i] * math.sqrt(c) if c > 1 else current[i]
-                   for i, c in zip(firsts, counts)]
+        current = [g[0] * math.sqrt(g[1]) if g[1] > 1 else g[0] for g in groups]
     return current
 
 

@@ -34,7 +34,7 @@ from qalt.errors import (
     SignatureMismatch,
     TraceConditionViolated,
 )
-from qalt.kraus import COALESCE_TOL, _canonical_key, _coalesce
+from qalt.kraus import COALESCE_TOL, _canonical_key
 
 Q = Signature((2,))
 ONE = Signature((1,))
@@ -69,6 +69,26 @@ class TestMakeKraus:
         assert len(s.ops) == 1
         assert np.abs(s.ops[0] - 2 * k).max() < 1e-12
 
+    def test_four_quarters_fold_into_one(self):
+        # one group of four: {X/2} x 4 is {X}
+        s = kraus_of(*[X / 2] * 4)
+        assert len(s.ops) == 1
+        assert np.abs(s.ops[0] - X).max() < 1e-12
+
+    def test_zero_operators_dropped_among_duplicates(self):
+        s = kraus_of(X / 2, np.zeros((2, 2)), X / 2, np.full((2, 2), 1e-13))
+        assert len(s.ops) == 1
+        assert np.abs(s.ops[0] - X / math.sqrt(2)).max() < 1e-12
+
+    def test_coalesce_tolerance_is_inclusive(self):
+        # operators exactly COALESCE_TOL apart merge, and an operator whose
+        # entries are at most COALESCE_TOL counts as zero
+        e = np.array([[COALESCE_TOL, 0.5], [0.0, 0.0]])
+        s = kraus_of(e, np.array([[0.0, 0.5], [0.0, 0.0]]),
+                     np.full((2, 2), COALESCE_TOL))
+        assert len(s.ops) == 1
+        assert np.array_equal(s.ops[0], e * math.sqrt(2))
+
     def test_zero_append_invariance(self):
         rng = np.random.default_rng(17)
         raw = list(rand_kraus(rng, Q, size=2).ops)
@@ -87,24 +107,6 @@ def tuple_key(m):
     rounded = np.stack([r.real, r.imag], axis=-1).reshape(-1)
     exact = np.stack([m.real, m.imag], axis=-1).reshape(-1)
     return (tuple(rounded), tuple(exact))
-
-
-def pairwise_coalesce(ops):
-    """First-match grouping by a pairwise loop: reference for _coalesce."""
-    current = [m for m in ops if np.abs(m).max() > COALESCE_TOL]
-    while True:
-        groups = []  # [representative, count]
-        for m in current:
-            for g in groups:
-                if np.abs(g[0] - m).max() <= COALESCE_TOL:
-                    g[1] += 1
-                    break
-            else:
-                groups.append([m, 1])
-        merged = [g[0] * math.sqrt(g[1]) if g[1] > 1 else g[0] for g in groups]
-        if len(merged) == len(current):
-            return merged
-        current = merged
 
 
 # signed zeros, values equal after rounding to 12 digits but not exactly,
@@ -151,35 +153,6 @@ class TestCanonicalForm:
         view = m.conj().T
         assert not view.flags.c_contiguous
         assert _canonical_key(view) == _canonical_key(np.ascontiguousarray(view))
-
-    def test_coalesce_matches_pairwise_loop(self):
-        rng = np.random.default_rng(99)
-        k = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        cases = [[k / 2] * 4,                        # one group of four
-                 [k, k, math.sqrt(2) * k],           # merges again after scaling
-                 [k, np.zeros((2, 2)), k, np.full((2, 2), 1e-13)],
-                 # differences of exactly COALESCE_TOL merge; entries of
-                 # at most COALESCE_TOL count as zero
-                 [np.array([[COALESCE_TOL, 1.0], [0.0, 0.0]]),
-                  np.array([[0.0, 1.0], [0.0, 0.0]]),
-                  np.full((2, 2), COALESCE_TOL)]]
-        for _ in range(500):
-            base = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                    for _ in range(rng.integers(1, 4))]
-            ops = []
-            for _ in range(rng.integers(1, 12)):
-                m = base[rng.integers(len(base))]
-                # within, at and just beyond the tolerance, or a zero operator
-                step = rng.choice([0.0, 0.5e-12, 0.99e-12, 1.01e-12, 2e-12])
-                m = m + step * rng.choice([-1, 1], size=(2, 2))
-                ops.append(np.zeros((2, 2)) if rng.random() < 0.1 else m)
-            cases.append(ops)
-        for ops in cases:
-            got, want = _coalesce(list(ops)), pairwise_coalesce(list(ops))
-            assert len(got) == len(want)
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
-        four = _coalesce([k / 2] * 4)
-        assert len(four) == 1 and np.array_equal(four[0], k)
 
     def test_single_operator_still_canonicalised_and_checked(self, monkeypatch):
         calls = []
