@@ -1,17 +1,18 @@
 """Typing-context checker and elaborator.
 
-``typecheck`` annotates every statement of a (deep-copied) program with its
-input and output context and enforces the branching rules: quantum-`if` and
-`case` branches may not mention their control qubits, and all branches of a
-conditional must map the shared input context to one common output context.
-``elaborate`` then unrolls meta-level `for` loops, resolves indexed names and
-truth-table oracles, and expands default case arms, leaving a core program
-the semantics can interpret directly.
+``typecheck`` threads a typing context through a program, without changing
+it, and returns the output context.  It enforces the branching rules:
+quantum-`if` and `case` branches may not mention their control qubits, and
+all branches of a conditional must map the shared input context to one
+common output context.  ``elaborate`` then builds a new core program: it
+unrolls meta-level `for` loops, resolves indexed names and truth-table
+oracles, and expands default case arms, so the semantics can interpret the
+result directly.  The semantics works out the context of each statement
+again as it goes; none is stored on the syntax tree.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import operator
 
@@ -159,7 +160,6 @@ def _branch_contexts_equal(a: Context, b: Context):
 
 
 def _check_stmt(stmt, ctx: Context, env: dict, blocked: frozenset) -> Context:
-    stmt.ctx_in = ctx
     if isinstance(stmt, ast.Skip):
         out = ctx
     elif isinstance(stmt, ast.NewQbit):
@@ -246,21 +246,16 @@ def _check_stmt(stmt, ctx: Context, env: dict, blocked: frozenset) -> Context:
             out = _check_block(stmt.body, out, {**env, stmt.var: value}, blocked)
     else:
         raise TypeError(f"not a statement: {stmt!r}")
-    stmt.ctx_out = out
     return out
 
 
-def typecheck(program: ast.Program, initial: Context | None = None) -> ast.Program:
-    """Return an annotated deep copy of ``program``, or raise.
+def typecheck(program: ast.Program, initial: Context | None = None) -> Context:
+    """Output context of ``program`` run from ``initial``, or raise.
 
-    Every statement of the result carries ``ctx_in`` and ``ctx_out``
-    annotations; the program itself records the initial and final contexts.
+    ``program`` is only read.
     """
     initial = initial if initial is not None else Context.empty()
-    p = copy.deepcopy(program)
-    p.ctx_in = initial
-    p.ctx_out = _check_block(p.body, initial, {}, frozenset())
-    return p
+    return _check_block(program.body, initial, {}, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +350,8 @@ def elaborate(program: ast.Program) -> ast.Program:
 
     The result contains no ``ForLoop``, no indexed name, no ``OracleGate``
     and no default arm; ``measure`` statements are kept as single nodes.
-    Annotations are dropped; run :func:`typecheck` again if they are needed.
+    ``program`` must typecheck; it is only read, and the result shares no
+    node with it.
     """
     return ast.Program(_elab_block(program.body, {}))
 

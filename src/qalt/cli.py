@@ -16,6 +16,7 @@ import sys
 import click
 import numpy as np
 
+from .check import typecheck
 from .core import DensityState, Signature, unit_state
 from .corpus import (
     TruthTable,
@@ -80,12 +81,15 @@ def _matrix_lines(m, indent: str = "  ") -> list[str]:
     return [indent + "  ".join(_fmt_complex(z) for z in row) for row in np.asarray(m)]
 
 
+# Every echo names its stream: click caches a wrapper per default stream,
+# and that cache keeps every redirected stream of an in-process call alive.
+
 def _emit(doc: dict, fmt: str, text_lines: list[str]):
     if fmt == "structured":
-        click.echo(json.dumps(doc, indent=2, sort_keys=True))
+        click.echo(json.dumps(doc, indent=2, sort_keys=True), file=sys.stdout)
     else:
         for line in text_lines:
-            click.echo(line)
+            click.echo(line, file=sys.stdout)
 
 
 def _load_source(path: str) -> str:
@@ -101,7 +105,7 @@ def _parse_ctx(spec: str | None) -> Context:
 
 
 def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
+    click.echo(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -165,13 +169,7 @@ def cmd_run(source, init_path, stats_name, ctx_spec, tol, fmt):
         if init_path is not None:
             with open(init_path, "r", encoding="ascii") as fh:
                 initial = _decode_state(json.load(fh))
-        if initial is None:
-            if ctx.entries:
-                raise ValueError(
-                    "an initial state is required for a nonempty context")
-            initial = unit_state()
-        d = denote(program, ctx)
-        state = apply(d.kraus, initial, tolerance)
+        state = run(program, initial, ctx, tolerance)
         result = {"state": _encode_state(state)}
         lines = [f"final state on signature {state.signature.blocks}:"]
         for i, block in enumerate(state.blocks):
@@ -179,7 +177,7 @@ def cmd_run(source, init_path, stats_name, ctx_spec, tol, fmt):
             lines.extend(_matrix_lines(block))
         lines.append(f"trace: {state.trace():.10g}")
         if stats_name is not None:
-            p0, p1 = measure_stats(state, stats_name, d.output_ctx)
+            p0, p1 = measure_stats(state, stats_name, typecheck(program, ctx))
             result["stats"] = {"qubit": stats_name, "p0": p0, "p1": p1}
             lines.append(f"Pr[{stats_name}=0] = {p0:.10g}")
             lines.append(f"Pr[{stats_name}=1] = {p1:.10g}")
@@ -289,10 +287,8 @@ def _demo_deutsch(tolerance, table_bits=None):
     lines = ["deutsch: Pr[q0=0] per truth table"]
     choices = [table_bits] if table_bits else ["00", "01", "10", "11"]
     for table in [TruthTable.from_bits(b) for b in choices]:
-        program = gen_deutsch(table)
-        d = denote(program)
-        state = run(program)
-        p0, _ = measure_stats(state, "q0", d.output_ctx)
+        d = denote(gen_deutsch(table))
+        p0, _ = measure_stats(apply(d.kraus, unit_state()), "q0", d.output_ctx)
         bits = "".join(str(v) for v in table.values)
         rows.append({"f": bits, "constant": table.is_constant, "p0": p0})
         lines.append(f"  f={bits} constant={table.is_constant} p0={p0:.10g}")
@@ -309,11 +305,10 @@ def _demo_dj(tolerance, table_bits=None):
     rows = []
     lines = [f"deutsch-jozsa (n={n}): Pr[all controls 0] per truth table"]
     for table in tables:
-        program = gen_deutsch_jozsa(table)
-        d = denote(program)
-        state = run(program)
+        d = denote(gen_deutsch_jozsa(table))
         assignment = {f"q0_{i}": 0 for i in range(table.n)}
-        p = outcome_probability(state, d.output_ctx, assignment)
+        p = outcome_probability(apply(d.kraus, unit_state()), d.output_ctx,
+                                assignment)
         bits = "".join(str(v) for v in table.values)
         rows.append({"f": bits, "constant": table.is_constant, "p_zeros": p})
         lines.append(f"  f={bits} constant={table.is_constant} p={p:.10g}")

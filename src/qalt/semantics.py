@@ -7,13 +7,14 @@ select signature blocks (first allocated = most significant) and qubits are
 the tensor factors of a block (first allocated = leading factor).  Every
 layout map is read off that tensor: allocation, discard and measurement take
 one value on a variable's axis (:func:`_where`), and moving the controls of
-an alternation to the front transposes its axes (:func:`leading_order`,
-:func:`leading_permutation`).
+an alternation to the front transposes its axes (:func:`leading_permutation`).
 
 ``denote`` interprets an elaborated program as one composed Kraus set.
 ``eval_direct`` is an independent cross-checking oracle: it updates the
 density matrix statement by statement with tensor-contraction arithmetic and
-never composes program-level Kraus sets.
+never composes program-level Kraus sets.  Both work out each statement's
+typing context as they go, from the context before it; an alternation's
+inner and output contexts come from one helper (:func:`_alternation`).
 """
 
 from __future__ import annotations
@@ -97,13 +98,15 @@ def _rows(indices: np.ndarray, d: int) -> Matrix:
     return op
 
 
-def leading_order(ctx: Context, controls: list[str]) -> np.ndarray:
+def leading_permutation(ctx: Context, controls: list[str]) -> np.ndarray:
     """Index map from the context layout to the controls-leading layout.
 
     Entry ``g`` is the basis index, in the layout where the listed control
     qubits are the leading factors (in listed order, followed by the other
     qubits in context order), of context-layout basis vector ``g``.  Blocks
-    are untouched.
+    are untouched.  An operator ``a`` between two controls-leading layouts
+    is ``a[np.ix_(leading_permutation(out, c), leading_permutation(ctx, c))]``
+    between the context layouts.
     """
     names, index = _layout(ctx)
     controls = list(controls)
@@ -111,14 +114,6 @@ def leading_order(ctx: Context, controls: list[str]) -> np.ndarray:
     # read as the lead layout, the index tensor moved back to context axis
     # order holds each context basis vector's lead index
     return index.transpose(np.argsort([names.index(n) for n in lead])).ravel()
-
-
-def leading_permutation(ctx: Context, controls: list[str]) -> Matrix:
-    """The layout map of :func:`leading_order` as a permutation matrix."""
-    order = leading_order(ctx, controls)
-    p = np.zeros((order.size, order.size), dtype=complex)
-    p[order, np.arange(order.size)] = 1.0
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +207,32 @@ def _denote_block(block: list, ctx: Context) -> tuple[KrausSet, Context]:
     return kset, ctx
 
 
-def _alternation_parts(stmt) -> tuple[list[str], list[list]]:
-    """Control names and branch blocks of a quantum if or case.
+def _alternation(stmt, ctx: Context, block_fn):
+    """Controls, branches and contexts of a quantum if or case.
 
-    Block k is the branch for control value k, the first control being the
-    most significant bit.
+    ``block_fn(block, inner)`` evaluates a branch from the inner context
+    (``ctx`` without the controls) and returns (value, inner output).
+    Returns the control names, the branch values (value k is the branch for
+    control value k, the first control being the most significant bit), the
+    inner context, the inner output context and the output context: the
+    inner output with the controls put back where they were in ``ctx``.
     """
     if isinstance(stmt, ast.QIf):
-        return [stmt.control.base], [stmt.then_block, stmt.else_block]
-    return ([c.base for c in stmt.controls],
-            [arm.block for arm in sorted(stmt.arms, key=lambda a: a.label)])
+        names, blocks = [stmt.control.base], [stmt.then_block, stmt.else_block]
+    else:
+        names = [c.base for c in stmt.controls]
+        blocks = [arm.block for arm in sorted(stmt.arms, key=lambda a: a.label)]
+    inner = ctx
+    for name in names:
+        inner = inner.remove(name)
+    values = []
+    for block in blocks:
+        value, inner_out = block_fn(block, inner)
+        values.append(value)
+    out_ctx = inner_out
+    for pos, name in sorted((ctx.index_of(n), n) for n in names):
+        out_ctx = out_ctx.insert(min(pos, len(out_ctx.entries)), name, QBIT)
+    return names, values, inner, inner_out, out_ctx
 
 
 def _denote_stmt(stmt, ctx: Context) -> tuple[KrausSet, Context]:
@@ -249,25 +260,13 @@ def _denote_stmt(stmt, ctx: Context) -> tuple[KrausSet, Context]:
         merged = merge_kraus(then_k.output_sig)
         return compose(merged, compose(summed, measure)), out_ctx
     if isinstance(stmt, (ast.QIf, ast.QCase)):
-        names, blocks = _alternation_parts(stmt)
-        inner = ctx
-        for name in names:
-            inner = inner.remove(name)
-        branches = []
-        for block in blocks:
-            kset, inner_out = _denote_block(block, inner)
-            branches.append(kset)
+        names, branches, _, _, out_ctx = _alternation(stmt, ctx, _denote_block)
         # one control goes through `alternate`, so span traces see it used
         alt = (alternate(*branches) if len(names) == 1
                else alternate_case(branches, len(names)))
-        out_ctx = inner_out
-        for pos, name in sorted((ctx.index_of(n), n) for n in names):
-            out_ctx = out_ctx.insert(min(pos, len(out_ctx.entries)), name, QBIT)
-        p_in = leading_permutation(ctx, names)
-        p_out = leading_permutation(out_ctx, names)
-        enter = make_kraus(sig, alt.input_sig, [p_in])
-        leave = make_kraus(alt.output_sig, signature_of(out_ctx), [p_out.conj().T])
-        return compose(leave, compose(alt, enter)), out_ctx
+        at = np.ix_(leading_permutation(out_ctx, names),
+                    leading_permutation(ctx, names))
+        return make_kraus(sig, signature_of(out_ctx), [e[at] for e in alt.ops]), out_ctx
     raise TypeError(f"statement not elaborated: {stmt!r}")
 
 
@@ -276,7 +275,8 @@ def _prepare(program, ctx: Context) -> ast.Program:
         program = ast.parse(program)
     elif not isinstance(program, ast.Program):
         program = ast.Program([program])
-    return elaborate(typecheck(program, ctx))
+    typecheck(program, ctx)
+    return elaborate(program)
 
 
 def denote(program, ctx: Context | None = None) -> Denotation:
@@ -426,87 +426,86 @@ def _controlled_elements_direct(branch_elems: list[list[Matrix]],
     return out
 
 
-def _stmt_direct_kraus(stmt) -> list[Matrix]:
+def _stmt_direct_kraus(stmt, ctx: Context) -> tuple[list[Matrix], Context]:
     """Raw Kraus elements of one statement, in the context layout."""
-    ctx, out_ctx = stmt.ctx_in, stmt.ctx_out
     m = len(ctx.qubits())
     nblocks = 2 ** len(ctx.bits())
     if isinstance(stmt, ast.Skip):
-        return [np.eye(nblocks * 2 ** m, dtype=complex)]
+        return [np.eye(nblocks * 2 ** m, dtype=complex)], ctx
     if isinstance(stmt, ast.ApplyGate):
         qubits = ctx.qubits()
         positions = [qubits.index(t.base) for t in stmt.targets]
         emb = _embed_direct(_gate_matrix(stmt.gate), positions, m)
-        return [np.kron(np.eye(nblocks, dtype=complex), emb)]
+        return [np.kron(np.eye(nblocks, dtype=complex), emb)], ctx
     if isinstance(stmt, (ast.NewQbit, ast.NewBit)):
-        return [_allocation_matrix(out_ctx, stmt.name.base)]
+        name = stmt.name.base
+        out_ctx = ctx.add(name, QBIT if isinstance(stmt, ast.NewQbit) else BIT)
+        return [_allocation_matrix(out_ctx, name)], out_ctx
     if isinstance(stmt, ast.Discard):
-        return _discard_matrices(ctx, stmt.name.base)
+        name = stmt.name.base
+        return _discard_matrices(ctx, name), ctx.remove(name)
     if isinstance(stmt, ast.MeasureThenElse):
-        d = nblocks * 2 ** m
-        projs = []
-        for v in (0, 1):
-            diag = np.zeros(d)
-            diag[_where(ctx, stmt.control.base, v)] = 1.0
-            projs.append(np.diag(diag).astype(complex))
         out = []
-        for elems, proj in ((_block_direct_kraus(stmt.then_block), projs[0]),
-                            (_block_direct_kraus(stmt.else_block), projs[1])):
+        for v, block in ((0, stmt.then_block), (1, stmt.else_block)):
+            diag = np.zeros(nblocks * 2 ** m)
+            diag[_where(ctx, stmt.control.base, v)] = 1.0
+            proj = np.diag(diag).astype(complex)
+            elems, out_ctx = _block_direct_kraus(block, ctx)
             out.extend(e @ proj for e in elems)
-        return out
+        return out, out_ctx
     if isinstance(stmt, (ast.QIf, ast.QCase)):
-        names, blocks = _alternation_parts(stmt)
-        r = len(names)
-        branch_elems = [_coalesce_direct(_block_direct_kraus(b)) for b in blocks]
-        inner_in = blocks[0][0].ctx_in
-        inner_out = blocks[0][-1].ctx_out
-        lead = _controlled_elements_direct(branch_elems, inner_in, inner_out, r)
-        order_in = leading_order(ctx, names)
-        order_out = leading_order(out_ctx, names)
-        return [k[np.ix_(order_out, order_in)] for k in lead]
+        names, branches, inner_in, inner_out, out_ctx = _alternation(
+            stmt, ctx, _block_direct_kraus)
+        branch_elems = [_coalesce_direct(elems) for elems in branches]
+        lead = _controlled_elements_direct(branch_elems, inner_in, inner_out,
+                                           len(names))
+        at = np.ix_(leading_permutation(out_ctx, names),
+                    leading_permutation(ctx, names))
+        return [k[at] for k in lead], out_ctx
     raise TypeError(f"statement not elaborated: {stmt!r}")
 
 
-def _block_direct_kraus(block: list) -> list[Matrix]:
+def _block_direct_kraus(block: list, ctx: Context) -> tuple[list[Matrix], Context]:
     elems = None
     for stmt in block:
-        step = _stmt_direct_kraus(stmt)
+        step, ctx = _stmt_direct_kraus(stmt, ctx)
         if elems is None:
             elems = step
         else:
             elems = [b @ a for b in step for a in elems]
-    return elems if elems is not None else []
+    return (elems if elems is not None else []), ctx
 
 
-def _direct_step(stmt, rho: Matrix) -> Matrix:
-    ctx = stmt.ctx_in
+def _direct_step(stmt, rho: Matrix, ctx: Context) -> tuple[Matrix, Context]:
     m = len(ctx.qubits())
     nblocks = 2 ** len(ctx.bits())
     if isinstance(stmt, ast.Skip):
-        return rho
+        return rho, ctx
     if isinstance(stmt, ast.ApplyGate):
         qubits = ctx.qubits()
         positions = [qubits.index(t.base) for t in stmt.targets]
-        return _conjugate_full(rho, _gate_matrix(stmt.gate), positions, m, nblocks)
+        return _conjugate_full(rho, _gate_matrix(stmt.gate), positions, m, nblocks), ctx
     if isinstance(stmt, ast.MeasureThenElse):
         total = None
         for v, block in ((0, stmt.then_block), (1, stmt.else_block)):
             keep = _where(ctx, stmt.control.base, v)
             projected = np.zeros_like(rho)
             projected[np.ix_(keep, keep)] = rho[np.ix_(keep, keep)]
+            out_ctx = ctx
             for inner in block:
-                projected = _direct_step(inner, projected)
+                projected, out_ctx = _direct_step(inner, projected, out_ctx)
             total = projected if total is None else total + projected
-        return total
+        return total, out_ctx
     if isinstance(stmt, (ast.NewQbit, ast.NewBit, ast.Discard, ast.QIf, ast.QCase)):
+        elems, out_ctx = _stmt_direct_kraus(stmt, ctx)
         out = None
-        for e in _stmt_direct_kraus(stmt):
+        for e in elems:
             term = e @ rho @ e.conj().T
             out = term if out is None else out + term
         if out is None:
-            d_out = dim(signature_of(stmt.ctx_out))
+            d_out = dim(signature_of(out_ctx))
             out = np.zeros((d_out, d_out), dtype=complex)
-        return out
+        return out, out_ctx
     raise TypeError(f"statement not elaborated: {stmt!r}")
 
 
@@ -525,12 +524,10 @@ def eval_direct(program, initial: DensityState | None = None,
         initial = unit_state()
     if initial.signature != signature_of(ctx):
         raise SignatureMismatch("initial state does not match the context")
-    # the only reader of per-statement contexts: annotate the elaborated copy
-    core = typecheck(_prepare(program, ctx), ctx)
     rho = np.array(initial.full())
-    for stmt in core.body:
-        rho = _direct_step(stmt, rho)
-    out_sig = signature_of(core.ctx_out)
+    for stmt in _prepare(program, ctx).body:
+        rho, ctx = _direct_step(stmt, rho, ctx)
+    out_sig = signature_of(ctx)
     blocks = split_blocks(rho, out_sig)
     residual = 0.0
     if len(blocks) > 1:

@@ -27,7 +27,7 @@ away before anything reaches the semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParseError
 
@@ -115,43 +115,30 @@ class OracleGate:
 # Statements
 # ---------------------------------------------------------------------------
 
-def _ann():
-    return field(default=None, compare=False, repr=False)
-
-
 @dataclass
 class Skip:
-    ctx_in: object = _ann()
-    ctx_out: object = _ann()
+    pass
 
 
 @dataclass
 class NewQbit:
     name: NameRef
-    ctx_in: object = _ann()
-    ctx_out: object = _ann()
 
 
 @dataclass
 class NewBit:
     name: NameRef
-    ctx_in: object = _ann()
-    ctx_out: object = _ann()
 
 
 @dataclass
 class ApplyGate:
     targets: list
     gate: object
-    ctx_in: object = _ann()
-    ctx_out: object = _ann()
 
 
 @dataclass
 class Discard:
     name: NameRef
-    ctx_in: object = _ann()
-    ctx_out: object = _ann()
 
 
 @dataclass
@@ -159,8 +146,6 @@ class MeasureThenElse:
     control: NameRef
     then_block: list
     else_block: list
-    ctx_in: object = _ann()
-    ctx_out: object = _ann()
 
 
 @dataclass
@@ -168,8 +153,6 @@ class QIf:
     control: NameRef
     then_block: list
     else_block: list
-    ctx_in: object = _ann()
-    ctx_out: object = _ann()
 
 
 @dataclass
@@ -182,8 +165,6 @@ class CaseArm:
 class QCase:
     controls: list
     arms: list
-    ctx_in: object = _ann()
-    ctx_out: object = _ann()
 
 
 @dataclass
@@ -192,15 +173,11 @@ class ForLoop:
     lo: Expr
     hi: Expr
     body: list
-    ctx_in: object = _ann()
-    ctx_out: object = _ann()
 
 
 @dataclass
 class Program:
     body: list
-    ctx_in: object = _ann()
-    ctx_out: object = _ann()
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +343,17 @@ def _tokenize(text: str) -> list[Token]:
 # Parser
 # ---------------------------------------------------------------------------
 
+#: Deepest nesting of blocks, parentheses and unary minus signs, counted
+#: together, that :func:`parse` accepts.  Every later stage recurses once or
+#: a few times per level, so the bound keeps them inside Python's stack.
+MAX_NESTING = 200
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -388,6 +372,13 @@ class _Parser:
         if tok.kind != "SYM" or tok.text != sym:
             self.fail(f"expected {sym!r}, found {tok.text!r}")
         return self.next()
+
+    def nest(self, tok: Token):
+        """Enter one nesting level, opened by ``tok``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             tok.line, tok.col)
 
     def at_sym(self, sym: str) -> bool:
         tok = self.peek()
@@ -428,12 +419,15 @@ class _Parser:
     def parse_factor(self) -> Expr:
         tok = self.peek()
         if self.at_sym("-"):
-            self.next()
-            return Neg(self.parse_factor())
+            self.nest(self.next())
+            node = Neg(self.parse_factor())
+            self.depth -= 1
+            return node
         if self.at_sym("("):
-            self.next()
+            self.nest(self.next())
             node = self.parse_expr()
             self.expect_sym(")")
+            self.depth -= 1
             return node
         if tok.kind == "NUM":
             self.next()
@@ -549,13 +543,14 @@ class _Parser:
     # -- statements --
 
     def parse_block(self) -> list:
-        self.expect_sym("{")
+        self.nest(self.expect_sym("{"))
         body = []
         while not self.at_sym("}"):
             if self.peek().kind == "EOF":
                 self.fail("unterminated block")
             body.append(self.parse_stmt())
         self.expect_sym("}")
+        self.depth -= 1
         return body if body else [Skip()]
 
     def parse_stmt(self):
@@ -644,7 +639,10 @@ class _Parser:
 
 
 def parse(text: str) -> Program:
-    """Parse source text into an AST, raising :class:`ParseError` on failure."""
+    """Parse source text into an AST, raising :class:`ParseError` on failure.
+
+    Nesting deeper than :data:`MAX_NESTING` levels is a :class:`ParseError`.
+    """
     return _Parser(text).parse_program()
 
 

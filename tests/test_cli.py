@@ -1,5 +1,9 @@
+import gc
+import io
 import json
 import math
+import weakref
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from click.testing import CliRunner
@@ -81,6 +85,22 @@ class TestRun:
             assert result.exit_code == 0
             outs.add(result.output)
         assert len(outs) == 1
+
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_in_process_output_is_not_retained(self, tmp_path, fmt):
+        src = write(tmp_path, "p.q", "new qbit q\nq *= H\n")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            main.main(args=["run", src, "--format", fmt], standalone_mode=False)
+            with pytest.raises(SystemExit):
+                main.main(args=["run", src + "x"], standalone_mode=False)
+        assert "trace" in out.getvalue()
+        assert err.getvalue().startswith("error: ")
+        refs = [weakref.ref(out), weakref.ref(err)]
+        del out, err
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestDenote:
@@ -205,6 +225,19 @@ class TestMetaArithmetic:
         assert result.exit_code == 1
         assert result.output == (
             "error: meta expression '1 / 0' fails: division by zero\n")
+        assert isinstance(result.exception, SystemExit)  # no uncaught error
+
+
+class TestNesting:
+    def test_deep_program_is_one_error_line(self, runner, tmp_path):
+        depth = 1500
+        src = write(tmp_path, "deep.q", "if q then { " * depth + "skip"
+                    + " } else { skip }" * depth)
+        result = runner.invoke(main, ["denote", src, "--ctx", "q:qbit"])
+        assert result.exit_code == 1
+        assert result.output.startswith("error: 1:")
+        assert "nesting deeper than 200 levels" in result.output
+        assert result.output.count("\n") == 1
         assert isinstance(result.exception, SystemExit)  # no uncaught error
 
 

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -51,24 +53,33 @@ class TestTruthTable:
             TruthTable(2, (0, 1, 1))
 
 
+def generated_programs():
+    """Every corpus generator's programs, each with its initial context."""
+    jobs = [(gen_deutsch(f), Context.empty())
+            for f in constant_tables(1) + balanced_tables(1)]
+    jobs += [(gen_deutsch_jozsa(f), Context.empty())
+             for n in (1, 2, 3, 4)
+             for f in constant_tables(n) + balanced_tables(n)[:2]]
+    jobs += [(gen_qft(n), qft_context(n)) for n in range(1, 7)]
+    jobs += [(gen_grover_oracle(x0, n), oracle_context(n))
+             for n in (1, 2, 3) for x0 in range(2 ** n)]
+    jobs += [(parse(TOFFOLI_SOURCE),
+              Context.of(("q0", "qbit"), ("q1", "qbit"), ("q2", "qbit")))]
+    return jobs
+
+
 class TestGenerators:
     def test_all_generated_programs_typecheck_and_elaborate(self):
         # denote and run typecheck only before elaborating, which relies on
         # the elaborated program typechecking again to the same context
-        jobs = [(gen_deutsch(f), Context.empty())
-                for f in constant_tables(1) + balanced_tables(1)]
-        jobs += [(gen_deutsch_jozsa(f), Context.empty())
-                 for n in (1, 2, 3, 4)
-                 for f in constant_tables(n) + balanced_tables(n)[:2]]
-        jobs += [(gen_qft(n), qft_context(n)) for n in range(1, 7)]
-        jobs += [(gen_grover_oracle(x0, n), oracle_context(n))
-                 for n in (1, 2, 3) for x0 in range(2 ** n)]
-        jobs += [(parse(TOFFOLI_SOURCE),
-                  Context.of(("q0", "qbit"), ("q1", "qbit"), ("q2", "qbit")))]
-        for program, ctx in jobs:
-            typed = typecheck(program, ctx)
-            again = typecheck(elaborate(typed), ctx)
-            assert again.ctx_out == typed.ctx_out
+        for program, ctx in generated_programs():
+            assert typecheck(elaborate(program), ctx) == typecheck(program, ctx)
+
+    def test_typecheck_leaves_programs_unchanged(self):
+        for program, ctx in generated_programs():
+            before = pickle.dumps(program)
+            typecheck(program, ctx)
+            assert pickle.dumps(program) == before
 
     def test_deutsch_statement_shape(self):
         program = gen_deutsch(TruthTable.from_bits("01"))
@@ -88,7 +99,9 @@ class TestGenerators:
 
     def test_qft_operation_count(self):
         for n in (1, 2, 3, 4):
-            core = elaborate(typecheck(gen_qft(n), qft_context(n)))
+            program = gen_qft(n)
+            typecheck(program, qft_context(n))
+            core = elaborate(program)
             kinds = [type(s).__name__ for s in core.body]
             assert kinds.count("ApplyGate") == n
             assert kinds.count("QIf") == n * (n - 1) // 2

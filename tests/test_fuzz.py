@@ -5,6 +5,8 @@ quantum conditionals placed on controls at arbitrary layout positions and
 classical bits riding along, which is exactly where layout bugs would hide.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -109,8 +111,18 @@ def test_fuzzed_programs_typecheck_again_after_elaboration(seed):
     # denote and run typecheck only before elaborating
     rng = np.random.default_rng(seed)
     for _ in range(40):
-        typed = typecheck(parse(random_program(rng)))
-        assert typecheck(elaborate(typed)).ctx_out == typed.ctx_out
+        program = parse(random_program(rng))
+        assert typecheck(elaborate(program)) == typecheck(program)
+
+
+@pytest.mark.parametrize("seed", [20240607, 20240608, 20240609, 20240610])
+def test_typecheck_leaves_fuzzed_programs_unchanged(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        program = parse(random_program(rng))
+        before = pickle.dumps(program)
+        typecheck(program)
+        assert pickle.dumps(program) == before
 
 
 def test_fuzzed_denotations_are_valid_maps():

@@ -7,16 +7,20 @@ import pytest
 from qalt import (
     Context,
     TruthTable,
+    denote,
     elaborate,
+    eval_direct,
     gen_deutsch,
     gen_deutsch_jozsa,
     gen_qft,
     parse,
     pretty,
+    run,
     typecheck,
 )
 from qalt import syntax as ast
 from qalt.check import lint_closed_system
+from qalt.core import DensityState, Signature
 from qalt.errors import (
     BranchContextMismatch,
     ControlCapture,
@@ -105,6 +109,48 @@ class TestParse:
         assert p.body[0].then_block == [ast.Skip()]
 
 
+def nested_measure(depth: int) -> str:
+    """``depth`` measurements nested in then-blocks, one opening per line."""
+    return ("measure q then {\n" * depth + "q *= H"
+            + "\n} else { skip }" * depth)
+
+
+class TestNesting:
+    CTX = Context.of(("q", "qbit"))
+
+    def test_program_at_the_bound_runs(self):
+        source = nested_measure(ast.MAX_NESTING)
+        d = denote(source, self.CTX)
+        flat = denote("measure q then { q *= H } else { skip }", self.CTX)
+        assert len(d.kraus) == len(flat.kraus)
+        for a, b in zip(d.kraus.ops, flat.kraus.ops):
+            assert np.abs(a - b).max() < 1e-12
+        plus = DensityState(Signature((2,)), (np.full((2, 2), 0.5),))
+        a = run(source, plus, self.CTX)
+        b = eval_direct(source, plus, self.CTX)
+        assert np.abs(a.blocks[0] - b.blocks[0]).max() < 1e-12
+        assert a.trace() == pytest.approx(1.0)
+
+    def test_one_level_past_the_bound(self):
+        with pytest.raises(ParseError, match="nesting deeper than 200") as err:
+            parse(nested_measure(ast.MAX_NESTING + 1))
+        assert err.value.line == ast.MAX_NESTING + 1
+
+    def test_blocks_and_parentheses_count_together(self):
+        # a gate's own parentheses do not nest, so they do not count
+        inner = "measure q then {\n" * 198
+        close = "\n} else { skip }" * 198
+        parse(inner + "q *= Phase(-(1))" + close)  # 198 + 2 levels
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse(inner + "q *= Phase(-(-1))" + close)
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse(inner + "q *= Phase((((1))))" + close)
+
+    def test_deep_parentheses(self):
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse("q *= Phase(" + "(" * 1000 + "1" + ")" * 1001)
+
+
 class TestPrettyRoundTrip:
     SOURCES = [
         "skip",
@@ -150,8 +196,7 @@ class TestTypecheck:
                                   "() vs (q1:qbit)")
 
     def test_deutsch_well_typed(self):
-        typed = typecheck(gen_deutsch(TruthTable.from_bits("01")))
-        assert typed.ctx_out == CTX_Q01
+        assert typecheck(gen_deutsch(TruthTable.from_bits("01"))) == CTX_Q01
 
     def test_unknown_name(self):
         with pytest.raises(UnknownName):
@@ -172,20 +217,19 @@ class TestTypecheck:
 
     def test_measure_branches_may_touch_control(self):
         p = parse("measure q then { q *= X } else { skip }")
-        typed = typecheck(p, Context.of(("q", "qbit")))
-        assert typed.ctx_out == Context.of(("q", "qbit"))
+        assert typecheck(p, Context.of(("q", "qbit"))) == Context.of(("q", "qbit"))
 
     def test_branches_may_allocate_when_contexts_match(self):
         src = ("if q0 then { new qbit r\ndiscard r } "
                "else { measure q1 then { skip } else { skip } }")
-        typed = typecheck(parse(src), CTX_Q01)
-        assert typed.ctx_out == CTX_Q01
+        assert typecheck(parse(src), CTX_Q01) == CTX_Q01
 
-    def test_annotations_present(self):
-        typed = typecheck(parse("new qbit q\nq *= H"))
-        assert typed.body[0].ctx_in == Context.empty()
-        assert typed.body[0].ctx_out == Context.of(("q", "qbit"))
-        assert typed.body[1].ctx_out == Context.of(("q", "qbit"))
+    def test_statement_contexts_by_prefix(self):
+        # the context before statement i is the output of the first i
+        body = parse("new qbit q\nq *= H").body
+        contexts = [typecheck(ast.Program(body[:i])) for i in range(3)]
+        assert contexts == [Context.empty(), Context.of(("q", "qbit")),
+                            Context.of(("q", "qbit"))]
 
     def test_nonunitary_matrix_literal(self):
         with pytest.raises(InvalidGate):
@@ -229,15 +273,15 @@ class TestTypecheck:
     def test_order_independent_for_unrelated_declarations(self):
         a = parse("new qbit x\nnew qbit y\nx *= H\ny *= X")
         b = parse("new qbit y\nnew qbit x\nx *= H\ny *= X")
-        assert typecheck(a).ctx_out.names() == ["x", "y"]
-        assert typecheck(b).ctx_out.names() == ["y", "x"]
+        assert typecheck(a).names() == ["x", "y"]
+        assert typecheck(b).names() == ["y", "x"]
 
 
 class TestElaborate:
     def test_qft_unrolls(self):
-        typed = typecheck(gen_qft(3), Context.of(
-            ("q1", "qbit"), ("q2", "qbit"), ("q3", "qbit")))
-        core = elaborate(typed)
+        program = gen_qft(3)
+        typecheck(program, Context.of(("q1", "qbit"), ("q2", "qbit"), ("q3", "qbit")))
+        core = elaborate(program)
         kinds = [type(s).__name__ for s in core.body]
         assert kinds.count("ApplyGate") == 3
         assert kinds.count("QIf") == 3
@@ -276,10 +320,8 @@ class TestElaborate:
 
     def test_elaborate_preserves_typing(self):
         ctx = Context.of(("q1", "qbit"), ("q2", "qbit"), ("q3", "qbit"))
-        typed = typecheck(gen_qft(3), ctx)
-        re_typed = typecheck(elaborate(typed), ctx)
-        assert re_typed.ctx_in == typed.ctx_in
-        assert re_typed.ctx_out == typed.ctx_out
+        program = gen_qft(3)
+        assert typecheck(elaborate(program), ctx) == typecheck(program, ctx) == ctx
 
     def test_rk_argument_resolved(self):
         core = elaborate(parse("for k = 2 to 2 { q *= Rk(k) }"))
