@@ -4,11 +4,14 @@
 it, and returns the output context.  It enforces the branching rules:
 quantum-`if` and `case` branches may not mention their control qubits, and
 all branches of a conditional must map the shared input context to one
-common output context.  ``elaborate`` then builds a new core program: it
-unrolls meta-level `for` loops, resolves indexed names and truth-table
-oracles, and expands default case arms, so the semantics can interpret the
-result directly.  The semantics works out the context of each statement
-again as it goes; none is stored on the syntax tree.
+common output context.  A quantum `if` is read as the two-arm `case` on its
+control, so there is one alternation rule, and :func:`control_contexts`
+holds its inner and output contexts for the typechecker and the semantics.
+``elaborate`` then builds a new core program: it unrolls meta-level `for`
+loops, resolves indexed names and truth-table oracles, and turns every
+alternation into a `case` with one arm per label, so the semantics can
+interpret the result directly.  The semantics works out the context of each
+statement again as it goes; none is stored on the syntax tree.
 """
 
 from __future__ import annotations
@@ -152,6 +155,39 @@ def _check_block(block: list, ctx: Context, env: dict, blocked: frozenset) -> Co
     return ctx
 
 
+def _alternation_arms(stmt) -> tuple[list, list]:
+    """(controls, labelled arms) of a quantum alternation.
+
+    ``if q then A else B`` reads as ``case (q) of |0> -> A |1> -> B``.
+    """
+    if isinstance(stmt, ast.QIf):
+        return [stmt.control], [ast.CaseArm("0", stmt.then_block),
+                                ast.CaseArm("1", stmt.else_block)]
+    return stmt.controls, stmt.arms
+
+
+def control_contexts(ctx: Context, names: list[str]):
+    """Inner context of an alternation on ``names`` and its output rule.
+
+    Returns ``(inner, restore)``: ``inner`` is ``ctx`` without the control
+    qubits, and ``restore(inner_out)`` is the alternation's output context,
+    the branches' common output with each control put back at its position
+    in ``ctx`` (at the end if the output has become shorter).
+    """
+    inner = ctx
+    for name in names:
+        inner = inner.remove(name)
+    positions = sorted((ctx.index_of(name), name) for name in names)
+
+    def restore(inner_out: Context) -> Context:
+        out = inner_out
+        for pos, name in positions:
+            out = out.insert(min(pos, len(out.entries)), name, QBIT)
+        return out
+
+    return inner, restore
+
+
 def _branch_contexts_equal(a: Context, b: Context):
     if a != b:
         raise BranchContextMismatch(
@@ -189,33 +225,20 @@ def _check_stmt(stmt, ctx: Context, env: dict, blocked: frozenset) -> Context:
         ctx_else = _check_block(stmt.else_block, ctx, env, blocked)
         _branch_contexts_equal(ctx_then, ctx_else)
         out = ctx_then
-    elif isinstance(stmt, ast.QIf):
-        name = resolve_name(stmt.control, env)
-        _use(name, ctx, blocked, QBIT)
-        pos = ctx.index_of(name)
-        inner = ctx.remove(name)
-        shielded = blocked | {name}
-        ctx_then = _check_block(stmt.then_block, inner, env, shielded)
-        ctx_else = _check_block(stmt.else_block, inner, env, shielded)
-        _branch_contexts_equal(ctx_then, ctx_else)
-        out = ctx_then.insert(min(pos, len(ctx_then.entries)), name, QBIT)
-    elif isinstance(stmt, ast.QCase):
-        names = [resolve_name(c, env) for c in stmt.controls]
+    elif isinstance(stmt, (ast.QIf, ast.QCase)):
+        controls, arms = _alternation_arms(stmt)
+        names = [resolve_name(c, env) for c in controls]
         if len(set(names)) != len(names):
             raise DuplicateName(f"duplicate control in {names}")
-        positions = []
         for name in names:
             _use(name, ctx, blocked, QBIT)
-            positions.append(ctx.index_of(name))
-        inner = ctx
-        for name in names:
-            inner = inner.remove(name)
+        inner, restore = control_contexts(ctx, names)
         shielded = blocked | set(names)
         n = len(names)
         seen: set[str] = set()
         has_default = False
         arm_ctx = None
-        for arm in stmt.arms:
+        for arm in arms:
             if arm.label is None:
                 has_default = True
             else:
@@ -235,9 +258,7 @@ def _check_stmt(stmt, ctx: Context, env: dict, blocked: frozenset) -> Context:
             raise BranchContextMismatch(
                 f"case over {n} qubit(s) covers {len(seen)} of {2 ** n} "
                 f"labels and has no default arm")
-        out = arm_ctx
-        for pos, name in sorted(zip(positions, names)):
-            out = out.insert(min(pos, len(out.entries)), name, QBIT)
+        out = restore(arm_ctx)
     elif isinstance(stmt, ast.ForLoop):
         lo = eval_int(stmt.lo, env)
         hi = eval_int(stmt.hi, env)
@@ -311,17 +332,13 @@ def _elab_stmt(stmt, env: dict) -> list:
             ast.NameRef(resolve_name(stmt.control, env)),
             _sub_block(stmt.then_block, env),
             _sub_block(stmt.else_block, env))]
-    if isinstance(stmt, ast.QIf):
-        return [ast.QIf(
-            ast.NameRef(resolve_name(stmt.control, env)),
-            _sub_block(stmt.then_block, env),
-            _sub_block(stmt.else_block, env))]
-    if isinstance(stmt, ast.QCase):
-        controls = [ast.NameRef(resolve_name(c, env)) for c in stmt.controls]
+    if isinstance(stmt, (ast.QIf, ast.QCase)):
+        controls, source_arms = _alternation_arms(stmt)
+        controls = [ast.NameRef(resolve_name(c, env)) for c in controls]
         n = len(controls)
         explicit = {}
         default = None
-        for arm in stmt.arms:
+        for arm in source_arms:
             if arm.label is None:
                 default = arm
             else:
@@ -346,12 +363,14 @@ def _elab_stmt(stmt, env: dict) -> list:
 
 
 def elaborate(program: ast.Program) -> ast.Program:
-    """Unroll loops, resolve names and oracles, expand default case arms.
+    """Unroll loops, resolve names and oracles, make every alternation a case.
 
-    The result contains no ``ForLoop``, no indexed name, no ``OracleGate``
-    and no default arm; ``measure`` statements are kept as single nodes.
-    ``program`` must typecheck; it is only read, and the result shares no
-    node with it.
+    ``if q then A else B`` becomes ``case (q) of |0> -> A |1> -> B``, and a
+    case lists one arm per label, in label order, with default arms
+    expanded.  The result contains no ``ForLoop``, no ``QIf``, no indexed
+    name, no ``OracleGate`` and no default arm; ``measure`` statements are
+    kept as single nodes.  ``program`` must typecheck; it is only read, and
+    the result shares no node with it.
     """
     return ast.Program(_elab_block(program.body, {}))
 
@@ -381,12 +400,10 @@ def lint_closed_system(program: ast.Program) -> list[str]:
             scan(stmt, in_branch_of=control)
 
     def scan(stmt, in_branch_of=None):
-        if isinstance(stmt, ast.QIf):
-            scan_branch(stmt.then_block, stmt.control.base)
-            scan_branch(stmt.else_block, stmt.control.base)
-        elif isinstance(stmt, ast.QCase):
-            label = ", ".join(c.base for c in stmt.controls)
-            for arm in stmt.arms:
+        if isinstance(stmt, (ast.QIf, ast.QCase)):
+            controls, arms = _alternation_arms(stmt)
+            label = ", ".join(c.base for c in controls)
+            for arm in arms:
                 scan_branch(arm.block, label)
         elif isinstance(stmt, ast.MeasureThenElse):
             for block in (stmt.then_block, stmt.else_block):

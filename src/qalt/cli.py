@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from .check import typecheck
-from .core import DensityState, Signature, unit_state
+from .core import DEFAULT_TOL, DensityState, Signature, unit_state
 from .corpus import (
     TruthTable,
     balanced_tables,
@@ -125,20 +125,16 @@ _FMT = click.option("--format", "fmt", type=click.Choice(["text", "structured"])
 
 
 def _check_tol(ctx, param, value):
-    if value is not None and not (math.isfinite(value) and value > 0):
+    if not (math.isfinite(value) and value > 0):
         raise click.BadParameter(f"must be finite and greater than 0, got {value}")
     return value
 
 
-_TOL = click.option("--tol", type=float, default=None, envvar="QALT_TOL",
+_TOL = click.option("--tol", type=float, default=DEFAULT_TOL, envvar="QALT_TOL",
                     callback=_check_tol,
                     help="Numeric tolerance (default 1e-9, env QALT_TOL).")
 _CTX = click.option("--ctx", "ctx_spec", default=None,
                     help="Initial context, e.g. 'q0:qbit,q1:qbit'.")
-
-
-def _tolerance(tol: float | None) -> float:
-    return 1e-9 if tol is None else tol
 
 
 @click.group()
@@ -162,14 +158,13 @@ def main():
 def cmd_run(source, init_path, stats_name, ctx_spec, tol, fmt):
     """Evaluate a program and print its final density state."""
     def go():
-        tolerance = _tolerance(tol)
         ctx = _parse_ctx(ctx_spec)
         program = parse(_load_source(source))
         initial = None
         if init_path is not None:
             with open(init_path, "r", encoding="ascii") as fh:
                 initial = _decode_state(json.load(fh))
-        state = run(program, initial, ctx, tolerance)
+        state = run(program, initial, ctx, tol)
         result = {"state": _encode_state(state)}
         lines = [f"final state on signature {state.signature.blocks}:"]
         for i, block in enumerate(state.blocks):
@@ -182,7 +177,7 @@ def cmd_run(source, init_path, stats_name, ctx_spec, tol, fmt):
             lines.append(f"Pr[{stats_name}=0] = {p0:.10g}")
             lines.append(f"Pr[{stats_name}=1] = {p1:.10g}")
         doc = {"schema": SCHEMA, "command": ["run", source],
-               "tolerance": tolerance, "result": result}
+               "tolerance": tol, "result": result}
         _emit(doc, fmt, lines)
     _guarded(go)
 
@@ -200,7 +195,6 @@ def cmd_run(source, init_path, stats_name, ctx_spec, tol, fmt):
 def cmd_denote(source, choi, ctx_spec, tol, fmt):
     """Print the canonical Kraus operator list of a program."""
     def go():
-        tolerance = _tolerance(tol)
         ctx = _parse_ctx(ctx_spec)
         d = denote(parse(_load_source(source)), ctx)
         result = {
@@ -222,7 +216,7 @@ def cmd_denote(source, choi, ctx_spec, tol, fmt):
                 lines.append(f"choi member {i}:")
                 lines.extend(_matrix_lines(member))
         doc = {"schema": SCHEMA, "command": ["denote", source],
-               "tolerance": tolerance, "result": result}
+               "tolerance": tol, "result": result}
         _emit(doc, fmt, lines)
     _guarded(go)
 
@@ -232,18 +226,17 @@ def cmd_denote(source, choi, ctx_spec, tol, fmt):
 # ---------------------------------------------------------------------------
 
 def _comparison(kind, source_a, source_b, ctx_spec, tol, fmt):
-    tolerance = _tolerance(tol)
     ctx = _parse_ctx(ctx_spec)
     da = denote(parse(_load_source(source_a)), ctx)
     db = denote(parse(_load_source(source_b)), ctx)
     if kind == "equiv":
-        verdict = ext_equal(da.kraus, db.kraus, tolerance)
+        verdict = ext_equal(da.kraus, db.kraus, tol)
         label = "extensionally equal"
     else:
-        verdict = lowner_leq(da.kraus, db.kraus, tolerance)
+        verdict = lowner_leq(da.kraus, db.kraus, tol)
         label = "below in the Loewner order"
     doc = {"schema": SCHEMA, "command": [kind, source_a, source_b],
-           "tolerance": tolerance, "result": {"verdict": bool(verdict)}}
+           "tolerance": tol, "result": {"verdict": bool(verdict)}}
     _emit(doc, fmt, [f"{label}: {verdict}"])
     if not verdict:
         sys.exit(2)
@@ -411,17 +404,16 @@ _DEMOS = {
 def cmd_demo(name, table_bits, tol, fmt):
     """Reproduce one of the built-in demonstrations."""
     def go():
-        tolerance = _tolerance(tol)
         if table_bits is not None:
             if name not in ("deutsch", "dj"):
                 raise ValueError("--f applies only to the deutsch and dj demos")
             if any(c not in "01" for c in table_bits):
                 raise ValueError(f"not a bitstring: {table_bits!r}")
-            result, lines = _DEMOS[name](tolerance, table_bits)
+            result, lines = _DEMOS[name](tol, table_bits)
         else:
-            result, lines = _DEMOS[name](tolerance)
+            result, lines = _DEMOS[name](tol)
         doc = {"schema": SCHEMA, "command": ["demo", name],
-               "tolerance": tolerance, "result": result}
+               "tolerance": tol, "result": result}
         _emit(doc, fmt, lines)
     _guarded(go)
 

@@ -255,23 +255,6 @@ def basis_elements(sig: Signature) -> list[tuple[Matrix, ...]]:
     return out
 
 
-def qbit_kron_order(r: int, sig: Signature) -> np.ndarray:
-    """Basis map between the plain-Kronecker and block layouts.
-
-    The space of ``qbit^r (x) sig`` can be coordinatized either as the
-    Kronecker product C^(2^r) (x) H_sig (control index major) or block by
-    block as dictated by the tensor signature.  Returns an index array
-    ``order`` with ``order[b]`` the Kronecker-layout index of block-layout
-    basis vector ``b``.
-    """
-    d = dim(sig)
-    controls = np.arange(2 ** r, dtype=np.intp)[:, None] * d
-    # block-layout block i is (control x, entry j) of sig's block i, x major
-    return np.concatenate([
-        (controls + off + np.arange(n, dtype=np.intp)).ravel()
-        for off, n in zip(block_offsets(sig), sig.blocks)])
-
-
 # ---------------------------------------------------------------------------
 # Density states
 # ---------------------------------------------------------------------------

@@ -30,9 +30,8 @@ from .core import (
     freeze,
     injection,
     is_psd,
-    qbit_kron_order,
-    qbit_tensor,
     split_blocks,
+    tensor_sig,
 )
 from .errors import (
     BranchCountMismatch,
@@ -183,14 +182,26 @@ def compose(s: KrausSet, t: KrausSet, tol: float = DEFAULT_TOL) -> KrausSet:
 # Quantum alternation
 # ---------------------------------------------------------------------------
 
-def _case_elements(branches, n: int) -> list[Matrix]:
+def _control_indices(sig: Signature, n: int, k: int) -> np.ndarray:
+    """Indices, in qbit^n (x) sig, of sig's basis under control value ``k``.
+
+    Block b of qbit^n (x) sig is 2^n copies of sig's block b, control value
+    major, so entry j of block b goes to index 2^n * off_b + k * n_b + j.
+    """
+    offsets = np.array(block_offsets(sig))
+    sizes = np.array(sig.blocks)
+    return np.arange(dim(sig)) + np.repeat((2 ** n - 1) * offsets + k * sizes, sizes)
+
+
+def case_elements(branches, n: int) -> list[Matrix]:
     """The element multiset of a 2^n-way alternation, before canonicalization.
 
     One operator sum_k Pi_k (x) E_k for every tuple (E_k) of operators of the
     nonempty branches, in ``itertools.product`` order (first branch major),
     each E_k scaled by one over the square root of the product of the other
     nonempty branches' sizes.  Empty branches drop out; all empty yields the
-    empty list.  Pi_k (x) E_k is laid out as qbit^n (x) sig, block by block.
+    empty list.  Pi_k (x) E_k is laid out as qbit^n (x) sig, block by block,
+    each E_k written straight to control value k's indices.
     """
     if len(branches) != 2 ** n:
         raise BranchCountMismatch(
@@ -209,28 +220,16 @@ def _case_elements(branches, n: int) -> list[Matrix]:
     sizes = [len(ops) for _, ops in populated]
     scales = [math.sqrt(math.prod(sizes[:i] + sizes[i + 1:]))
               for i in range(len(sizes))]
-    din, dout = dim(sig_in), dim(sig_out)
-    order_out = qbit_kron_order(n, sig_out)
-    order_in = qbit_kron_order(n, sig_in)
+    places = [np.ix_(_control_indices(sig_out, n, k),
+                     _control_indices(sig_in, n, k)) for k, _ in populated]
+    shape = (2 ** n * dim(sig_out), 2 ** n * dim(sig_in))
     elements = []
     for combo in itertools.product(*[ops for _, ops in populated]):
-        # control-major Kronecker layout first, then reordered into blocks
-        kron = np.zeros((2 ** n * dout, 2 ** n * din), dtype=complex)
-        for (k, _), e, scale in zip(populated, combo, scales):
-            kron[k * dout:(k + 1) * dout, k * din:(k + 1) * din] = e / scale
-        elements.append(kron[np.ix_(order_out, order_in)])
+        element = np.zeros(shape, dtype=complex)
+        for at, e, scale in zip(places, combo, scales):
+            element[at] = e / scale
+        elements.append(element)
     return elements
-
-
-def alternation_elements(s: KrausSet, t: KrausSet) -> list[Matrix]:
-    """The element multiset of the alternation, before canonicalization.
-
-    One operator Pi_0 (x) E/sqrt(|t|) + Pi_1 (x) F/sqrt(|s|) for each pair
-    (E, F), E-major.  When one side is empty the surviving branch keeps its
-    operators unscaled under its own projection; both empty yields the empty
-    list.
-    """
-    return _case_elements([s, t], 1)
 
 
 def alternate(s: KrausSet, t: KrausSet, tol: float = DEFAULT_TOL) -> KrausSet:
@@ -252,12 +251,10 @@ def alternate_case(branches, n: int, tol: float = DEFAULT_TOL) -> KrausSet:
     in the binary case.
     """
     branches = list(branches)
-    elements = _case_elements(branches, n)
-    qsig_in, qsig_out = branches[0].input_sig, branches[0].output_sig
-    for _ in range(n):
-        qsig_in = qbit_tensor(qsig_in)
-        qsig_out = qbit_tensor(qsig_out)
-    return make_kraus(qsig_in, qsig_out, elements, tol)
+    elements = case_elements(branches, n)
+    controls = Signature((2 ** n,))
+    return make_kraus(tensor_sig(controls, branches[0].input_sig),
+                      tensor_sig(controls, branches[0].output_sig), elements, tol)
 
 
 def branch_sum(s: KrausSet, t: KrausSet, tol: float = DEFAULT_TOL) -> KrausSet:
@@ -297,13 +294,23 @@ def apply(s: KrausSet, rho: DensityState, tol: float = DEFAULT_TOL) -> DensitySt
         raise SignatureMismatch(
             f"state on {rho.signature.blocks} fed to map expecting "
             f"{s.input_sig.blocks}")
-    full = apply_full(s, rho.full())
-    blocks = split_blocks(full, s.output_sig)
+    return DensityState(s.output_sig,
+                        diagonal_blocks(apply_full(s, rho.full()), s.output_sig, tol))
+
+
+def diagonal_blocks(full: Matrix, sig: Signature,
+                    tol: float = DEFAULT_TOL) -> tuple[Matrix, ...]:
+    """The diagonal blocks of a full-space state on ``sig``.
+
+    Raises :class:`NonBlockDiagonalResult` if ``full`` carries more than
+    ``tol`` of coherence outside those blocks.
+    """
+    blocks = split_blocks(full, sig)
     residual = np.abs(full - block_diag(blocks)).max() if len(blocks) > 1 else 0.0
     if residual > tol:
         raise NonBlockDiagonalResult(
             f"off-block mass {residual:.3e} exceeds tolerance {tol:.1e}")
-    return DensityState(s.output_sig, tuple(blocks))
+    return tuple(blocks)
 
 
 # ---------------------------------------------------------------------------

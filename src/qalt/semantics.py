@@ -14,7 +14,8 @@ an alternation to the front transposes its axes (:func:`leading_permutation`).
 density matrix statement by statement with tensor-contraction arithmetic and
 never composes program-level Kraus sets.  Both work out each statement's
 typing context as they go, from the context before it; an alternation's
-inner and output contexts come from one helper (:func:`_alternation`).
+inner and output contexts come from :func:`_alternation`, which follows the
+typechecker's rule (:func:`qalt.check.control_contexts`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import syntax as ast
-from .check import elaborate, typecheck
+from .check import control_contexts, elaborate, typecheck
 from .core import (
     DEFAULT_TOL,
     DensityState,
@@ -38,12 +39,10 @@ from .core import (
     injection,
     phase_gate,
     rk_gate,
-    split_blocks,
     unit_state,
 )
 from .errors import (
     KindError,
-    NonBlockDiagonalResult,
     SignatureMismatch,
     UnknownName,
 )
@@ -54,6 +53,7 @@ from .kraus import (
     apply,
     branch_sum,
     compose,
+    diagonal_blocks,
     identity_kraus,
     make_kraus,
 )
@@ -207,32 +207,23 @@ def _denote_block(block: list, ctx: Context) -> tuple[KrausSet, Context]:
     return kset, ctx
 
 
-def _alternation(stmt, ctx: Context, block_fn):
-    """Controls, branches and contexts of a quantum if or case.
+def _alternation(stmt: ast.QCase, ctx: Context, block_fn):
+    """Controls, branches and contexts of an elaborated alternation.
 
     ``block_fn(block, inner)`` evaluates a branch from the inner context
     (``ctx`` without the controls) and returns (value, inner output).
-    Returns the control names, the branch values (value k is the branch for
+    Returns the control names, the branch values (value k is the arm for
     control value k, the first control being the most significant bit), the
-    inner context, the inner output context and the output context: the
-    inner output with the controls put back where they were in ``ctx``.
+    inner context, the inner output context and the output context; the
+    contexts follow :func:`qalt.check.control_contexts`.
     """
-    if isinstance(stmt, ast.QIf):
-        names, blocks = [stmt.control.base], [stmt.then_block, stmt.else_block]
-    else:
-        names = [c.base for c in stmt.controls]
-        blocks = [arm.block for arm in sorted(stmt.arms, key=lambda a: a.label)]
-    inner = ctx
-    for name in names:
-        inner = inner.remove(name)
+    names = [c.base for c in stmt.controls]
+    inner, restore = control_contexts(ctx, names)
     values = []
-    for block in blocks:
-        value, inner_out = block_fn(block, inner)
+    for arm in stmt.arms:
+        value, inner_out = block_fn(arm.block, inner)
         values.append(value)
-    out_ctx = inner_out
-    for pos, name in sorted((ctx.index_of(n), n) for n in names):
-        out_ctx = out_ctx.insert(min(pos, len(out_ctx.entries)), name, QBIT)
-    return names, values, inner, inner_out, out_ctx
+    return names, values, inner, inner_out, restore(inner_out)
 
 
 def _denote_stmt(stmt, ctx: Context) -> tuple[KrausSet, Context]:
@@ -259,7 +250,7 @@ def _denote_stmt(stmt, ctx: Context) -> tuple[KrausSet, Context]:
         summed = branch_sum(then_k, else_k)
         merged = merge_kraus(then_k.output_sig)
         return compose(merged, compose(summed, measure)), out_ctx
-    if isinstance(stmt, (ast.QIf, ast.QCase)):
+    if isinstance(stmt, ast.QCase):
         names, branches, _, _, out_ctx = _alternation(stmt, ctx, _denote_block)
         # one control goes through `alternate`, so span traces see it used
         alt = (alternate(*branches) if len(names) == 1
@@ -453,7 +444,7 @@ def _stmt_direct_kraus(stmt, ctx: Context) -> tuple[list[Matrix], Context]:
             elems, out_ctx = _block_direct_kraus(block, ctx)
             out.extend(e @ proj for e in elems)
         return out, out_ctx
-    if isinstance(stmt, (ast.QIf, ast.QCase)):
+    if isinstance(stmt, ast.QCase):
         names, branches, inner_in, inner_out, out_ctx = _alternation(
             stmt, ctx, _block_direct_kraus)
         branch_elems = [_coalesce_direct(elems) for elems in branches]
@@ -496,7 +487,7 @@ def _direct_step(stmt, rho: Matrix, ctx: Context) -> tuple[Matrix, Context]:
                 projected, out_ctx = _direct_step(inner, projected, out_ctx)
             total = projected if total is None else total + projected
         return total, out_ctx
-    if isinstance(stmt, (ast.NewQbit, ast.NewBit, ast.Discard, ast.QIf, ast.QCase)):
+    if isinstance(stmt, (ast.NewQbit, ast.NewBit, ast.Discard, ast.QCase)):
         elems, out_ctx = _stmt_direct_kraus(stmt, ctx)
         out = None
         for e in elems:
@@ -528,12 +519,4 @@ def eval_direct(program, initial: DensityState | None = None,
     for stmt in _prepare(program, ctx).body:
         rho, ctx = _direct_step(stmt, rho, ctx)
     out_sig = signature_of(ctx)
-    blocks = split_blocks(rho, out_sig)
-    residual = 0.0
-    if len(blocks) > 1:
-        from .core import block_diag
-        residual = float(np.abs(rho - block_diag(blocks)).max())
-    if residual > tol:
-        raise NonBlockDiagonalResult(
-            f"off-block mass {residual:.3e} exceeds tolerance {tol:.1e}")
-    return DensityState(out_sig, tuple(blocks))
+    return DensityState(out_sig, diagonal_blocks(rho, out_sig, tol))

@@ -30,7 +30,7 @@ from .errors import (
     SignatureMismatch,
     TraceConditionViolated,
 )
-from .kraus import KrausSet, alternation_elements, apply_full, make_kraus
+from .kraus import KrausSet, apply_full, case_elements, make_kraus
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def alternation_stinespring(s: KrausSet, t: KrausSet) -> StinespringRep:
         raise EmptySetError("alternation dilation needs two nonempty branches")
     if s.input_sig != t.input_sig or s.output_sig != t.output_sig:
         raise SignatureMismatch("alternation branches must share signatures")
-    elements = alternation_elements(s, t)  # ordered E-major: (e, f) pairs
+    elements = case_elements([s, t], 1)  # ordered E-major: (e, f) pairs
     a = len(s.ops) * len(t.ops)
     in_sig = qbit_tensor(s.input_sig)
     out_sig = qbit_tensor(s.output_sig)

@@ -344,8 +344,10 @@ def _tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 #: Deepest nesting of blocks, parentheses and unary minus signs, counted
-#: together, that :func:`parse` accepts.  Every later stage recurses once or
-#: a few times per level, so the bound keeps them inside Python's stack.
+#: together, that :func:`parse` accepts; each binary operator of an
+#: expression counts as one more level until that expression ends.  Every
+#: later stage recurses once or a few times per level, so the bound keeps
+#: them inside Python's stack.
 MAX_NESTING = 200
 
 
@@ -403,17 +405,22 @@ class _Parser:
     # -- expressions --
 
     def parse_expr(self) -> Expr:
+        # each operator deepens the tree, so its level lasts until the end
+        depth = self.depth
         node = self.parse_term()
         while self.at_sym("+") or self.at_sym("-"):
-            op = self.next().text
-            node = BinOp(op, node, self.parse_term())
+            op = self.next()
+            self.nest(op)
+            node = BinOp(op.text, node, self.parse_term())
+        self.depth = depth
         return node
 
     def parse_term(self) -> Expr:
         node = self.parse_factor()
         while self.at_sym("*") or self.at_sym("/"):
-            op = self.next().text
-            node = BinOp(op, node, self.parse_factor())
+            op = self.next()
+            self.nest(op)
+            node = BinOp(op.text, node, self.parse_factor())
         return node
 
     def parse_factor(self) -> Expr:

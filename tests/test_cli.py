@@ -2,13 +2,19 @@ import gc
 import io
 import json
 import math
+import re
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qalt.cli import main
+from qalt import (TruthTable, gen_deutsch, gen_deutsch_jozsa, gen_grover_oracle,
+                  gen_qft, pretty)
+from qalt.cli import TOFFOLI_SOURCE, main
+from qalt.core import DEFAULT_TOL
+from qalt.syntax import KEYWORDS
 
 
 @pytest.fixture
@@ -210,6 +216,11 @@ class TestTolerance:
         assert "got nan" in result.output
         assert "extensionally equal" not in result.output
 
+    def test_default_is_the_library_default(self, runner, tmp_path):
+        src = write(tmp_path, "p.q", "skip\n")
+        result = runner.invoke(main, ["denote", src, "--format", "structured"])
+        assert json.loads(result.output)["tolerance"] == DEFAULT_TOL
+
     def test_valid_tolerance_accepted(self, runner, tmp_path):
         src = write(tmp_path, "p.q", "skip\n")
         result = runner.invoke(main, ["equiv", src, src, "--ctx", "a:qbit",
@@ -239,6 +250,78 @@ class TestNesting:
         assert "nesting deeper than 200 levels" in result.output
         assert result.output.count("\n") == 1
         assert isinstance(result.exception, SystemExit)  # no uncaught error
+
+    @pytest.mark.parametrize("op", ["+", "*"])
+    def test_long_operator_chain_is_one_error_line(self, runner, tmp_path, op):
+        src = write(tmp_path, "chain.q",
+                    "a *= Phase(" + f" {op} ".join(["1"] * 1500) + ")\n")
+        result = runner.invoke(main, ["denote", src, "--ctx", "a:qbit"])
+        assert result.exit_code == 1
+        assert result.output.startswith("error: 1:")
+        assert "nesting deeper than 200 levels" in result.output
+        assert result.output.count("\n") == 1
+        assert isinstance(result.exception, SystemExit)  # no uncaught error
+
+
+#: Corpus programs to mutate, each with the --ctx it is denoted from.
+FUZZ_SOURCES = [
+    (pretty(gen_deutsch(TruthTable.from_bits(bits))), "")
+    for bits in ("00", "01", "10")
+] + [
+    (pretty(gen_deutsch_jozsa(TruthTable.from_bits("0110"))), ""),
+    (pretty(gen_qft(3)), "q1:qbit,q2:qbit,q3:qbit"),
+    (pretty(gen_grover_oracle(1, 2)), "q0:qbit,q1:qbit,t:qbit"),
+    (TOFFOLI_SOURCE, "q0:qbit,q1:qbit,q2:qbit"),
+    ("new qbit a\nnew bit b\nnew qbit c\na *= H\n"
+     "case (a, c) of |00> -> { skip } |_> -> { discard b\nnew bit b }\n"
+     "measure c then { a *= X } else { skip }\ndiscard b\n", ""),
+]
+
+_TOKEN = re.compile(r"->|\*=|[A-Za-z_][A-Za-z0-9_]*|[0-9.]+|\S")
+
+
+def mutate(rng, source: str) -> str:
+    """``source`` with one or two tokens deleted, duplicated or swapped.
+
+    A swap exchanges two names or two numbers, which keeps the program
+    parseable more often, so mutations reach the typechecker and the
+    semantics too.
+    """
+    tokens = _TOKEN.findall(source)
+    for _ in range(int(rng.integers(1, 3))):
+        i = int(rng.integers(len(tokens)))
+        edit = int(rng.integers(3))
+        if edit == 0:
+            del tokens[i]
+        elif edit == 1:
+            tokens.insert(i, tokens[i])
+        else:
+            numbers = [j for j, tok in enumerate(tokens) if tok[0].isdigit()]
+            names = [j for j, tok in enumerate(tokens)
+                     if tok[0].isalpha() and tok not in KEYWORDS]
+            kin = numbers if numbers and rng.random() < 0.3 else names
+            i, j = (kin[int(k)] for k in rng.integers(len(kin), size=2))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+    return " ".join(tokens)
+
+
+class TestMutatedCorpus:
+    def test_every_mutation_ends_in_an_exit_code(self, runner, tmp_path):
+        rng = np.random.default_rng(20241018)
+        commands = ["denote", "run", "equiv"]
+        for case in range(300):
+            source, ctx = FUZZ_SOURCES[case % len(FUZZ_SOURCES)]
+            text = mutate(rng, source)
+            path = write(tmp_path, f"m{case}.q", text)
+            command = commands[case % len(commands)]
+            args = [command, path] + ([write(tmp_path, "o.q", source)]
+                                      if command == "equiv" else [])
+            args += ["--ctx", ctx] if ctx else []
+            result = runner.invoke(main, args + ["--format", "structured"])
+            where = f"{command} {ctx!r}:\n{text}"
+            assert result.exit_code in (0, 1, 2, 3), where
+            assert result.exception is None or isinstance(
+                result.exception, SystemExit), where
 
 
 class TestDemo:

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -19,7 +18,7 @@ from qalt import (
     tensor,
     tensor_sig,
 )
-from qalt.core import H, ID2, KET0, KET1, PI0, X, qbit_kron_order, rk_gate
+from qalt.core import H, ID2, KET0, KET1, PI0, X, rk_gate
 from qalt.errors import DimensionMismatch
 
 CNOT = np.array([[1, 0, 0, 0],
@@ -194,37 +193,6 @@ class TestBasisElements:
     def test_count(self):
         sig = Signature((2, 3))
         assert len(basis_elements(sig)) == 4 + 9
-
-
-class TestQbitKronOrder:
-    def test_single_block_is_identity(self):
-        assert np.array_equal(qbit_kron_order(1, Signature((4,))), np.arange(8))
-
-    def test_two_blocks(self):
-        # qbit (x) (1,1): block layout (b0 q=0, b0 q=1, b1 q=0, b1 q=1)
-        # kron layout    (q=0 b0,  q=0 b1,  q=1 b0,  q=1 b1)
-        assert qbit_kron_order(1, Signature((1, 1))).tolist() == [0, 2, 1, 3]
-
-    def test_matches_index_loop(self):
-        def by_loop(r, sig):
-            d, count = sum(sig.blocks), 2 ** r
-            order = np.zeros(count * d, dtype=np.intp)
-            off = 0
-            for n in sig.blocks:
-                for x in range(count):
-                    for j in range(n):
-                        order[count * off + x * n + j] = x * d + off + j
-                off += n
-            return order
-
-        sigs = [Signature(b) for k in (1, 2, 3)
-                for b in itertools.product((1, 2, 3), repeat=k)]
-        sigs += [Signature((4,)), Signature((8, 1, 2)), Signature((1, 16))]
-        for r in (1, 2, 3):
-            for sig in sigs:
-                got = qbit_kron_order(r, sig)
-                assert got.dtype == np.intp
-                assert np.array_equal(got, by_loop(r, sig))
 
 
 class TestDensityState:

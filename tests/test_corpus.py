@@ -104,7 +104,9 @@ class TestGenerators:
             core = elaborate(program)
             kinds = [type(s).__name__ for s in core.body]
             assert kinds.count("ApplyGate") == n
-            assert kinds.count("QIf") == n * (n - 1) // 2
+            cases = [s for s in core.body if type(s).__name__ == "QCase"]
+            assert [len(s.controls) for s in cases] == [1] * (n * (n - 1) // 2)
+            assert "QIf" not in kinds
 
 
 class TestDeutschDecision:

@@ -5,15 +5,18 @@ quantum conditionals placed on controls at arbitrary layout positions and
 classical bits riding along, which is exactly where layout bugs would hide.
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 
 from helpers import rand_density
-from qalt import (Context, denote, elaborate, eval_direct, parse, pretty, run,
-                  typecheck)
-from qalt.errors import ParseError
+from test_corpus import generated_programs
+from qalt import (Context, denote, elaborate, eval_direct, lint_closed_system,
+                  parse, pretty, run, typecheck)
+from qalt import syntax as ast
+from qalt.errors import BranchContextMismatch, ControlCapture, ParseError, QaltError
 from qalt.semantics import signature_of
 
 MAX_QUBITS = 3
@@ -144,3 +147,97 @@ def test_parser_never_crashes_on_garbage():
             parse(text)
         except ParseError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# A quantum if is the one-control case
+# ---------------------------------------------------------------------------
+
+def as_case(block: list) -> list:
+    """``block`` with every ``if q then A else B`` written as a case on q."""
+    return [_stmt_as_case(stmt) for stmt in block]
+
+
+def _stmt_as_case(stmt):
+    if isinstance(stmt, ast.QIf):
+        return ast.QCase([stmt.control],
+                         [ast.CaseArm("0", as_case(stmt.then_block)),
+                          ast.CaseArm("1", as_case(stmt.else_block))])
+    if isinstance(stmt, ast.QCase):
+        return ast.QCase(stmt.controls, [ast.CaseArm(arm.label, as_case(arm.block))
+                                         for arm in stmt.arms])
+    if isinstance(stmt, ast.MeasureThenElse):
+        return ast.MeasureThenElse(stmt.control, as_case(stmt.then_block),
+                                   as_case(stmt.else_block))
+    if isinstance(stmt, ast.ForLoop):
+        return ast.ForLoop(stmt.var, stmt.lo, stmt.hi, as_case(stmt.body))
+    return stmt
+
+
+def if_edits(block: list, edit):
+    """Copies of ``block`` with ``edit`` applied to one quantum if, in turn."""
+    for i, stmt in enumerate(block):
+        for new in _stmt_if_edits(stmt, edit):
+            yield block[:i] + [new] + block[i + 1:]
+
+
+def _stmt_if_edits(stmt, edit):
+    if isinstance(stmt, ast.QIf):
+        yield edit(stmt)
+    for field in ("then_block", "else_block", "body"):
+        if hasattr(stmt, field):
+            for new in if_edits(getattr(stmt, field), edit):
+                yield dataclasses.replace(stmt, **{field: new})
+    for k, arm in enumerate(getattr(stmt, "arms", ())):
+        for new in if_edits(arm.block, edit):
+            arms = list(stmt.arms)
+            arms[k] = ast.CaseArm(arm.label, new)
+            yield dataclasses.replace(stmt, arms=arms)
+
+
+#: Edits that make a quantum if ill-typed, with the error each should raise.
+IF_FAULTS = {
+    ControlCapture: lambda s: dataclasses.replace(
+        s, then_block=s.then_block + [ast.ApplyGate([s.control],
+                                                    ast.NamedGate("H"))]),
+    BranchContextMismatch: lambda s: dataclasses.replace(
+        s, else_block=s.else_block + [ast.NewQbit(ast.NameRef("fresh"))]),
+}
+
+
+def _typecheck_outcome(program, ctx):
+    try:
+        return typecheck(program, ctx)
+    except QaltError as exc:
+        return type(exc), str(exc)
+
+
+def _programs(source):
+    if source == "corpus":
+        return generated_programs()
+    rng = np.random.default_rng(source)
+    return [(parse(random_program(rng)), Context.empty()) for _ in range(40)]
+
+
+@pytest.mark.parametrize("source", ["corpus", 20240607, 20240608, 20240609,
+                                    20240610])
+def test_if_is_the_one_control_case(source):
+    faults_seen = set()
+    for program, ctx in _programs(source):
+        case = ast.Program(as_case(program.body))
+        a, b = denote(program, ctx), denote(case, ctx)
+        assert a.output_ctx == b.output_ctx
+        assert len(a.kraus) == len(b.kraus)
+        assert all(x.tobytes() == y.tobytes()
+                   for x, y in zip(a.kraus.ops, b.kraus.ops))
+        assert lint_closed_system(program) == lint_closed_system(case)
+        for edit in IF_FAULTS.values():
+            for body in if_edits(program.body, edit):
+                bad = ast.Program(body)
+                bad_case = ast.Program(as_case(body))
+                outcome = _typecheck_outcome(bad, ctx)
+                assert outcome == _typecheck_outcome(bad_case, ctx)
+                assert lint_closed_system(bad) == lint_closed_system(bad_case)
+                if isinstance(outcome, tuple):  # a vacuous loop raises nothing
+                    faults_seen.add(outcome[0])
+    assert faults_seen == set(IF_FAULTS)

@@ -15,6 +15,7 @@ from qalt import (
     basis_elements,
     branch_sum,
     compose,
+    dim,
     dsum,
     ext_equal,
     identity_kraus,
@@ -34,7 +35,7 @@ from qalt.errors import (
     SignatureMismatch,
     TraceConditionViolated,
 )
-from qalt.kraus import COALESCE_TOL, _canonical_key
+from qalt.kraus import COALESCE_TOL, KrausSet, _canonical_key, case_elements
 
 Q = Signature((2,))
 ONE = Signature((1,))
@@ -361,6 +362,85 @@ class TestAlternateCase:
         got = alternate_case([kraus_of(ID2), zero_kraus(Q, Q)], 1)
         ref = alternate(kraus_of(ID2), zero_kraus(Q, Q))
         assert ext_equal(got, ref)
+
+
+class TestCaseElements:
+    """The element builder against the Kronecker-and-gather construction."""
+
+    @staticmethod
+    def kron_and_gather(branches, n):
+        """Control-major Kronecker elements, gathered into the block layout."""
+        def kron_order(sig):
+            # order[b] = Kronecker-layout index of block-layout basis vector b
+            d, count = dim(sig), 2 ** n
+            order = np.zeros(count * d, dtype=np.intp)
+            off = 0
+            for size in sig.blocks:
+                for x in range(count):
+                    for j in range(size):
+                        order[count * off + x * size + j] = x * d + off + j
+                off += size
+            return order
+
+        sig_in, sig_out = branches[0].input_sig, branches[0].output_sig
+        din, dout = dim(sig_in), dim(sig_out)
+        populated = [(k, b.ops) for k, b in enumerate(branches) if b.ops]
+        if not populated:
+            return []
+        sizes = [len(ops) for _, ops in populated]
+        scales = [math.sqrt(math.prod(sizes[:i] + sizes[i + 1:]))
+                  for i in range(len(sizes))]
+        at = np.ix_(kron_order(sig_out), kron_order(sig_in))
+        elements = []
+        for combo in itertools.product(*[ops for _, ops in populated]):
+            kron = np.zeros((2 ** n * dout, 2 ** n * din), dtype=complex)
+            for (k, _), e, scale in zip(populated, combo, scales):
+                kron[k * dout:(k + 1) * dout, k * din:(k + 1) * din] = e / scale
+            elements.append(kron[at])
+        return elements
+
+    @staticmethod
+    def raw_set(rng, sig_in, sig_out, size):
+        """Operators with some signed zeros, unvalidated."""
+        ops = []
+        for _ in range(size):
+            e = (rng.normal(size=(dim(sig_out), dim(sig_in)))
+                 + 1j * rng.normal(size=(dim(sig_out), dim(sig_in))))
+            e[rng.random(e.shape) < 0.3] = complex(-0.0, 0.0)
+            e[rng.random(e.shape) < 0.2] = complex(0.0, -0.0)
+            ops.append(e)
+        return KrausSet(sig_in, sig_out, tuple(ops))
+
+    def test_single_block_is_kronecker(self):
+        rng = np.random.default_rng(59)
+        s, t = rand_kraus(rng, Q, size=1), rand_kraus(rng, Q, size=1)
+        (element,) = case_elements([s, t], 1)
+        expected = tensor(PI0, s.ops[0]) + tensor(PI1, t.ops[0])
+        assert np.array_equal(element, expected)
+
+    def test_two_blocks(self):
+        # qbit (x) (1, 1): block layout (b0 q=0, b0 q=1, b1 q=0, b1 q=1)
+        s = KrausSet(Signature((1, 1)), Signature((1, 1)), (np.diag([1, 2]),))
+        t = KrausSet(Signature((1, 1)), Signature((1, 1)), (np.diag([3, 4]),))
+        (element,) = case_elements([s, t], 1)
+        assert np.array_equal(element, np.diag([1, 3, 2, 4]))
+
+    def test_matches_kron_and_gather_bytes(self):
+        rng = np.random.default_rng(61)
+        shapes = [(1,), (2,), (3,), (2, 1), (1, 3), (2, 2, 1), (1, 4, 2)]
+        for _ in range(400):
+            n = int(rng.integers(1, 4))
+            sig_in = Signature(shapes[int(rng.integers(len(shapes)))])
+            sig_out = Signature(shapes[int(rng.integers(len(shapes)))])
+            top = 3 if n < 3 else 2
+            branches = [self.raw_set(rng, sig_in, sig_out, int(rng.integers(top)))
+                        for _ in range(2 ** n)]
+            got = case_elements(branches, n)
+            want = self.kron_and_gather(branches, n)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
 
 
 class TestBranchSum:

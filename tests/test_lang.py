@@ -150,6 +150,35 @@ class TestNesting:
         with pytest.raises(ParseError, match="nesting deeper"):
             parse("q *= Phase(" + "(" * 1000 + "1" + ")" * 1001)
 
+    @staticmethod
+    def chain(op: str, terms: int) -> str:
+        return "new qbit a\na *= Phase(" + f" {op} ".join(["1"] * terms) + ")"
+
+    @pytest.mark.parametrize("op", ["+", "*"])
+    def test_long_operator_chain(self, op):
+        source = self.chain(op, 1500)
+        # the 201st operator is the first past the bound
+        col = len("a *= Phase(") + 1 + len(f"1 {op} ") * ast.MAX_NESTING + 2
+        for stage in (parse, denote):
+            with pytest.raises(ParseError, match="nesting deeper") as err:
+                stage(source)
+            assert (err.value.line, err.value.col) == (2, col)
+
+    def test_operator_chain_below_the_bound_denotes(self):
+        (op,) = denote(self.chain("+", 150)).kraus.ops
+        assert np.abs(op - np.exp(150j) * np.array([[1], [0]])).max() < 1e-12
+
+    def test_operator_levels_end_with_their_expression(self):
+        parse("a *= Phase(1 + 2 * 3)\n" * 300)
+        parse("a *= Phase(" + " + ".join(["(1 + 1)"] * 150) + ")")
+
+    def test_operators_count_with_blocks(self):
+        inner = "measure q then {\n" * 199
+        close = "\n} else { skip }" * 199
+        parse(inner + "q *= Phase(1 + 2)" + close)  # 199 + 1 levels
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse(inner + "q *= Phase(1 + 2 * 3)" + close)
+
 
 class TestPrettyRoundTrip:
     SOURCES = [
@@ -284,7 +313,10 @@ class TestElaborate:
         core = elaborate(program)
         kinds = [type(s).__name__ for s in core.body]
         assert kinds.count("ApplyGate") == 3
-        assert kinds.count("QIf") == 3
+        cases = [s for s in core.body if isinstance(s, ast.QCase)]
+        assert len(cases) == 3
+        assert all(len(s.controls) == 1 for s in cases)
+        assert "QIf" not in kinds
         assert len(core.body) == 6
 
     def test_vacuous_loop(self):
@@ -294,7 +326,9 @@ class TestElaborate:
     def test_vacuous_loop_in_branch_becomes_skip(self):
         core = elaborate(parse(
             "if q then { for i = 2 to 1 { r *= H } } else { skip }"))
-        assert core.body[0].then_block == [ast.Skip()]
+        assert core.body[0] == ast.QCase([ast.NameRef("q")],
+                                         [ast.CaseArm("0", [ast.Skip()]),
+                                          ast.CaseArm("1", [ast.Skip()])])
 
     def test_oracle_resolution(self):
         core = elaborate(parse("t *= OracleU(0001, 3)"))
