@@ -333,18 +333,17 @@ class ChoiFamily:
 
 
 def to_choi(s: KrausSet) -> ChoiFamily:
-    """Per-input-block Choi matrices: sum of vec(E J_i) outer products."""
-    d_in = dim(s.input_sig)
-    d_out = dim(s.output_sig)
+    """Per-input-block Choi matrices: sum of vec(E J_i) outer products.
+
+    Member i is V V' for the matrix V whose column k is E_k's columns of
+    block i stacked row-major; the empty set gives zero members.
+    """
+    d_out, d_in = s.op_shape()
+    stack = np.asarray(s.ops, dtype=complex).reshape(len(s.ops), d_out, d_in)
     members = []
     for off, n in zip(block_offsets(s.input_sig), s.input_sig.blocks):
-        emb = np.zeros((d_in, n), dtype=complex)
-        emb[off:off + n, :] = np.eye(n)
-        member = np.zeros((d_out * n, d_out * n), dtype=complex)
-        for e in s.ops:
-            v = (e @ emb).reshape(-1, 1)  # row-major stacking
-            member += v @ v.conj().T
-        members.append(freeze(member))
+        v = stack[:, :, off:off + n].reshape(len(s.ops), d_out * n).T
+        members.append(freeze(v @ v.conj().T))
     return ChoiFamily(s.input_sig, s.output_sig, tuple(members))
 
 

@@ -5,17 +5,25 @@ basis is one index tensor with a length-2 axis per variable, the bits first
 and then the qubits, each in allocation order (:func:`_layout`).  So bits
 select signature blocks (first allocated = most significant) and qubits are
 the tensor factors of a block (first allocated = leading factor).  Every
-layout map is read off that tensor: allocation, discard and measurement take
-one value on a variable's axis (:func:`_where`), and moving the controls of
-an alternation to the front transposes its axes (:func:`leading_permutation`).
+layout map is read off that tensor: allocation, discard, measurement and the
+control blocks of an alternation fix values on variables' axes
+(:func:`_where`), and moving the controls of an alternation to the front
+transposes its axes (:func:`leading_permutation`).
 
-``denote`` interprets an elaborated program as one composed Kraus set.
-``eval_direct`` is an independent cross-checking oracle: it updates the
-density matrix statement by statement with tensor-contraction arithmetic and
-never composes program-level Kraus sets.  Both work out each statement's
-typing context as they go, from the context before it; an alternation's
-inner and output contexts come from :func:`_alternation`, which follows the
-typechecker's rule (:func:`qalt.check.control_contexts`).
+``denote`` interprets an elaborated program as one composed Kraus set, and
+``run`` is ``apply(denote(..))`` by design, so the Kraus semantics is what
+``qalt run`` prints.  ``eval_direct`` is the cross-checking oracle: it
+streams the density matrix statement by statement (gates by tensor
+contraction, allocation and discard by scatter and gather, measurement by
+projection) and never composes program-level Kraus sets.  At an alternation
+it denotes each arm and fills block (k, l) of the output from block (k, l)
+of the input: S_k(rho_kk) on the diagonal and Oi's interference term
+sigma_k rho_kl sigma_l' off it, where sigma = sum E / sqrt(|S|).  So it checks
+the paper's product-of-branches construction through a different identity,
+not a second copy of it.  Both evaluators work out each statement's typing
+context as they go; an alternation's output context comes from
+:func:`_alternation`, which follows the typechecker's rule
+(:func:`qalt.check.control_contexts`).
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ from .kraus import (
     alternate,
     alternate_case,
     apply,
+    apply_full,
     branch_sum,
     compose,
     diagonal_blocks,
@@ -81,14 +90,18 @@ def _layout(ctx: Context) -> tuple[list[str], np.ndarray]:
     return names, np.arange(2 ** len(names)).reshape((2,) * len(names))
 
 
-def _where(ctx: Context, name: str, v: int) -> np.ndarray:
-    """Basis indices of ``ctx`` where ``name`` holds ``v``, increasing.
+def _where(ctx: Context, names: list[str], k: int) -> np.ndarray:
+    """Basis indices of ``ctx`` where ``names`` read the bits of ``k``, increasing.
 
-    Entry g is the index, in ``ctx``, of basis vector g of the context
-    without ``name``.
+    The first name is the most significant bit.  Entry g is the index, in
+    ``ctx``, of basis vector g of the context without ``names``: the other
+    axes stay in layout order.
     """
-    names, index = _layout(ctx)
-    return index.take(v, axis=names.index(name)).ravel()
+    layout, index = _layout(ctx)
+    at = [slice(None)] * len(layout)
+    for i, name in enumerate(names):
+        at[layout.index(name)] = (k >> (len(names) - 1 - i)) & 1
+    return index[tuple(at)].ravel()
 
 
 def _rows(indices: np.ndarray, d: int) -> Matrix:
@@ -146,13 +159,13 @@ def _allocation_matrix(out: Context, name: str) -> Matrix:
     the append of a trailing |0> qubit or of a 0-valued least significant bit.
     """
     # copied into C order, like every other operator
-    return _rows(_where(out, name, 0), dim(signature_of(out))).T.copy()
+    return _rows(_where(out, [name], 0), dim(signature_of(out))).T.copy()
 
 
 def _discard_matrices(ctx: Context, name: str) -> list[Matrix]:
     """{<v| on the axis of ``name``}: the partial trace over a qubit or a bit."""
     d = dim(signature_of(ctx))
-    return [_rows(_where(ctx, name, v), d) for v in (0, 1)]
+    return [_rows(_where(ctx, [name], v), d) for v in (0, 1)]
 
 
 def _measure_matrices(ctx: Context, name: str) -> list[Matrix]:
@@ -160,7 +173,7 @@ def _measure_matrices(ctx: Context, name: str) -> list[Matrix]:
     d = dim(signature_of(ctx))
     ops = []
     for v in (0, 1):
-        kept = _where(ctx, name, v)
+        kept = _where(ctx, [name], v)
         op = np.zeros((2 * d, d), dtype=complex)
         op[v * d + kept, kept] = 1.0
         ops.append(op)
@@ -207,23 +220,22 @@ def _denote_block(block: list, ctx: Context) -> tuple[KrausSet, Context]:
     return kset, ctx
 
 
-def _alternation(stmt: ast.QCase, ctx: Context, block_fn):
-    """Controls, branches and contexts of an elaborated alternation.
+def _alternation(stmt: ast.QCase, ctx: Context):
+    """Controls, branch denotations and output context of an alternation.
 
-    ``block_fn(block, inner)`` evaluates a branch from the inner context
-    (``ctx`` without the controls) and returns (value, inner output).
-    Returns the control names, the branch values (value k is the arm for
-    control value k, the first control being the most significant bit), the
-    inner context, the inner output context and the output context; the
-    contexts follow :func:`qalt.check.control_contexts`.
+    Each arm is denoted from the inner context (``ctx`` without the
+    controls).  Returns the control names, the arms' Kraus sets (set k is
+    the arm for control value k, the first control being the most
+    significant bit) and the output context; the contexts follow
+    :func:`qalt.check.control_contexts`.
     """
     names = [c.base for c in stmt.controls]
     inner, restore = control_contexts(ctx, names)
-    values = []
+    branches = []
     for arm in stmt.arms:
-        value, inner_out = block_fn(arm.block, inner)
-        values.append(value)
-    return names, values, inner, inner_out, restore(inner_out)
+        kset, inner_out = _denote_block(arm.block, inner)
+        branches.append(kset)
+    return names, branches, restore(inner_out)
 
 
 def _denote_stmt(stmt, ctx: Context) -> tuple[KrausSet, Context]:
@@ -251,7 +263,7 @@ def _denote_stmt(stmt, ctx: Context) -> tuple[KrausSet, Context]:
         merged = merge_kraus(then_k.output_sig)
         return compose(merged, compose(summed, measure)), out_ctx
     if isinstance(stmt, ast.QCase):
-        names, branches, _, _, out_ctx = _alternation(stmt, ctx, _denote_block)
+        names, branches, out_ctx = _alternation(stmt, ctx)
         # one control goes through `alternate`, so span traces see it used
         alt = (alternate(*branches) if len(names) == 1
                else alternate_case(branches, len(names)))
@@ -300,21 +312,19 @@ def outcome_probability(rho: DensityState, ctx: Context,
     """Joint probability of reading the given qubit values simultaneously."""
     if rho.signature != signature_of(ctx):
         raise SignatureMismatch("state does not match the context layout")
-    names, index = _layout(ctx)
-    wanted = {}
-    for name, value in assignment.items():
+    for name in assignment:
         if not ctx.has(name):
             raise UnknownName(f"name '{name}' is not in scope")
         if ctx.kind_of(name) != QBIT:
             raise KindError(f"'{name}' has kind bit, expected qbit")
-        wanted[names.index(name)] = int(value)
-    if any(v not in (0, 1) for v in wanted.values()):
+    values = [int(v) for v in assignment.values()]
+    if any(v not in (0, 1) for v in values):
         return 0.0
-    picked = index[tuple(wanted.get(a, slice(None)) for a in range(len(names)))]
+    k = sum(v << i for i, v in enumerate(reversed(values)))
     diag = np.concatenate([np.diag(block).real for block in rho.blocks])
     # summed term by term in basis order (np.sum's pairwise order would move
     # the last digit of printed probabilities); + 0.0 turns -0.0 into 0.0
-    return float(np.cumsum(diag[picked.ravel()])[-1]) + 0.0
+    return float(np.cumsum(diag[_where(ctx, list(assignment), k)])[-1]) + 0.0
 
 
 def measure_stats(rho: DensityState, name: str, ctx: Context) -> tuple[float, float]:
@@ -326,9 +336,6 @@ def measure_stats(rho: DensityState, name: str, ctx: Context) -> tuple[float, fl
 # ---------------------------------------------------------------------------
 # Direct evaluator (cross-checking oracle)
 # ---------------------------------------------------------------------------
-
-_DIRECT_ZERO = 1e-12
-
 
 def _conjugate_full(rho: Matrix, u: Matrix, positions: list[int],
                     m: int, nblocks: int) -> Matrix:
@@ -348,138 +355,37 @@ def _conjugate_full(rho: Matrix, u: Matrix, positions: list[int],
     return cur.reshape(d, d)
 
 
-def _embed_direct(u: Matrix, positions: list[int], m: int) -> Matrix:
-    """Axis-permutation embedding of a gate, independent of embed_gate."""
-    t = len(positions)
-    rest = [i for i in range(m) if i not in positions]
-    big = np.kron(u, np.eye(2 ** (m - t), dtype=complex))
-    order = list(positions) + rest
-    perm = [order.index(i) for i in range(m)]
-    tens = big.reshape((2,) * (2 * m))
-    tens = tens.transpose(perm + [m + a for a in perm])
-    return tens.reshape(2 ** m, 2 ** m)
-
-
-def _coalesce_direct(mats: list[Matrix]) -> list[Matrix]:
-    mats = [m for m in mats if np.abs(m).max() > _DIRECT_ZERO]
-    while True:
-        reps: list[Matrix] = []
-        counts: list[int] = []
-        for m in mats:
-            for i, r in enumerate(reps):
-                if r.shape == m.shape and np.abs(r - m).max() <= _DIRECT_ZERO:
-                    counts[i] += 1
-                    break
-            else:
-                reps.append(m)
-                counts.append(1)
-        merged = [r * np.sqrt(c) if c > 1 else r for r, c in zip(reps, counts)]
-        if len(merged) == len(mats):
-            return merged
-        mats = merged
-
-
-def _lead_indices(inner_ctx: Context, r: int, values: int) -> np.ndarray:
-    """Lead-layout indices of the inner space under control value ``values``.
-
-    ``inner_ctx`` is the context without the controls; the returned array
-    maps inner-layout basis index g to the index of (controls = values, g)
-    in the controls-leading layout.
-    """
-    m_inner = len(inner_ctx.qubits())
-    d_block = 2 ** m_inner
-    d_inner = dim(signature_of(inner_ctx))
-    g = np.arange(d_inner)
-    blk = g // d_block
-    y = g % d_block
-    return blk * (2 ** r * d_block) + values * d_block + y
-
-
-def _controlled_elements_direct(branch_elems: list[list[Matrix]],
-                                inner_in: Context, inner_out: Context,
-                                r: int) -> list[Matrix]:
-    """Alternation elements over a 2^r-way control, built by index placement."""
-    populated = [(k, elems) for k, elems in enumerate(branch_elems) if elems]
-    d_in = 2 ** r * dim(signature_of(inner_in))
-    d_out = 2 ** r * dim(signature_of(inner_out))
-    out = []
-    for combo in itertools.product(*[elems for _, elems in populated]):
-        mat = np.zeros((d_out, d_in), dtype=complex)
-        for idx, (k, _) in enumerate(populated):
-            norm = 1.0
-            for other, (_, elems) in enumerate(populated):
-                if other != idx:
-                    norm *= len(elems)
-            rows = _lead_indices(inner_out, r, k)
-            cols = _lead_indices(inner_in, r, k)
-            mat[np.ix_(rows, cols)] = combo[idx] / np.sqrt(norm)
-        out.append(mat)
-    return out
-
-
-def _stmt_direct_kraus(stmt, ctx: Context) -> tuple[list[Matrix], Context]:
-    """Raw Kraus elements of one statement, in the context layout."""
-    m = len(ctx.qubits())
-    nblocks = 2 ** len(ctx.bits())
-    if isinstance(stmt, ast.Skip):
-        return [np.eye(nblocks * 2 ** m, dtype=complex)], ctx
-    if isinstance(stmt, ast.ApplyGate):
-        qubits = ctx.qubits()
-        positions = [qubits.index(t.base) for t in stmt.targets]
-        emb = _embed_direct(_gate_matrix(stmt.gate), positions, m)
-        return [np.kron(np.eye(nblocks, dtype=complex), emb)], ctx
-    if isinstance(stmt, (ast.NewQbit, ast.NewBit)):
-        name = stmt.name.base
-        out_ctx = ctx.add(name, QBIT if isinstance(stmt, ast.NewQbit) else BIT)
-        return [_allocation_matrix(out_ctx, name)], out_ctx
-    if isinstance(stmt, ast.Discard):
-        name = stmt.name.base
-        return _discard_matrices(ctx, name), ctx.remove(name)
-    if isinstance(stmt, ast.MeasureThenElse):
-        out = []
-        for v, block in ((0, stmt.then_block), (1, stmt.else_block)):
-            diag = np.zeros(nblocks * 2 ** m)
-            diag[_where(ctx, stmt.control.base, v)] = 1.0
-            proj = np.diag(diag).astype(complex)
-            elems, out_ctx = _block_direct_kraus(block, ctx)
-            out.extend(e @ proj for e in elems)
-        return out, out_ctx
-    if isinstance(stmt, ast.QCase):
-        names, branches, inner_in, inner_out, out_ctx = _alternation(
-            stmt, ctx, _block_direct_kraus)
-        branch_elems = [_coalesce_direct(elems) for elems in branches]
-        lead = _controlled_elements_direct(branch_elems, inner_in, inner_out,
-                                           len(names))
-        at = np.ix_(leading_permutation(out_ctx, names),
-                    leading_permutation(ctx, names))
-        return [k[at] for k in lead], out_ctx
-    raise TypeError(f"statement not elaborated: {stmt!r}")
-
-
-def _block_direct_kraus(block: list, ctx: Context) -> tuple[list[Matrix], Context]:
-    elems = None
-    for stmt in block:
-        step, ctx = _stmt_direct_kraus(stmt, ctx)
-        if elems is None:
-            elems = step
-        else:
-            elems = [b @ a for b in step for a in elems]
-    return (elems if elems is not None else []), ctx
+def _interference(s: KrausSet) -> Matrix:
+    """sigma = sum E / sqrt(|S|), the zero matrix for the empty set."""
+    if not s.ops:
+        return np.zeros(s.op_shape(), dtype=complex)
+    return sum(s.ops) / np.sqrt(len(s.ops))
 
 
 def _direct_step(stmt, rho: Matrix, ctx: Context) -> tuple[Matrix, Context]:
-    m = len(ctx.qubits())
-    nblocks = 2 ** len(ctx.bits())
     if isinstance(stmt, ast.Skip):
         return rho, ctx
     if isinstance(stmt, ast.ApplyGate):
         qubits = ctx.qubits()
         positions = [qubits.index(t.base) for t in stmt.targets]
-        return _conjugate_full(rho, _gate_matrix(stmt.gate), positions, m, nblocks), ctx
+        return _conjugate_full(rho, _gate_matrix(stmt.gate), positions, len(qubits),
+                               2 ** len(ctx.bits())), ctx
+    if isinstance(stmt, (ast.NewQbit, ast.NewBit)):
+        name = stmt.name.base
+        out_ctx = ctx.add(name, QBIT if isinstance(stmt, ast.NewQbit) else BIT)
+        d = dim(signature_of(out_ctx))
+        out = np.zeros((d, d), dtype=complex)
+        at = _where(out_ctx, [name], 0)
+        out[np.ix_(at, at)] = rho
+        return out, out_ctx
+    if isinstance(stmt, ast.Discard):
+        name = stmt.name.base
+        kept = [_where(ctx, [name], v) for v in (0, 1)]
+        return sum(rho[np.ix_(at, at)] for at in kept), ctx.remove(name)
     if isinstance(stmt, ast.MeasureThenElse):
         total = None
         for v, block in ((0, stmt.then_block), (1, stmt.else_block)):
-            keep = _where(ctx, stmt.control.base, v)
+            keep = _where(ctx, [stmt.control.base], v)
             projected = np.zeros_like(rho)
             projected[np.ix_(keep, keep)] = rho[np.ix_(keep, keep)]
             out_ctx = ctx
@@ -487,15 +393,20 @@ def _direct_step(stmt, rho: Matrix, ctx: Context) -> tuple[Matrix, Context]:
                 projected, out_ctx = _direct_step(inner, projected, out_ctx)
             total = projected if total is None else total + projected
         return total, out_ctx
-    if isinstance(stmt, (ast.NewQbit, ast.NewBit, ast.Discard, ast.QCase)):
-        elems, out_ctx = _stmt_direct_kraus(stmt, ctx)
-        out = None
-        for e in elems:
-            term = e @ rho @ e.conj().T
-            out = term if out is None else out + term
-        if out is None:
-            d_out = dim(signature_of(out_ctx))
-            out = np.zeros((d_out, d_out), dtype=complex)
+    if isinstance(stmt, ast.QCase):
+        # block (k, l) of the state, controls reading k on the left and l on
+        # the right, becomes S_k(rho_kk) when k = l, else sigma_k rho_kl sigma_l'
+        names, branches, out_ctx = _alternation(stmt, ctx)
+        rows = [_where(out_ctx, names, k) for k in range(len(branches))]
+        cols = [_where(ctx, names, k) for k in range(len(branches))]
+        sigmas = [_interference(s) for s in branches]
+        d = dim(signature_of(out_ctx))
+        out = np.zeros((d, d), dtype=complex)
+        for k, l in itertools.product(range(len(branches)), repeat=2):
+            block = rho[np.ix_(cols[k], cols[l])]
+            out[np.ix_(rows[k], rows[l])] = (
+                apply_full(branches[k], block) if k == l
+                else sigmas[k] @ block @ sigmas[l].conj().T)
         return out, out_ctx
     raise TypeError(f"statement not elaborated: {stmt!r}")
 
@@ -503,10 +414,11 @@ def _direct_step(stmt, rho: Matrix, ctx: Context) -> tuple[Matrix, Context]:
 def eval_direct(program, initial: DensityState | None = None,
                 ctx: Context | None = None,
                 tol: float = DEFAULT_TOL) -> DensityState:
-    """Independent evaluator: direct density-matrix updates per statement.
+    """Independent evaluator: streams the density matrix statement by statement.
 
     Agrees with :func:`run` on every well-formed program; used to cross-check
-    the composed Kraus semantics.
+    the composed Kraus semantics (an alternation goes through the
+    interference identity described in the module docstring).
     """
     ctx = ctx if ctx is not None else Context.empty()
     if initial is None:

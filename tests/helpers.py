@@ -54,6 +54,12 @@ def rand_density(rng, sig, trace=1.0):
     return DensityState(sig, tuple(blocks))
 
 
+def state_deviation(a: DensityState, b: DensityState) -> float:
+    """Largest entrywise distance between two states of one signature."""
+    assert a.signature == b.signature, (a.signature, b.signature)
+    return max(float(np.abs(x - y).max()) for x, y in zip(a.blocks, b.blocks))
+
+
 def psd_brute_force(m, tol):
     """Independent positivity check: hermitize, full eigendecomposition."""
     m = np.asarray(m, dtype=complex)

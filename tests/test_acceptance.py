@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from helpers import rand_density, rand_kraus, rand_unitary
+from helpers import rand_density, rand_kraus, rand_unitary, state_deviation
 from qalt import (
     Context,
     DensityState,
@@ -277,9 +277,7 @@ def test_12_cross_evaluator():
             else:
                 via_kraus = apply(d.kraus, rho)
             direct = eval_direct(program, rho, ctx)
-            dev = max(np.abs(a - b).max()
-                      for a, b in zip(via_kraus.blocks, direct.blocks))
-            ok = ok and dev <= 1e-9
+            ok = ok and state_deviation(via_kraus, direct) <= 1e-9
     report(12, "composed-Kraus and direct evaluators agree on the corpus "
                "(20 random states each)", ok)
 

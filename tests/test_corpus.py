@@ -3,6 +3,7 @@ import pickle
 import numpy as np
 import pytest
 
+from helpers import state_deviation
 from qalt import (
     Context,
     TruthTable,
@@ -195,7 +196,7 @@ class TestCrossEvaluatorOnCorpus:
             initial = DensityState(Signature((1,)), ([[c]],))
             a = run(program, initial)
             b = eval_direct(program, initial)
-            assert max(np.abs(x - y).max() for x, y in zip(a.blocks, b.blocks)) < 1e-9
+            assert state_deviation(a, b) < 1e-9
 
     def test_oracle_random_states(self):
         from helpers import rand_density
@@ -207,4 +208,4 @@ class TestCrossEvaluatorOnCorpus:
             rho = rand_density(rng, signature_of(ctx))
             a = run(program, rho, ctx)
             b = eval_direct(program, rho, ctx)
-            assert max(np.abs(x - y).max() for x, y in zip(a.blocks, b.blocks)) < 1e-9
+            assert state_deviation(a, b) < 1e-9

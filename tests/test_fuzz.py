@@ -11,7 +11,7 @@ import pickle
 import numpy as np
 import pytest
 
-from helpers import rand_density
+from helpers import rand_density, state_deviation
 from test_corpus import generated_programs
 from qalt import (Context, denote, elaborate, eval_direct, lint_closed_system,
                   parse, pretty, run, typecheck)
@@ -82,8 +82,7 @@ def test_fuzzed_programs_agree():
         source = random_program(rng)
         a = run(source)
         b = eval_direct(source)
-        assert a.signature == b.signature, source
-        dev = max(np.abs(x - y).max() for x, y in zip(a.blocks, b.blocks))
+        dev = state_deviation(a, b)
         assert dev < 1e-9, f"evaluators disagree by {dev}\n{source}"
 
 
@@ -96,7 +95,7 @@ def test_fuzzed_programs_agree_on_random_initial_states():
         rho = rand_density(rng, signature_of(ctx))
         a = run(body, rho, ctx)
         b = eval_direct(body, rho, ctx)
-        dev = max(np.abs(x - y).max() for x, y in zip(a.blocks, b.blocks))
+        dev = state_deviation(a, b)
         assert dev < 1e-9, f"evaluators disagree by {dev}\n{body}"
 
 

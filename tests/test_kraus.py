@@ -533,6 +533,21 @@ class TestChoi:
         fam = to_choi(make_kraus(Q, Q, [PI0, PI1]))
         assert np.abs(fam.members[0] - np.diag([1, 0, 0, 1])).max() < 1e-12
 
+    def test_matches_rank_one_updates(self):
+        # reference: one outer product of vec(E J_i) per operator
+        rng = np.random.default_rng(73)
+        sig_in, sig_out = Signature((2, 1, 4)), Signature((3, 2))
+        for s in (rand_kraus(rng, sig_in, sig_out, size=4, scale=0.8),
+                  zero_kraus(sig_in, sig_out)):
+            off = 0
+            for n, member in zip(sig_in.blocks, to_choi(s).members):
+                want = np.zeros((5 * n, 5 * n), dtype=complex)
+                for e in s.ops:
+                    v = e[:, off:off + n].reshape(-1, 1)
+                    want += v @ v.conj().T
+                assert np.abs(member - want).max() < 1e-12
+                off += n
+
     def test_members_psd(self):
         rng = np.random.default_rng(67)
         s = rand_kraus(rng, Signature((2, 1)), size=3, scale=0.9)

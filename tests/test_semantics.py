@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import rand_density
+from helpers import rand_density, state_deviation
 from qalt import (
     Context,
     DensityState,
@@ -30,7 +30,7 @@ from qalt import (
     tensor,
     typecheck,
 )
-from qalt import semantics
+from qalt import kraus, semantics
 from qalt.core import H, ID2, PI0, PI1
 from qalt.errors import KindError, UnknownName
 from qalt.semantics import leading_permutation, signature_of
@@ -38,6 +38,7 @@ from qalt.semantics import leading_permutation, signature_of
 CTX_Q = Context.of(("q", "qbit"))
 CTX_2 = Context.of(("q0", "qbit"), ("q1", "qbit"))
 CTX_3 = Context.of(("q0", "qbit"), ("q1", "qbit"), ("q2", "qbit"))
+CTX_4 = Context.of(*((f"q{i}", "qbit") for i in range(4)))
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0],
                  [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
@@ -66,11 +67,6 @@ def kraus_equal(got, sig_in, sig_out, raw_ops) -> bool:
     want = make_kraus(sig_in, sig_out, raw_ops)
     return (len(got.ops) == len(want.ops)
             and all(np.array_equal(x, y) for x, y in zip(got.ops, want.ops)))
-
-
-def state_deviation(a: DensityState, b: DensityState) -> float:
-    assert a.signature == b.signature
-    return max(float(np.abs(x - y).max()) for x, y in zip(a.blocks, b.blocks))
 
 
 class TestTableEntries:
@@ -466,6 +462,57 @@ class TestEvalDirect:
         a = run(src, rho, CTX_3)
         b = eval_direct(src, rho, CTX_3)
         assert state_deviation(a, b) < 1e-9
+
+    def test_matches_run_case_with_arms_of_1_2_and_4_operators(self):
+        arms = ["q2 *= H",
+                "measure q3 then { skip } else { q2 *= X }",
+                "if q2 then { measure q3 then { skip } else { skip } } "
+                "else { measure q3 then { q3 *= H } else { skip } }",
+                "skip"]
+        inner = Context.of(("q2", "qbit"), ("q3", "qbit"))
+        assert [len(denote(arm, inner).kraus) for arm in arms] == [1, 2, 4, 1]
+        src = "case (q0, q1) of " + " ".join(
+            f"|{k:02b}> -> {{ {arm} }}" for k, arm in enumerate(arms))
+        rng = np.random.default_rng(67)
+        for _ in range(5):
+            rho = rand_density(rng, signature_of(CTX_4))
+            a = run(src, rho, CTX_4)
+            b = eval_direct(src, rho, CTX_4)
+            assert state_deviation(a, b) < 1e-9
+
+    # no nested alternation: an arm's own denotation goes through case_elements
+    INDEPENDENCE = [
+        ("if q0 then { measure q1 then { skip } else { skip } } "
+         "else { measure q2 then { q1 *= H } else { skip } }", CTX_3),
+        ("case (q0, q1) of |00> -> { measure q2 then { skip } else { q3 *= X } } "
+         "|01> -> { q2 *= H } "
+         "|10> -> { measure q3 then { q2 *= Phase(pi / 3) } else { skip } } "
+         "|11> -> { skip }", CTX_4),
+    ]
+
+    @pytest.mark.parametrize("mutation", ["scale_by_all_sizes", "swap_values_0_1"])
+    @pytest.mark.parametrize("src, ctx", INDEPENDENCE, ids=["if", "case4"])
+    def test_independent_of_case_elements(self, monkeypatch, mutation, src, ctx):
+        original = kraus.case_elements
+
+        def scale_by_all_sizes(branches, n):
+            scale = math.sqrt(math.prod(len(b) for b in branches if b.ops))
+            return [e / scale for e in original(branches, n)]
+
+        def swap_values_0_1(branches, n):
+            swapped = list(branches)
+            swapped[0], swapped[1] = swapped[1], swapped[0]
+            return original(swapped, n)
+
+        rho = rand_density(np.random.default_rng(71), signature_of(ctx))
+        via_kraus, direct = run(src, rho, ctx), eval_direct(src, rho, ctx)
+        assert state_deviation(via_kraus, direct) < 1e-9
+        mutants = {"scale_by_all_sizes": scale_by_all_sizes,
+                   "swap_values_0_1": swap_values_0_1}
+        monkeypatch.setattr(kraus, "case_elements", mutants[mutation])
+        mutated_direct = eval_direct(src, rho, ctx)
+        assert state_deviation(mutated_direct, direct) == 0.0
+        assert state_deviation(run(src, rho, ctx), mutated_direct) > 1e-9
 
 
 class TestTypecheckOnce:
