@@ -1,17 +1,15 @@
-"""Typing-context checker and elaborator.
+"""Elaborator and typing-context checker: parse -> elaborate -> typecheck.
 
-``typecheck`` threads a typing context through a program, without changing
-it, and returns the output context.  It enforces the branching rules:
-quantum-`if` and `case` branches may not mention their control qubits, and
-all branches of a conditional must map the shared input context to one
-common output context.  A quantum `if` is read as the two-arm `case` on its
-control, so there is one alternation rule, and :func:`control_contexts`
-holds its inner and output contexts for the typechecker and the semantics.
-``elaborate`` then builds a new core program: it unrolls meta-level `for`
-loops, resolves indexed names and truth-table oracles, and turns every
-alternation into a `case` with one arm per label, so the semantics can
-interpret the result directly.  The semantics works out the context of each
-statement again as it goes; none is stored on the syntax tree.
+``elaborate`` does all meta-level work and builds a new core program: it
+evaluates each meta expression once, unrolls `for` loops, resolves indexed
+names and truth-table oracles, and turns every alternation into a `case`
+with one arm per label, in label order (an `if` becomes a one-control
+`case`).  It raises every fault in a value it computes, so a meta-level
+fault is reported before any typing fault.  ``typecheck`` then threads a
+typing context through the core program, which ``denote`` and
+``eval_direct`` read too, and returns the output context.  Case arms may
+not mention their controls, and all branches must map the input context to
+one output context; :func:`control_contexts` holds that rule.
 """
 
 from __future__ import annotations
@@ -98,46 +96,26 @@ def resolve_name(ref: ast.NameRef, env: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Typechecking
+# Elaboration
 # ---------------------------------------------------------------------------
 
-def _use(name: str, ctx: Context, blocked: frozenset, kind: str | None = None) -> str:
-    if name in blocked:
-        raise ControlCapture(f"branch mentions control qubit '{name}'")
-    if not ctx.has(name):
-        raise UnknownName(f"name '{name}' is not in scope")
-    actual = ctx.kind_of(name)
-    if kind is not None and actual != kind:
-        raise KindError(f"'{name}' has kind {actual}, expected {kind}")
-    return actual
+def _labels(n: int) -> list[str]:
+    """The labels of an alternation on ``n`` controls, in order."""
+    return [format(value, f"0{n}b") for value in range(2 ** n)]
 
 
-def _declare(name: str, ctx: Context, blocked: frozenset):
-    if name in blocked:
-        raise ControlCapture(f"branch mentions control qubit '{name}'")
-    if ctx.has(name):
-        raise DuplicateName(f"name '{name}' is already in scope")
-
-
-def _check_gate(gate, n_targets: int, env: dict):
-    if isinstance(gate, (ast.NamedGate, ast.RkGate, ast.PhaseGate)):
-        if n_targets != 1:
-            raise InvalidGate("single-qubit gate applied to a register")
-        if isinstance(gate, ast.RkGate) and eval_int(gate.k, env) < 0:
+def _elab_gate(gate, env: dict, n_targets: int):
+    if isinstance(gate, ast.NamedGate):
+        return ast.NamedGate(gate.name)
+    if isinstance(gate, ast.RkGate):
+        k = eval_int(gate.k, env)
+        if k < 0:
             raise InvalidGate("Rk needs a nonnegative index")
-        if isinstance(gate, ast.PhaseGate):
-            eval_expr(gate.theta, env)  # must be closed
-        return
+        return ast.RkGate(ast.Num(k))
+    if isinstance(gate, ast.PhaseGate):
+        return ast.PhaseGate(ast.Num(float(eval_expr(gate.theta, env))))
     if isinstance(gate, ast.MatrixGate):
-        m = np.array(gate.entries, dtype=complex)
-        d = 2 ** n_targets
-        if m.shape != (d, d):
-            raise InvalidGate(
-                f"matrix literal of shape {m.shape} applied to "
-                f"{n_targets} qubit(s)")
-        if np.abs(m.conj().T @ m - np.eye(d)).max() > GATE_UNITARY_TOL:
-            raise InvalidGate("matrix literal is not unitary")
-        return
+        return ast.MatrixGate(gate.entries)
     if isinstance(gate, ast.OracleGate):
         size = len(gate.table)
         if size < 2 or size & (size - 1):
@@ -145,14 +123,20 @@ def _check_gate(gate, n_targets: int, env: dict):
         point = eval_int(gate.point, env)
         if not 0 <= point < size:
             raise InvalidGate(f"oracle point {point} outside table of size {size}")
-        return
+        u = transposition_gate(gate.table[point], 2 ** n_targets)
+        return ast.MatrixGate(tuple(tuple(z for z in row) for row in u))
     raise TypeError(f"not a gate: {gate!r}")
 
 
-def _check_block(block: list, ctx: Context, env: dict, blocked: frozenset) -> Context:
+def _elab_block(block: list, env: dict) -> list:
+    out = []
     for stmt in block:
-        ctx = _check_stmt(stmt, ctx, env, blocked)
-    return ctx
+        out.extend(_elab_stmt(stmt, env))
+    return out
+
+
+def _sub_block(block: list, env: dict) -> list:
+    return _elab_block(block, env) or [ast.Skip()]
 
 
 def _alternation_arms(stmt) -> tuple[list, list]:
@@ -164,6 +148,118 @@ def _alternation_arms(stmt) -> tuple[list, list]:
         return [stmt.control], [ast.CaseArm("0", stmt.then_block),
                                 ast.CaseArm("1", stmt.else_block)]
     return stmt.controls, stmt.arms
+
+
+def _elab_stmt(stmt, env: dict) -> list:
+    if isinstance(stmt, ast.Skip):
+        return [ast.Skip()]
+    if isinstance(stmt, (ast.NewQbit, ast.NewBit, ast.Discard)):
+        return [type(stmt)(ast.NameRef(resolve_name(stmt.name, env)))]
+    if isinstance(stmt, ast.ApplyGate):
+        targets = [ast.NameRef(resolve_name(t, env)) for t in stmt.targets]
+        return [ast.ApplyGate(targets, _elab_gate(stmt.gate, env, len(targets)))]
+    if isinstance(stmt, ast.MeasureThenElse):
+        return [ast.MeasureThenElse(
+            ast.NameRef(resolve_name(stmt.control, env)),
+            _sub_block(stmt.then_block, env),
+            _sub_block(stmt.else_block, env))]
+    if isinstance(stmt, (ast.QIf, ast.QCase)):
+        controls, source_arms = _alternation_arms(stmt)
+        n = len(controls)
+        by_label = {}
+        for arm in source_arms:
+            if arm.label is not None and len(arm.label) != n:
+                raise KindError(
+                    f"case label '{arm.label}' does not match {n} control qubit(s)")
+            if arm.label in by_label:
+                raise DuplicateName(f"duplicate case label '{arm.label or '_'}'")
+            by_label[arm.label] = arm
+        default = by_label.pop(None, None)
+        if default is None and len(by_label) < 2 ** n:
+            raise BranchContextMismatch(
+                f"case over {n} qubit(s) covers {len(by_label)} of {2 ** n} "
+                f"labels and has no default arm")
+        if default is not None and len(by_label) == 2 ** n:
+            raise KindError(f"default arm of a case over {n} qubit(s) matches no label")
+        arms = [ast.CaseArm(label, _sub_block(by_label.get(label, default).block, env))
+                for label in _labels(n)]
+        return [ast.QCase([ast.NameRef(resolve_name(c, env)) for c in controls], arms)]
+    if isinstance(stmt, ast.ForLoop):
+        lo = eval_int(stmt.lo, env)
+        hi = eval_int(stmt.hi, env)
+        out = []
+        for value in range(lo, hi + 1):
+            out.extend(_elab_block(stmt.body, {**env, stmt.var: value}))
+        return out
+    raise TypeError(f"not a statement: {stmt!r}")
+
+
+def elaborate(program: ast.Program) -> ast.Program:
+    """Unroll loops, resolve names and oracles, make every alternation a case.
+
+    ``if q then A else B`` becomes ``case (q) of |0> -> A |1> -> B``, and a
+    case lists one arm per label, in label order, with default arms
+    expanded.  The result contains no ``ForLoop``, no ``QIf``, no indexed
+    name, no ``OracleGate``, no default arm and no gate argument but a
+    literal.  Every fault in a meta-level value is raised here; scope and
+    variable kinds are left to :func:`typecheck`.  ``program`` is only read, and the
+    result shares no node with it.
+    """
+    return ast.Program(_elab_block(program.body, {}))
+
+
+# ---------------------------------------------------------------------------
+# Typechecking the core
+# ---------------------------------------------------------------------------
+
+def _name(ref: ast.NameRef) -> str:
+    if ref.index is not None:
+        raise TypeError(f"indexed name not elaborated: {ref!r}")
+    return ref.base
+
+
+def _use(name: str, ctx: Context, blocked: frozenset, kind: str | None = None):
+    if name in blocked:
+        raise ControlCapture(f"branch mentions control qubit '{name}'")
+    if not ctx.has(name):
+        raise UnknownName(f"name '{name}' is not in scope")
+    if kind is not None and ctx.kind_of(name) != kind:
+        raise KindError(f"'{name}' has kind {ctx.kind_of(name)}, expected {kind}")
+
+
+def _declare(name: str, ctx: Context, blocked: frozenset):
+    if name in blocked:
+        raise ControlCapture(f"branch mentions control qubit '{name}'")
+    if ctx.has(name):
+        raise DuplicateName(f"name '{name}' is already in scope")
+
+
+def _check_gate(gate, n_targets: int):
+    if isinstance(gate, (ast.RkGate, ast.PhaseGate)):
+        arg = gate.k if isinstance(gate, ast.RkGate) else gate.theta
+        if not isinstance(arg, ast.Num):
+            raise TypeError(f"gate argument not elaborated: {gate!r}")
+    if isinstance(gate, (ast.NamedGate, ast.RkGate, ast.PhaseGate)):
+        if n_targets != 1:
+            raise InvalidGate("single-qubit gate applied to a register")
+        return
+    if isinstance(gate, ast.MatrixGate):
+        m = np.array(gate.entries, dtype=complex)
+        d = 2 ** n_targets
+        if m.shape != (d, d):
+            raise InvalidGate(
+                f"matrix literal of shape {m.shape} applied to "
+                f"{n_targets} qubit(s)")
+        if np.abs(m.conj().T @ m - np.eye(d)).max() > GATE_UNITARY_TOL:
+            raise InvalidGate("matrix literal is not unitary")
+        return
+    raise TypeError(f"gate not elaborated: {gate!r}")
+
+
+def _check_block(block: list, ctx: Context, blocked: frozenset) -> Context:
+    for stmt in block:
+        ctx = _check_stmt(stmt, ctx, blocked)
+    return ctx
 
 
 def control_contexts(ctx: Context, names: list[str]):
@@ -195,184 +291,58 @@ def _branch_contexts_equal(a: Context, b: Context):
             f"({a.describe()}) vs ({b.describe()})")
 
 
-def _check_stmt(stmt, ctx: Context, env: dict, blocked: frozenset) -> Context:
+def _check_stmt(stmt, ctx: Context, blocked: frozenset) -> Context:
     if isinstance(stmt, ast.Skip):
-        out = ctx
-    elif isinstance(stmt, ast.NewQbit):
-        name = resolve_name(stmt.name, env)
+        return ctx
+    if isinstance(stmt, (ast.NewQbit, ast.NewBit)):
+        name = _name(stmt.name)
         _declare(name, ctx, blocked)
-        out = ctx.add(name, QBIT)
-    elif isinstance(stmt, ast.NewBit):
-        name = resolve_name(stmt.name, env)
-        _declare(name, ctx, blocked)
-        out = ctx.add(name, BIT)
-    elif isinstance(stmt, ast.ApplyGate):
-        names = [resolve_name(t, env) for t in stmt.targets]
+        return ctx.add(name, QBIT if isinstance(stmt, ast.NewQbit) else BIT)
+    if isinstance(stmt, ast.ApplyGate):
+        names = [_name(t) for t in stmt.targets]
         if len(set(names)) != len(names):
             raise InvalidGate(f"duplicate gate target in {names}")
         for name in names:
             _use(name, ctx, blocked, QBIT)
-        _check_gate(stmt.gate, len(names), env)
-        out = ctx
-    elif isinstance(stmt, ast.Discard):
-        name = resolve_name(stmt.name, env)
+        _check_gate(stmt.gate, len(names))
+        return ctx
+    if isinstance(stmt, ast.Discard):
+        name = _name(stmt.name)
         _use(name, ctx, blocked)
-        out = ctx.remove(name)
-    elif isinstance(stmt, ast.MeasureThenElse):
-        name = resolve_name(stmt.control, env)
-        _use(name, ctx, blocked, QBIT)
-        ctx_then = _check_block(stmt.then_block, ctx, env, blocked)
-        ctx_else = _check_block(stmt.else_block, ctx, env, blocked)
-        _branch_contexts_equal(ctx_then, ctx_else)
-        out = ctx_then
-    elif isinstance(stmt, (ast.QIf, ast.QCase)):
-        controls, arms = _alternation_arms(stmt)
-        names = [resolve_name(c, env) for c in controls]
+        return ctx.remove(name)
+    if isinstance(stmt, ast.MeasureThenElse):
+        _use(_name(stmt.control), ctx, blocked, QBIT)
+        out = _check_block(stmt.then_block, ctx, blocked)
+        _branch_contexts_equal(out, _check_block(stmt.else_block, ctx, blocked))
+        return out
+    if isinstance(stmt, ast.QCase):
+        names = [_name(c) for c in stmt.controls]
+        if [arm.label for arm in stmt.arms] != _labels(len(names)):
+            raise TypeError("case arms not elaborated: expected one arm per "
+                            "label, in label order")
         if len(set(names)) != len(names):
             raise DuplicateName(f"duplicate control in {names}")
         for name in names:
             _use(name, ctx, blocked, QBIT)
         inner, restore = control_contexts(ctx, names)
         shielded = blocked | set(names)
-        n = len(names)
-        seen: set[str] = set()
-        has_default = False
-        arm_ctx = None
-        for arm in arms:
-            if arm.label is None:
-                has_default = True
-            else:
-                if len(arm.label) != n:
-                    raise KindError(
-                        f"case label '{arm.label}' does not match "
-                        f"{n} control qubit(s)")
-                if arm.label in seen:
-                    raise DuplicateName(f"duplicate case label '{arm.label}'")
-                seen.add(arm.label)
-            this_ctx = _check_block(arm.block, inner, env, shielded)
-            if arm_ctx is None:
-                arm_ctx = this_ctx
-            else:
-                _branch_contexts_equal(arm_ctx, this_ctx)
-        if len(seen) < 2 ** n and not has_default:
-            raise BranchContextMismatch(
-                f"case over {n} qubit(s) covers {len(seen)} of {2 ** n} "
-                f"labels and has no default arm")
-        out = restore(arm_ctx)
-    elif isinstance(stmt, ast.ForLoop):
-        lo = eval_int(stmt.lo, env)
-        hi = eval_int(stmt.hi, env)
-        out = ctx
-        for value in range(lo, hi + 1):
-            out = _check_block(stmt.body, out, {**env, stmt.var: value}, blocked)
-    else:
-        raise TypeError(f"not a statement: {stmt!r}")
-    return out
+        out = _check_block(stmt.arms[0].block, inner, shielded)
+        for arm in stmt.arms[1:]:
+            _branch_contexts_equal(out, _check_block(arm.block, inner, shielded))
+        return restore(out)
+    raise TypeError(f"statement not elaborated: {stmt!r}")
 
 
 def typecheck(program: ast.Program, initial: Context | None = None) -> Context:
-    """Output context of ``program`` run from ``initial``, or raise.
+    """Output context of the core ``program`` run from ``initial``, or raise.
 
-    ``program`` is only read.
+    ``program`` is only read and no meta expression is evaluated.  A
+    construct that :func:`elaborate` removes (``for``, ``if``, an indexed
+    name, an oracle, a gate argument but a literal, a case whose arms are not
+    one per label in label order) raises ``TypeError``.
     """
     initial = initial if initial is not None else Context.empty()
-    return _check_block(program.body, initial, {}, frozenset())
-
-
-# ---------------------------------------------------------------------------
-# Elaboration
-# ---------------------------------------------------------------------------
-
-def _elab_gate(gate, env: dict, n_targets: int):
-    if isinstance(gate, ast.NamedGate):
-        return ast.NamedGate(gate.name)
-    if isinstance(gate, ast.RkGate):
-        return ast.RkGate(ast.Num(eval_int(gate.k, env)))
-    if isinstance(gate, ast.PhaseGate):
-        return ast.PhaseGate(ast.Num(float(eval_expr(gate.theta, env))))
-    if isinstance(gate, ast.MatrixGate):
-        return ast.MatrixGate(gate.entries)
-    if isinstance(gate, ast.OracleGate):
-        point = eval_int(gate.point, env)
-        if not 0 <= point < len(gate.table):
-            raise InvalidGate(
-                f"oracle point {point} outside table of size {len(gate.table)}")
-        image = gate.table[point]
-        u = transposition_gate(image, 2 ** n_targets)
-        return ast.MatrixGate(tuple(tuple(z for z in row) for row in u))
-    raise TypeError(f"not a gate: {gate!r}")
-
-
-def _elab_block(block: list, env: dict) -> list:
-    out = []
-    for stmt in block:
-        out.extend(_elab_stmt(stmt, env))
-    return out
-
-
-def _sub_block(block: list, env: dict) -> list:
-    inner = _elab_block(block, env)
-    return inner if inner else [ast.Skip()]
-
-
-def _elab_stmt(stmt, env: dict) -> list:
-    if isinstance(stmt, ast.Skip):
-        return [ast.Skip()]
-    if isinstance(stmt, ast.NewQbit):
-        return [ast.NewQbit(ast.NameRef(resolve_name(stmt.name, env)))]
-    if isinstance(stmt, ast.NewBit):
-        return [ast.NewBit(ast.NameRef(resolve_name(stmt.name, env)))]
-    if isinstance(stmt, ast.ApplyGate):
-        targets = [ast.NameRef(resolve_name(t, env)) for t in stmt.targets]
-        return [ast.ApplyGate(targets, _elab_gate(stmt.gate, env, len(targets)))]
-    if isinstance(stmt, ast.Discard):
-        return [ast.Discard(ast.NameRef(resolve_name(stmt.name, env)))]
-    if isinstance(stmt, ast.MeasureThenElse):
-        return [ast.MeasureThenElse(
-            ast.NameRef(resolve_name(stmt.control, env)),
-            _sub_block(stmt.then_block, env),
-            _sub_block(stmt.else_block, env))]
-    if isinstance(stmt, (ast.QIf, ast.QCase)):
-        controls, source_arms = _alternation_arms(stmt)
-        controls = [ast.NameRef(resolve_name(c, env)) for c in controls]
-        n = len(controls)
-        explicit = {}
-        default = None
-        for arm in source_arms:
-            if arm.label is None:
-                default = arm
-            else:
-                explicit[arm.label] = arm
-        arms = []
-        for value in range(2 ** n):
-            label = format(value, f"0{n}b")
-            source = explicit.get(label, default)
-            if source is None:
-                raise BranchContextMismatch(
-                    f"case is missing a branch for label '{label}'")
-            arms.append(ast.CaseArm(label, _sub_block(source.block, env)))
-        return [ast.QCase(controls, arms)]
-    if isinstance(stmt, ast.ForLoop):
-        lo = eval_int(stmt.lo, env)
-        hi = eval_int(stmt.hi, env)
-        out = []
-        for value in range(lo, hi + 1):
-            out.extend(_elab_block(stmt.body, {**env, stmt.var: value}))
-        return out
-    raise TypeError(f"not a statement: {stmt!r}")
-
-
-def elaborate(program: ast.Program) -> ast.Program:
-    """Unroll loops, resolve names and oracles, make every alternation a case.
-
-    ``if q then A else B`` becomes ``case (q) of |0> -> A |1> -> B``, and a
-    case lists one arm per label, in label order, with default arms
-    expanded.  The result contains no ``ForLoop``, no ``QIf``, no indexed
-    name, no ``OracleGate`` and no default arm; ``measure`` statements are
-    kept as single nodes.  ``program`` must typecheck; it is only read, and
-    the result shares no node with it.
-    """
-    return ast.Program(_elab_block(program.body, {}))
+    return _check_block(program.body, initial, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -391,28 +361,21 @@ def lint_closed_system(program: ast.Program) -> list[str]:
     """
     warnings: list[str] = []
 
-    def scan_branch(block, control):
+    def scan(block, control=None):
         for stmt in block:
-            if isinstance(stmt, _IRREVERSIBLE):
+            if control is not None and isinstance(stmt, _IRREVERSIBLE):
                 warnings.append(
                     f"branch of quantum conditional on '{control}' contains "
                     f"non-reversible statement '{type(stmt).__name__}'")
-            scan(stmt, in_branch_of=control)
+            if isinstance(stmt, (ast.QIf, ast.QCase)):
+                controls, arms = _alternation_arms(stmt)
+                for arm in arms:
+                    scan(arm.block, ", ".join(c.base for c in controls))
+            elif isinstance(stmt, ast.MeasureThenElse):
+                scan(stmt.then_block)
+                scan(stmt.else_block)
+            elif isinstance(stmt, ast.ForLoop):
+                scan(stmt.body, control)
 
-    def scan(stmt, in_branch_of=None):
-        if isinstance(stmt, (ast.QIf, ast.QCase)):
-            controls, arms = _alternation_arms(stmt)
-            label = ", ".join(c.base for c in controls)
-            for arm in arms:
-                scan_branch(arm.block, label)
-        elif isinstance(stmt, ast.MeasureThenElse):
-            for block in (stmt.then_block, stmt.else_block):
-                for inner in block:
-                    scan(inner)
-        elif isinstance(stmt, ast.ForLoop):
-            for inner in stmt.body:
-                scan(inner)
-
-    for stmt in program.body:
-        scan(stmt)
+    scan(program.body)
     return warnings

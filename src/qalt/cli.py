@@ -16,7 +16,7 @@ import sys
 import click
 import numpy as np
 
-from .check import typecheck
+from .check import elaborate, typecheck
 from .core import DEFAULT_TOL, DensityState, Signature, unit_state
 from .corpus import (
     TruthTable,
@@ -68,8 +68,17 @@ def _encode_state(state: DensityState) -> dict:
 
 
 def _decode_state(data) -> DensityState:
-    sig = Signature(tuple(data["signature"]))
-    blocks = tuple(_decode_matrix(b) for b in data["blocks"])
+    """The state in ``data``; a ValueError names what is malformed."""
+    expected = ("an object with a 'signature' list of block dimensions and "
+                "'blocks', one matrix of [re, im] entries per block")
+    if not isinstance(data, dict) or not {"signature", "blocks"} <= data.keys():
+        raise ValueError(f"initial state must be {expected}")
+    try:
+        sig = Signature(tuple(data["signature"]))
+        blocks = tuple(_decode_matrix(b) for b in data["blocks"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(
+            f"malformed initial state ({exc}); expected {expected}") from None
     return DensityState(sig, blocks)
 
 
@@ -163,7 +172,11 @@ def cmd_run(source, init_path, stats_name, ctx_spec, tol, fmt):
         initial = None
         if init_path is not None:
             with open(init_path, "r", encoding="ascii") as fh:
-                initial = _decode_state(json.load(fh))
+                try:
+                    data = json.load(fh)
+                except RecursionError:
+                    raise ValueError("initial state is nested too deeply") from None
+            initial = _decode_state(data)
         state = run(program, initial, ctx, tol)
         result = {"state": _encode_state(state)}
         lines = [f"final state on signature {state.signature.blocks}:"]
@@ -172,7 +185,8 @@ def cmd_run(source, init_path, stats_name, ctx_spec, tol, fmt):
             lines.extend(_matrix_lines(block))
         lines.append(f"trace: {state.trace():.10g}")
         if stats_name is not None:
-            p0, p1 = measure_stats(state, stats_name, typecheck(program, ctx))
+            p0, p1 = measure_stats(state, stats_name,
+                                  typecheck(elaborate(program), ctx))
             result["stats"] = {"qubit": stats_name, "p0": p0, "p1": p1}
             lines.append(f"Pr[{stats_name}=0] = {p0:.10g}")
             lines.append(f"Pr[{stats_name}=1] = {p1:.10g}")

@@ -133,7 +133,7 @@ def rk_gate(k: int) -> Matrix:
     """Phase-shift gate with angle 2*pi/2**k on the |1> component."""
     if k < 0:
         raise ValueError("rk_gate needs k >= 0")
-    theta = 2 * math.pi / 2 ** k
+    theta = math.ldexp(2 * math.pi, -k)  # 2 ** k overflows a float for k > 1023
     return np.array([[1, 0], [0, np.exp(1j * theta)]], dtype=complex)
 
 

@@ -151,13 +151,11 @@ def make_kraus(input_sig: Signature, output_sig: Signature, raw_ops,
     ops = _coalesce(ops)
     if len(ops) > 1:  # sort computes keys even for a single element
         ops.sort(key=_canonical_key)
-    total = np.zeros((shape[1], shape[1]), dtype=complex)
-    for e in ops:
-        total += e.conj().T @ e
-    if not is_psd(np.eye(shape[1]) - total, tol):
+    kset = KrausSet(input_sig, output_sig, tuple(freeze(m) for m in ops))
+    if not is_psd(np.eye(shape[1]) - kset.completeness_sum(), tol):
         raise TraceConditionViolated(
             "sum of E'E exceeds the identity; not trace-nonincreasing")
-    return KrausSet(input_sig, output_sig, tuple(freeze(m) for m in ops))
+    return kset
 
 
 def identity_kraus(sig: Signature) -> KrausSet:

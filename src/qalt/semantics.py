@@ -10,7 +10,9 @@ control blocks of an alternation fix values on variables' axes
 (:func:`_where`), and moving the controls of an alternation to the front
 transposes its axes (:func:`leading_permutation`).
 
-``denote`` interprets an elaborated program as one composed Kraus set, and
+Both evaluators take a program through parse -> elaborate -> typecheck
+(:func:`_prepare`) and read the same core language as the typechecker.
+``denote`` interprets the core program as one composed Kraus set, and
 ``run`` is ``apply(denote(..))`` by design, so the Kraus semantics is what
 ``qalt run`` prints.  ``eval_direct`` is the cross-checking oracle: it
 streams the density matrix statement by statement (gates by tensor
@@ -278,14 +280,15 @@ def _prepare(program, ctx: Context) -> ast.Program:
         program = ast.parse(program)
     elif not isinstance(program, ast.Program):
         program = ast.Program([program])
-    typecheck(program, ctx)
-    return elaborate(program)
+    core = elaborate(program)
+    typecheck(core, ctx)
+    return core
 
 
 def denote(program, ctx: Context | None = None) -> Denotation:
     """Denotation of a program (source text, AST or single statement).
 
-    The program is typechecked from ``ctx`` and elaborated first; statements
+    The program is elaborated and then typechecked from ``ctx``; statements
     compose right-to-left onto the identity, so the empty program denotes
     {I} on the signature of ``ctx``.
     """

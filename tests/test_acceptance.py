@@ -24,6 +24,7 @@ from qalt import (
     constant_tables,
     denote,
     dft_matrix,
+    elaborate,
     eval_direct,
     ext_equal,
     from_stinespring,
@@ -285,13 +286,13 @@ def test_12_cross_evaluator():
 def test_13_typing_rule():
     ok = False
     try:
-        typecheck(parse("if q then { q *= X } else { skip }"),
+        typecheck(elaborate(parse("if q then { q *= X } else { skip }")),
                   Context.of(("q", "qbit")))
     except ControlCapture as exc:
         ok = str(exc) == "branch mentions control qubit 'q'"
     mismatch_ok = False
     try:
-        typecheck(parse("if q0 then { discard q1 } else { skip }"),
+        typecheck(elaborate(parse("if q0 then { discard q1 } else { skip }")),
                   Context.of(("q0", "qbit"), ("q1", "qbit")))
     except BranchContextMismatch as exc:
         mismatch_ok = str(exc) == ("branches produce different contexts: "

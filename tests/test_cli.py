@@ -238,6 +238,23 @@ class TestMetaArithmetic:
             "error: meta expression '1 / 0' fails: division by zero\n")
         assert isinstance(result.exception, SystemExit)  # no uncaught error
 
+    def test_meta_fault_reported_before_typing_fault(self, runner, tmp_path):
+        src = write(tmp_path, "z.q", "x *= H\nfor i = 1 to 1/0 { skip }\n")
+        result = runner.invoke(main, ["denote", src])
+        assert result.exit_code == 1
+        assert result.output == (
+            "error: meta expression '1 / 0' fails: division by zero\n")
+
+    @pytest.mark.parametrize("k", [1100, 10 ** 6])
+    def test_large_rk_index_is_the_identity(self, runner, tmp_path, k):
+        src = write(tmp_path, "rk.q", f"a *= Rk({k})\n")
+        result = runner.invoke(main, ["denote", src, "--ctx", "a:qbit",
+                                      "--format", "structured"])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        assert doc["result"]["operators"] == [[[[1.0, 0.0], [0.0, 0.0]],
+                                               [[0.0, 0.0], [1.0, 0.0]]]]
+
 
 class TestNesting:
     def test_deep_program_is_one_error_line(self, runner, tmp_path):
@@ -322,6 +339,66 @@ class TestMutatedCorpus:
             assert result.exit_code in (0, 1, 2, 3), where
             assert result.exception is None or isinstance(
                 result.exception, SystemExit), where
+
+
+VALID_INIT = {
+    "signature": [2],
+    "blocks": [[[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]],
+}
+
+#: Values a mutation puts in place of a node of the init document.
+JSON_POOL = [None, True, -1, 0, 2, 0.5, 1e999, "x", [], {}, [1, 0], [[1, 0]]]
+
+
+def mutate_json(rng, value):
+    """``value`` with one node replaced, wrapped in a list, or cut short."""
+    if isinstance(value, (list, dict)) and value and rng.random() < 0.7:
+        out = list(value) if isinstance(value, list) else dict(value)
+        keys = range(len(out)) if isinstance(out, list) else list(out)
+        key = keys[int(rng.integers(len(keys)))]
+        out[key] = mutate_json(rng, out[key])
+        return out
+    edit = int(rng.integers(3))
+    if edit == 0:
+        return JSON_POOL[int(rng.integers(len(JSON_POOL)))]
+    if edit == 1:
+        return [value]
+    if isinstance(value, list):
+        return value[:-1]
+    return dict(list(value.items())[:-1]) if isinstance(value, dict) else value
+
+
+class TestInitFile:
+    @pytest.mark.parametrize("doc", [
+        "{}", "[]", '{"signature": [2], "blocks": [[[1, 0]]]}',
+        '{"signature": [2], "blocks": [[[["a", 0], [0, 0]], [[0, 0], [0, 0]]]]}',
+        '{"signature": [1e999], "blocks": []}',
+        pytest.param("[" * 100000 + "]" * 100000, id="deep"),
+    ])
+    def test_malformed_init_is_one_error_line(self, runner, tmp_path, doc):
+        src = write(tmp_path, "p.q", "q *= H\n")
+        init = write(tmp_path, "init.json", doc)
+        result = runner.invoke(main, ["run", src, "--ctx", "q:qbit",
+                                      "--init", init])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+        assert result.output.count("\n") == 1
+        assert isinstance(result.exception, SystemExit)  # no uncaught error
+
+    def test_every_mutation_ends_in_an_exit_code(self, runner, tmp_path):
+        rng = np.random.default_rng(20261018)
+        src = write(tmp_path, "p.q", "q *= H\n")
+        for case in range(200):
+            doc = VALID_INIT
+            for _ in range(int(rng.integers(1, 3))):
+                doc = mutate_json(rng, doc)
+            text = json.dumps(doc)
+            init = write(tmp_path, f"i{case}.json", text)
+            result = runner.invoke(main, ["run", src, "--ctx", "q:qbit",
+                                          "--init", init])
+            assert result.exit_code in (0, 1, 2, 3), text
+            assert result.exception is None or isinstance(
+                result.exception, SystemExit), text
 
 
 class TestDemo:

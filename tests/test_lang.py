@@ -32,7 +32,6 @@ from qalt.errors import (
     UnknownName,
 )
 
-CTX_Q0 = Context.of(("q0", "qbit"))
 CTX_Q01 = Context.of(("q0", "qbit"), ("q1", "qbit"))
 
 
@@ -214,18 +213,18 @@ class TestTypecheck:
     def test_control_capture(self):
         p = parse("if q then { q *= X } else { skip }")
         with pytest.raises(ControlCapture) as err:
-            typecheck(p, Context.of(("q", "qbit")))
+            typecheck(elaborate(p), Context.of(("q", "qbit")))
         assert str(err.value) == "branch mentions control qubit 'q'"
 
     def test_branch_context_mismatch(self):
         p = parse("if q0 then { discard q1 } else { skip }")
         with pytest.raises(BranchContextMismatch) as err:
-            typecheck(p, CTX_Q01)
+            typecheck(elaborate(p), CTX_Q01)
         assert str(err.value) == ("branches produce different contexts: "
                                   "() vs (q1:qbit)")
 
     def test_deutsch_well_typed(self):
-        assert typecheck(gen_deutsch(TruthTable.from_bits("01"))) == CTX_Q01
+        assert typecheck(elaborate(gen_deutsch(TruthTable.from_bits("01")))) == CTX_Q01
 
     def test_unknown_name(self):
         with pytest.raises(UnknownName):
@@ -238,7 +237,7 @@ class TestTypecheck:
     def test_kind_error_if_on_bit(self):
         p = parse("new bit b\nif b then { skip } else { skip }")
         with pytest.raises(KindError):
-            typecheck(p)
+            typecheck(elaborate(p))
 
     def test_kind_error_gate_on_bit(self):
         with pytest.raises(KindError):
@@ -251,7 +250,7 @@ class TestTypecheck:
     def test_branches_may_allocate_when_contexts_match(self):
         src = ("if q0 then { new qbit r\ndiscard r } "
                "else { measure q1 then { skip } else { skip } }")
-        assert typecheck(parse(src), CTX_Q01) == CTX_Q01
+        assert typecheck(elaborate(parse(src)), CTX_Q01) == CTX_Q01
 
     def test_statement_contexts_by_prefix(self):
         # the context before statement i is the output of the first i
@@ -267,21 +266,21 @@ class TestTypecheck:
     def test_case_needs_cover(self):
         p = parse("case (a, b) of |00> -> { skip }")
         with pytest.raises(BranchContextMismatch):
-            typecheck(p, Context.of(("a", "qbit"), ("b", "qbit")))
+            elaborate(p)
 
     def test_duplicate_case_label(self):
         p = parse("case (a) of |0> -> { skip } |0> -> { skip }")
         with pytest.raises(DuplicateName):
-            typecheck(p, Context.of(("a", "qbit")))
+            elaborate(p)
 
     def test_case_control_capture(self):
         p = parse("case (a, b) of |_> -> { a *= H }")
         with pytest.raises(ControlCapture):
-            typecheck(p, Context.of(("a", "qbit"), ("b", "qbit")))
+            typecheck(elaborate(p), Context.of(("a", "qbit"), ("b", "qbit")))
 
     def test_unbound_loop_variable(self):
         with pytest.raises(NonConstantBound):
-            typecheck(parse("for i = 1 to n { skip }"))
+            elaborate(parse("for i = 1 to n { skip }"))
 
     @pytest.mark.parametrize("source, text", [
         ("q0 *= Rk(1/0)", "'1 / 0' fails: division by zero"),
@@ -291,10 +290,10 @@ class TestTypecheck:
     ])
     def test_meta_arithmetic_faults(self, source, text):
         with pytest.raises(NonConstantBound, match=re.escape(text)):
-            typecheck(parse(source), CTX_Q0)
+            elaborate(parse(source))
 
     def test_deterministic(self):
-        p = gen_qft(3)
+        p = elaborate(gen_qft(3))
         a = typecheck(p, Context.of(("q1", "qbit"), ("q2", "qbit"), ("q3", "qbit")))
         b = typecheck(p, Context.of(("q1", "qbit"), ("q2", "qbit"), ("q3", "qbit")))
         assert a == b
@@ -306,11 +305,57 @@ class TestTypecheck:
         assert typecheck(b).names() == ["y", "x"]
 
 
+class TestFrontEnd:
+    """parse -> elaborate -> typecheck: elaborate owns every meta-level fault."""
+
+    def test_meta_fault_reported_before_typing_fault(self):
+        # x is not in scope, but the loop bound fails first
+        with pytest.raises(NonConstantBound, match="division by zero"):
+            denote("x *= H\nfor i = 1 to 1/0 { skip }")
+
+    @pytest.mark.parametrize("source, error, text", [
+        ("t *= Rk(-1)", InvalidGate, "Rk needs a nonnegative index"),
+        ("t *= Rk(1 - 2)", InvalidGate, "Rk needs a nonnegative index"),
+        ("t *= OracleU(011, 0)", InvalidGate, "must be a power of two"),
+        ("t *= OracleU(0110, 4)", InvalidGate, "oracle point 4 outside table"),
+        ("case (t) of |00> -> { skip } |_> -> { skip }", KindError,
+         "case label '00' does not match 1 control qubit(s)"),
+        ("case (t) of |_> -> { skip } |_> -> { skip }", DuplicateName,
+         "duplicate case label '_'"),
+    ])
+    def test_elaborate_checks_meta_values(self, source, error, text):
+        with pytest.raises(error, match=re.escape(text)):
+            elaborate(parse(source))
+
+    @pytest.mark.parametrize("default", ["{ skip }", "{ t *= H }"],
+                             ids=["well_typed", "ill_typed"])
+    def test_default_arm_matching_no_label(self, default):
+        p = parse(f"case (t) of |0> -> {{ skip }} |1> -> {{ skip }} |_> -> {default}")
+        with pytest.raises(KindError, match="default arm .* matches no label"):
+            elaborate(p)
+
+    @pytest.mark.parametrize("source", [
+        "for i = 1 to 2 { t *= H }",
+        "if t then { skip } else { skip }",
+        "q[1] *= H",
+        "t *= OracleU(01, 0)",
+        "t *= Rk(1 + 1)",
+        "t *= Phase(pi / 4)",
+        "case (t) of |_> -> { skip }",
+        "case (t) of |1> -> { skip } |0> -> { skip }",
+        "case (t) of |0> -> { skip }",
+        "measure t then { case (t) of |_> -> { skip } } else { skip }",
+    ])
+    def test_typecheck_rejects_surface_constructs(self, source):
+        ctx = Context.of(("t", "qbit"), ("q1", "qbit"))
+        with pytest.raises(TypeError, match="not elaborated"):
+            typecheck(parse(source), ctx)
+
+
 class TestElaborate:
     def test_qft_unrolls(self):
-        program = gen_qft(3)
-        typecheck(program, Context.of(("q1", "qbit"), ("q2", "qbit"), ("q3", "qbit")))
-        core = elaborate(program)
+        core = elaborate(gen_qft(3))
+        typecheck(core, Context.of(("q1", "qbit"), ("q2", "qbit"), ("q3", "qbit")))
         kinds = [type(s).__name__ for s in core.body]
         assert kinds.count("ApplyGate") == 3
         cases = [s for s in core.body if isinstance(s, ast.QCase)]
@@ -355,7 +400,8 @@ class TestElaborate:
     def test_elaborate_preserves_typing(self):
         ctx = Context.of(("q1", "qbit"), ("q2", "qbit"), ("q3", "qbit"))
         program = gen_qft(3)
-        assert typecheck(elaborate(program), ctx) == typecheck(program, ctx) == ctx
+        core_ctx = typecheck(elaborate(program), ctx)
+        assert core_ctx == denote(program, ctx).output_ctx == ctx
 
     def test_rk_argument_resolved(self):
         core = elaborate(parse("for k = 2 to 2 { q *= Rk(k) }"))
@@ -372,6 +418,13 @@ class TestLint:
         warnings = lint_closed_system(parse(src))
         assert len(warnings) == 1
         assert "MeasureThenElse" in warnings[0]
+
+    def test_flags_allocation_in_loop_in_quantum_branch(self):
+        src = ("if q0 then { for i = 1 to 2 { new qbit a\ndiscard a } } "
+               "else { skip }")
+        warnings = lint_closed_system(parse(src))
+        assert [w.split()[-1] for w in warnings] == ["'NewQbit'", "'Discard'"]
+        assert all("'q0'" in w for w in warnings)
 
     def test_clean_program(self):
         assert lint_closed_system(gen_deutsch(TruthTable.from_bits("01"))) == []

@@ -14,6 +14,7 @@ from qalt import (
     compose,
     denote,
     dsum,
+    elaborate,
     eval_direct,
     ext_equal,
     gen_deutsch,
@@ -527,13 +528,21 @@ class TestTypecheckOnce:
     def test_one_typecheck_per_call(self, monkeypatch, evaluate):
         calls = []
 
-        def counting(program, initial=None):
-            calls.append(program)
+        def counting_elaborate(program):
+            core = elaborate(program)
+            calls.append(("elaborate", program, core))
+            return core
+
+        def counting_typecheck(program, initial=None):
+            calls.append(("typecheck", program))
             return typecheck(program, initial)
-        monkeypatch.setattr(semantics, "typecheck", counting)
+        monkeypatch.setattr(semantics, "elaborate", counting_elaborate)
+        monkeypatch.setattr(semantics, "typecheck", counting_typecheck)
         rho = rand_density(np.random.default_rng(61), Signature((4,)))
         evaluate(self.SRC, rho)
-        assert len(calls) == 1
+        # elaborate runs once, then typecheck once, on elaborate's result
+        assert [call[0] for call in calls] == ["elaborate", "typecheck"]
+        assert calls[1][1] is calls[0][2]
 
 
 class TestCaseControlOrder:
