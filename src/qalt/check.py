@@ -113,7 +113,11 @@ def _elab_gate(gate, env: dict, n_targets: int):
             raise InvalidGate("Rk needs a nonnegative index")
         return ast.RkGate(ast.Num(k))
     if isinstance(gate, ast.PhaseGate):
-        return ast.PhaseGate(ast.Num(float(eval_expr(gate.theta, env))))
+        try:
+            return ast.PhaseGate(ast.Num(float(eval_expr(gate.theta, env))))
+        except OverflowError:  # an exact int beyond the float range
+            raise NonConstantBound(f"meta expression '{ast.expr_str(gate.theta)}' "
+                                   "is too large for a float") from None
     if isinstance(gate, ast.MatrixGate):
         return ast.MatrixGate(gate.entries)
     if isinstance(gate, ast.OracleGate):
@@ -250,6 +254,8 @@ def _check_gate(gate, n_targets: int):
             raise InvalidGate(
                 f"matrix literal of shape {m.shape} applied to "
                 f"{n_targets} qubit(s)")
+        if not np.all(np.isfinite(m)):
+            raise InvalidGate("matrix literal entries must be finite")
         if np.abs(m.conj().T @ m - np.eye(d)).max() > GATE_UNITARY_TOL:
             raise InvalidGate("matrix literal is not unitary")
         return

@@ -421,7 +421,7 @@ def cmd_demo(name, table_bits, tol, fmt):
         if table_bits is not None:
             if name not in ("deutsch", "dj"):
                 raise ValueError("--f applies only to the deutsch and dj demos")
-            if any(c not in "01" for c in table_bits):
+            if not table_bits or any(c not in "01" for c in table_bits):
                 raise ValueError(f"not a bitstring: {table_bits!r}")
             result, lines = _DEMOS[name](tol, table_bits)
         else:

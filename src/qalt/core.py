@@ -40,8 +40,9 @@ def as_matrix(data) -> Matrix:
 
 
 def freeze(m: Matrix) -> Matrix:
-    """Return a read-only copy of ``m``."""
-    out = np.array(m, dtype=complex)
+    """Return a read-only C-contiguous copy of ``m``: with one memory order for
+    every stored operator, later products take one BLAS path."""
+    out = np.array(m, dtype=complex, order="C")
     out.setflags(write=False)
     return out
 

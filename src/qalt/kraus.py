@@ -49,12 +49,12 @@ COALESCE_TOL = 1e-12
 class KrausSet:
     """Canonical Kraus decomposition between two signature spaces.
 
-    ``ops`` is a tuple of frozen matrices, each dim(output) x dim(input), in
-    canonical order: lexicographic over the entries rounded to 12 digits,
-    then over the exact entries, each entry as (re, im) in row-major order
-    and -0.0 equal to 0.0; operators equal under both keep their input order.
-    The empty tuple is the zero superoperator.  Use :func:`make_kraus` to
-    construct one from raw operators.
+    ``ops`` is a tuple of frozen C-contiguous matrices, each dim(output) x
+    dim(input), in canonical order: lexicographic over the entries rounded to
+    12 digits, then over the exact entries, each entry as (re, im) in
+    row-major order and -0.0 equal to 0.0; operators equal under both keep
+    their input order.  The empty tuple is the zero superoperator.  Use
+    :func:`make_kraus` to construct one from raw operators.
     """
 
     input_sig: Signature

@@ -14,18 +14,20 @@ Both evaluators take a program through parse -> elaborate -> typecheck
 (:func:`_prepare`) and read the same core language as the typechecker.
 ``denote`` interprets the core program as one composed Kraus set, and
 ``run`` is ``apply(denote(..))`` by design, so the Kraus semantics is what
-``qalt run`` prints.  ``eval_direct`` is the cross-checking oracle: it
-streams the density matrix statement by statement (gates by tensor
-contraction, allocation and discard by scatter and gather, measurement by
-projection) and never composes program-level Kraus sets.  At an alternation
-it denotes each arm and fills block (k, l) of the output from block (k, l)
-of the input: S_k(rho_kk) on the diagonal and Oi's interference term
-sigma_k rho_kl sigma_l' off it, where sigma = sum E / sqrt(|S|).  So it checks
-the paper's product-of-branches construction through a different identity,
-not a second copy of it.  Both evaluators work out each statement's typing
-context as they go; an alternation's output context comes from
-:func:`_alternation`, which follows the typechecker's rule
-(:func:`qalt.check.control_contexts`).
+``qalt run`` prints.  A measurement reads the direct sum of its arms
+(:func:`qalt.kraus.branch_sum`) through one column index map, which gives
+QPL's {E Pi_0 : E in A} u {F Pi_1 : F in B} with no dense measure or merge
+map.  ``eval_direct`` is the cross-checking oracle: it streams the density
+matrix statement by statement (gates by tensor contraction, allocation and
+discard by scatter and gather, measurement by projection) and never composes
+program-level Kraus sets.  At an alternation it denotes each arm and fills
+block (k, l) of the output from block (k, l) of the input: S_k(rho_kk) on
+the diagonal and Oi's interference term sigma_k rho_kl sigma_l' off it,
+where sigma = sum E / sqrt(|S|).  So it checks the paper's
+product-of-branches construction through a different identity, not a second
+copy of it.  Both evaluators work out each statement's typing context as
+they go; an alternation's output context comes from :func:`_alternation`,
+which follows the typechecker's rule (:func:`qalt.check.control_contexts`).
 """
 
 from __future__ import annotations
@@ -44,9 +46,7 @@ from .core import (
     NAMED_GATES,
     Signature,
     dim,
-    dsum,
     embed_gate,
-    injection,
     phase_gate,
     rk_gate,
     unit_state,
@@ -160,38 +160,13 @@ def _allocation_matrix(out: Context, name: str) -> Matrix:
     Allocation appends ``name`` as the last variable of its kind, so this is
     the append of a trailing |0> qubit or of a 0-valued least significant bit.
     """
-    # copied into C order, like every other operator
-    return _rows(_where(out, [name], 0), dim(signature_of(out))).T.copy()
+    return _rows(_where(out, [name], 0), dim(signature_of(out))).T
 
 
 def _discard_matrices(ctx: Context, name: str) -> list[Matrix]:
     """{<v| on the axis of ``name``}: the partial trace over a qubit or a bit."""
     d = dim(signature_of(ctx))
     return [_rows(_where(ctx, [name], v), d) for v in (0, 1)]
-
-
-def _measure_matrices(ctx: Context, name: str) -> list[Matrix]:
-    """Measurement into a fresh leading branch tag: {inj_v . Pi_v}."""
-    d = dim(signature_of(ctx))
-    ops = []
-    for v in (0, 1):
-        kept = _where(ctx, [name], v)
-        op = np.zeros((2 * d, d), dtype=complex)
-        op[v * d + kept, kept] = 1.0
-        ops.append(op)
-    return ops
-
-
-def measure_kraus(ctx: Context, name: str) -> KrausSet:
-    """The bare measurement morphism sig -> sig (+) sig for qubit ``name``."""
-    sig = signature_of(ctx)
-    return make_kraus(sig, dsum(sig, sig), _measure_matrices(ctx, name))
-
-
-def merge_kraus(sig: Signature) -> KrausSet:
-    """The branch-forgetting morphism sig (+) sig -> sig: {inj0', inj1'}."""
-    return make_kraus(dsum(sig, sig), sig,
-                      [injection(0, sig).conj().T, injection(1, sig).conj().T])
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +235,13 @@ def _denote_stmt(stmt, ctx: Context) -> tuple[KrausSet, Context]:
     if isinstance(stmt, ast.MeasureThenElse):
         then_k, out_ctx = _denote_block(stmt.then_block, ctx)
         else_k, _ = _denote_block(stmt.else_block, ctx)
-        measure = measure_kraus(ctx, stmt.control.base)
-        summed = branch_sum(then_k, else_k)
-        merged = merge_kraus(then_k.output_sig)
-        return compose(merged, compose(summed, measure)), out_ctx
+        # column g is column g + d * v(g) of the sum, v(g) the value of the qubit;
+        # each operator lies in one block, so adding its output copies is exact
+        d, d_out = dim(sig), dim(then_k.output_sig)
+        cols = np.arange(d)
+        cols[_where(ctx, [stmt.control.base], 1)] += d
+        ops = [(x[:d_out] + x[d_out:])[:, cols] for x in branch_sum(then_k, else_k).ops]
+        return make_kraus(sig, then_k.output_sig, ops), out_ctx
     if isinstance(stmt, ast.QCase):
         names, branches, out_ctx = _alternation(stmt, ctx)
         # one control goes through `alternate`, so span traces see it used

@@ -299,9 +299,8 @@ def _tokenize(text: str) -> list[Token]:
             raise ParseError(f"non-ASCII character {c!r}", line, col)
         if c.isalpha() or c == "_":
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                if ord(text[j]) > 127:
-                    raise ParseError(f"non-ASCII character {text[j]!r}", line, col)
+            # a non-ASCII character ends a name or number and is rejected at its column
+            while j < n and text[j].isascii() and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             tokens.append(Token("IDENT", text[i:j], line, col))
             col += j - i
@@ -309,19 +308,19 @@ def _tokenize(text: str) -> list[Token]:
             continue
         if c.isdigit():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "." and j + 1 < n and "0" <= text[j + 1] <= "9":
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and "0" <= text[j] <= "9":
                     j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
+                if k < n and "0" <= text[k] <= "9":
                     j = k
-                    while j < n and text[j].isdigit():
+                    while j < n and "0" <= text[j] <= "9":
                         j += 1
             tokens.append(Token("NUM", text[i:j], line, col))
             col += j - i

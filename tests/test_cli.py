@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import warnings
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -256,6 +257,25 @@ class TestMetaArithmetic:
                                                [[0.0, 0.0], [1.0, 0.0]]]]
 
 
+    def test_phase_of_huge_integer_is_one_error_line(self, runner, tmp_path):
+        product = " * ".join(["1000000000"] * 40)
+        src = write(tmp_path, "p.q", f"a *= Phase({product})\n")
+        result = runner.invoke(main, ["denote", src, "--ctx", "a:qbit"])
+        assert result.exit_code == 1
+        assert result.output == (
+            f"error: meta expression '{product}' is too large for a float\n")
+        assert isinstance(result.exception, SystemExit)  # no uncaught error
+
+    def test_non_finite_matrix_literal_is_rejected_by_typecheck(self, runner, tmp_path):
+        src = write(tmp_path, "m.q", "a *= [[1e999, 0], [0, 1]]\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["denote", src, "--ctx", "a:qbit"])
+        assert result.exit_code == 1
+        assert result.output == "error: matrix literal entries must be finite\n"
+        assert caught == []  # no RuntimeWarning from an infinite product
+
+
 class TestNesting:
     def test_deep_program_is_one_error_line(self, runner, tmp_path):
         depth = 1500
@@ -444,3 +464,10 @@ class TestDemo:
     def test_bad_truth_table(self, runner):
         result = runner.invoke(main, ["demo", "dj", "--f", "01abc"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("name", ["deutsch", "dj"])
+    def test_empty_truth_table(self, runner, name):
+        # an empty table is not read as "no table"
+        result = runner.invoke(main, ["demo", name, "--f", ""])
+        assert result.exit_code == 2
+        assert result.output == "error: not a bitstring: ''\n"

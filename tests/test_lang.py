@@ -92,8 +92,16 @@ class TestParse:
         assert len(p.body) == 2
 
     def test_non_ascii_rejected(self):
-        with pytest.raises(ParseError):
+        # reported at the character, not at the identifier holding it
+        with pytest.raises(ParseError) as info:
             parse("new qbit qé")
+        assert (info.value.line, info.value.col) == (1, 11)
+        assert str(info.value) == "1:11: non-ASCII character 'é'"
+        # a non-ASCII digit is not read as part of a number
+        for source, col in (("a *= Rk(1\u0663)", 10), ("for i = 1 to 2\u0663 { skip }", 15)):
+            with pytest.raises(ParseError) as info:
+                parse(source)
+            assert (info.value.line, info.value.col) == (1, col)
 
     def test_non_ascii_allowed_in_comments(self):
         p = parse("// préparation\nnew qbit q")
@@ -326,6 +334,13 @@ class TestFrontEnd:
     def test_elaborate_checks_meta_values(self, source, error, text):
         with pytest.raises(error, match=re.escape(text)):
             elaborate(parse(source))
+
+    def test_phase_of_huge_integer(self):
+        # the product stays an exact int, too large to become a float angle
+        product = " * ".join(["1000000000"] * 40)
+        with pytest.raises(NonConstantBound, match=re.escape(
+                f"meta expression '{product}' is too large for a float")):
+            elaborate(parse(f"t *= Phase({product})"))
 
     @pytest.mark.parametrize("default", ["{ skip }", "{ t *= H }"],
                              ids=["well_typed", "ill_typed"])
