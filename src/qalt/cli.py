@@ -16,7 +16,6 @@ import sys
 import click
 import numpy as np
 
-from .check import elaborate, typecheck
 from .core import DEFAULT_TOL, DensityState, Signature, unit_state
 from .corpus import (
     TruthTable,
@@ -41,7 +40,7 @@ from .kraus import (
     to_choi,
     zero_kraus,
 )
-from .semantics import denote, measure_stats, outcome_probability, run
+from .semantics import denote, measure_stats, outcome_probability, run_with_context
 from .syntax import Context, parse
 
 SCHEMA = "qalt-output/1"
@@ -177,7 +176,7 @@ def cmd_run(source, init_path, stats_name, ctx_spec, tol, fmt):
                 except RecursionError:
                     raise ValueError("initial state is nested too deeply") from None
             initial = _decode_state(data)
-        state = run(program, initial, ctx, tol)
+        state, out_ctx = run_with_context(program, initial, ctx, tol)
         result = {"state": _encode_state(state)}
         lines = [f"final state on signature {state.signature.blocks}:"]
         for i, block in enumerate(state.blocks):
@@ -185,8 +184,7 @@ def cmd_run(source, init_path, stats_name, ctx_spec, tol, fmt):
             lines.extend(_matrix_lines(block))
         lines.append(f"trace: {state.trace():.10g}")
         if stats_name is not None:
-            p0, p1 = measure_stats(state, stats_name,
-                                  typecheck(elaborate(program), ctx))
+            p0, p1 = measure_stats(state, stats_name, out_ctx)
             result["stats"] = {"qubit": stats_name, "p0": p0, "p1": p1}
             lines.append(f"Pr[{stats_name}=0] = {p0:.10g}")
             lines.append(f"Pr[{stats_name}=1] = {p1:.10g}")

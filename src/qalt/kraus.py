@@ -28,7 +28,6 @@ from .core import (
     dim,
     dsum,
     freeze,
-    injection,
     is_psd,
     split_blocks,
     tensor_sig,
@@ -256,14 +255,21 @@ def alternate_case(branches, n: int, tol: float = DEFAULT_TOL) -> KrausSet:
 
 
 def branch_sum(s: KrausSet, t: KrausSet, tol: float = DEFAULT_TOL) -> KrausSet:
-    """Direct sum of two sets acting on tagged states (r0, r1) -> (S r0, T r1)."""
+    """Direct sum of two sets acting on tagged states (r0, r1) -> (S r0, T r1).
+
+    Each operator of ``s`` (of ``t``) is written into the first (second)
+    diagonal block of a zero operator on the doubled spaces.
+    """
     if s.input_sig != t.input_sig or s.output_sig != t.output_sig:
         raise SignatureMismatch("branch_sum needs equal signatures on both sides")
     sig, tau = s.input_sig, s.output_sig
-    inj0_in, inj1_in = injection(0, sig), injection(1, sig)
-    inj0_out, inj1_out = injection(0, tau), injection(1, tau)
-    ops = [inj0_out @ e @ inj0_in.conj().T for e in s.ops]
-    ops += [inj1_out @ f @ inj1_in.conj().T for f in t.ops]
+    d_out, d_in = s.op_shape()
+    ops = []
+    for k, kset in enumerate((s, t)):
+        for e in kset.ops:
+            op = np.zeros((2 * d_out, 2 * d_in), dtype=complex)
+            op[k * d_out:(k + 1) * d_out, k * d_in:(k + 1) * d_in] = e
+            ops.append(op)
     return make_kraus(dsum(sig, sig), dsum(tau, tau), ops, tol)
 
 

@@ -279,13 +279,20 @@ def denote(program, ctx: Context | None = None) -> Denotation:
 def run(program, initial: DensityState | None = None,
         ctx: Context | None = None, tol: float = DEFAULT_TOL) -> DensityState:
     """Final density state of a program via its composed Kraus set."""
+    return run_with_context(program, initial, ctx, tol)[0]
+
+
+def run_with_context(program, initial: DensityState | None = None,
+                     ctx: Context | None = None,
+                     tol: float = DEFAULT_TOL) -> tuple[DensityState, Context]:
+    """:func:`run`, also returning the output context of its one denotation."""
     ctx = ctx if ctx is not None else Context.empty()
     if initial is None:
         if ctx.entries:
             raise ValueError("an initial state is required for a nonempty context")
         initial = unit_state()
     d = denote(program, ctx)
-    return apply(d.kraus, initial, tol)
+    return apply(d.kraus, initial, tol), d.output_ctx
 
 
 def outcome_probability(rho: DensityState, ctx: Context,

@@ -79,3 +79,20 @@ def superop_matrix(kset):
     for e in kset.ops:
         out += np.kron(np.asarray(e), np.asarray(e).conj())
     return out
+
+
+def count_calls(monkeypatch, name, *owners) -> list:
+    """Count the calls of the function ``name`` that ``owners`` all bind.
+
+    Each owner's binding is replaced by one counting wrapper; the returned
+    list grows by the positional arguments of each call.
+    """
+    original = getattr(owners[0], name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counting)
+    return calls

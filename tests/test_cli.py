@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import sys
 import warnings
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from helpers import count_calls
 from qalt import (TruthTable, gen_deutsch, gen_deutsch_jozsa, gen_grover_oracle,
                   gen_qft, pretty)
 from qalt.cli import TOFFOLI_SOURCE, main
@@ -53,6 +55,19 @@ class TestRun:
         result = runner.invoke(main, ["run", src])
         assert result.exit_code == 1
         assert "control qubit 'q'" in result.output
+
+    def test_stats_elaborates_once(self, runner, tmp_path, monkeypatch):
+        import qalt.check
+        calls = count_calls(monkeypatch, "elaborate", *[
+            module for name, module in sorted(sys.modules.items())
+            if (name == "qalt" or name.startswith("qalt."))
+            and getattr(module, "elaborate", None) is qalt.check.elaborate])
+        src = write(tmp_path, "p.q", "new qbit q\nq *= H\n")
+        result = runner.invoke(main, ["run", src, "--stats", "q"])
+        assert result.exit_code == 0, result.output
+        assert "Pr[q=0] = 0.5" in result.output
+        # the output context comes from the one denotation `run` makes
+        assert len(calls) == 1
 
     def test_deutsch_stats(self, runner, tmp_path):
         from qalt import TruthTable, gen_deutsch, pretty

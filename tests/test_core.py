@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import psd_brute_force
+from helpers import count_calls, psd_brute_force, rand_unitary
 from qalt import (
     DensityState,
     Signature,
@@ -12,7 +12,6 @@ from qalt import (
     dim,
     dsum,
     embed_gate,
-    injection,
     is_psd,
     qbit_tensor,
     tensor,
@@ -57,6 +56,19 @@ class TestTensorAdjoint:
             assert np.abs(adjoint(u) @ u - np.eye(2)).max() < 1e-12
 
 
+def eigvalsh_only(m, tol):
+    """The positivity verdict without the Gershgorin shortcut."""
+    m = np.asarray(m, dtype=complex)
+    if np.abs(m - m.conj().T).max() > tol:
+        return False
+    return float(np.linalg.eigvalsh((m + m.conj().T) / 2).min()) >= -tol
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    return count_calls(monkeypatch, "eigvalsh", np.linalg)
+
+
 class TestIsPsd:
     def test_projection(self):
         assert is_psd(PI0, 1e-9)
@@ -68,8 +80,9 @@ class TestIsPsd:
         low = np.linalg.eigvalsh(m).min()
         assert low == pytest.approx((1 - math.sqrt(5)) / 4, abs=1e-12)
 
-    def test_zero_matrix_zero_tol(self):
+    def test_zero_matrix_zero_tol(self, eig_calls):
         assert is_psd(np.zeros((3, 3)), 0.0)
+        assert not eig_calls  # the bound decides
 
     def test_non_hermitian(self):
         assert not is_psd(np.array([[0, 1], [0, 0]]), 1e-9)
@@ -86,6 +99,66 @@ class TestIsPsd:
             shift = rng.uniform(-2, 2)
             m = herm + shift * np.eye(8)
             assert is_psd(m, 1e-9) == psd_brute_force(m, 1e-9)
+
+
+class TestIsPsdBound:
+    """The Gershgorin bound decides where it holds; eigvalsh decides the rest."""
+
+    TOL = 1e-9
+    OFFSETS = [1e-10, -1e-10, 1e-13, -1e-13]
+
+    @staticmethod
+    def spectrum(offset):
+        return np.array([1.0, 0.5, 0.25, -TestIsPsdBound.TOL + offset])
+
+    @pytest.mark.parametrize("offset", OFFSETS)
+    def test_diagonal_near_boundary(self, eig_calls, offset):
+        m = np.diag(self.spectrum(offset)).astype(complex)
+        reference = eigvalsh_only(m, self.TOL)
+        eig_calls.clear()
+        assert is_psd(m, self.TOL) == reference == (offset > 0)
+        # the bound is exact on a diagonal matrix: a pass needs no eigvalsh,
+        # a rejection comes from one
+        assert len(eig_calls) == (0 if offset > 0 else 1)
+
+    @pytest.mark.parametrize("offset", OFFSETS)
+    def test_rotated_near_boundary(self, eig_calls, offset):
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            u = rand_unitary(rng, 4)
+            m = u @ np.diag(self.spectrum(offset)) @ u.conj().T
+            reference = eigvalsh_only(m, self.TOL)
+            eig_calls.clear()
+            assert is_psd(m, self.TOL) == reference == (offset > 0)
+            assert len(eig_calls) == 1  # the bound fails, eigvalsh decides
+
+    def test_random_agrees_with_eigvalsh_only(self, eig_calls):
+        rng = np.random.default_rng(97)
+        decided_by_bound = 0
+        for i in range(200):
+            d = int(rng.integers(2, 13))
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            h = (g + g.conj().T) / 2
+            if i % 2 == 0:
+                # diagonally dominant up to a margin a little either side of -tol
+                np.fill_diagonal(h, 0)
+                margin = -self.TOL + rng.choice([-1, 1]) * rng.uniform(1e-12, 1e-10)
+                h += np.diag(np.abs(h).sum(axis=1) + margin)
+            else:
+                # barely indefinite or barely positive: min eigenvalue -tol +- delta
+                w, v = np.linalg.eigh(h)
+                delta = rng.choice([-1, 1]) * rng.uniform(1e-12, 1e-10)
+                h = v @ np.diag(w - w.min() - self.TOL + delta) @ v.conj().T
+            reference = eigvalsh_only(h, self.TOL)
+            before = len(eig_calls)
+            assert is_psd(h, self.TOL) == reference, i
+            decided_by_bound += len(eig_calls) == before
+        assert 0 < decided_by_bound < 200
+
+    def test_complex_input_is_not_copied(self, monkeypatch):
+        copies = count_calls(monkeypatch, "array", np)
+        assert is_psd(np.eye(3, dtype=complex))
+        assert not copies
 
 
 class TestEmbedGate:
@@ -151,26 +224,6 @@ class TestSignatures:
             Signature((0, 2))
 
 
-class TestInjection:
-    def test_scalar(self):
-        assert np.array_equal(injection(0, Signature((1,))), [[1], [0]])
-        assert np.array_equal(injection(1, Signature((1,))), [[0], [1]])
-
-    def test_block_embedding(self):
-        inj = injection(0, Signature((2,)))
-        assert inj.shape == (4, 2)
-        assert np.array_equal(inj[:2], np.eye(2))
-        assert np.array_equal(inj[2:], np.zeros((2, 2)))
-
-    def test_isometry_orthogonality(self):
-        sig = Signature((2, 1))
-        for i in range(2):
-            for j in range(2):
-                prod = adjoint(injection(i, sig)) @ injection(j, sig)
-                expected = np.eye(3) if i == j else np.zeros((3, 3))
-                assert np.abs(prod - expected).max() < 1e-15
-
-
 class TestBasisElements:
     def test_scalar(self):
         elems = basis_elements(Signature((1,)))
@@ -202,6 +255,12 @@ class TestDensityState:
         with pytest.raises(ValueError):
             DensityState(Signature((2,)), (np.diag([1.0, 0.5]),))  # trace 1.5
         with pytest.raises(ValueError):
+            DensityState(Signature((2,)), (0.5 * np.array([[0, 1], [1, 1]]),))
+
+    def test_validation_messages(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityState(Signature((2,)), (np.array([[0.5, 0.1], [0, 0.5]]),))
+        with pytest.raises(ValueError, match="not positive semidefinite"):
             DensityState(Signature((2,)), (0.5 * np.array([[0, 1], [1, 1]]),))
 
     def test_blocks_frozen(self):

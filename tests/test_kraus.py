@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import rand_density, rand_kraus, rand_unitary, superop_matrix
+from helpers import count_calls, rand_density, rand_kraus, rand_unitary, superop_matrix
 from qalt import (
     DensityState,
     Signature,
@@ -463,6 +463,19 @@ class TestBranchSum:
         assert np.abs(out.blocks[0] - 0.5 * plus).max() < 1e-12
         assert np.abs(out.blocks[1] - 0.5 * PI1).max() < 1e-12
 
+    def test_operators_placed_in_diagonal_blocks(self):
+        rng = np.random.default_rng(107)
+        sig_in, sig_out = Signature((2, 1)), Signature((1, 2))
+        s = rand_kraus(rng, sig_in, sig_out, size=2)
+        t = rand_kraus(rng, sig_in, sig_out, size=3)
+        got = branch_sum(s, t)
+        assert got.input_sig == dsum(sig_in, sig_in)
+        assert got.output_sig == dsum(sig_out, sig_out)
+        want = [block_diag([e, np.zeros((3, 3))]) for e in s.ops]
+        want += [block_diag([np.zeros((3, 3)), f]) for f in t.ops]
+        assert [x.tobytes() for x in got.ops] == \
+            [x.tobytes() for x in make_kraus(got.input_sig, got.output_sig, want).ops]
+
     def test_random_closure(self):
         # compose and branch_sum of valid sets revalidate under make_kraus
         rng = np.random.default_rng(109)
@@ -613,6 +626,32 @@ class TestExtEqual:
     def test_signature_mismatch(self):
         with pytest.raises(SignatureMismatch):
             ext_equal(identity_kraus(Q), identity_kraus(ONE))
+
+
+class TestPositivityByBound:
+    """Verdicts that the Gershgorin bound must leave to an eigenvalue."""
+
+    def test_scaled_identity_still_violates(self, monkeypatch):
+        eig = count_calls(monkeypatch, "eigvalsh", np.linalg)
+        with pytest.raises(TraceConditionViolated):
+            kraus_of(1.01 * ID2)
+        assert len(eig) == 1  # the rejection comes from eigvalsh
+
+    def test_alternated_phase_twin_not_below(self, monkeypatch):
+        a = alternate(identity_kraus(Q), identity_kraus(Q))
+        b = alternate(identity_kraus(Q),
+                      kraus_of(np.exp(1j * math.pi / 4) * np.eye(2)))
+        eig = count_calls(monkeypatch, "eigvalsh", np.linalg)
+        assert not lowner_leq(a, b) and not lowner_leq(b, a)
+        assert len(eig) == 2
+
+    def test_global_phase_twin_by_bound(self, monkeypatch):
+        phased = kraus_of(np.exp(1j * math.pi / 4) * np.eye(2))
+        eig = count_calls(monkeypatch, "eigvalsh", np.linalg)
+        # the Choi difference of equal maps is zero up to rounding
+        assert lowner_leq(identity_kraus(Q), phased)
+        assert lowner_leq(phased, identity_kraus(Q))
+        assert not eig
 
 
 class TestLownerOrder:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import rand_density, state_deviation
+from helpers import count_calls, rand_density, state_deviation
 from test_corpus import generated_programs
 from test_fuzz import random_program
 from qalt import (
@@ -32,7 +32,7 @@ from qalt import (
 )
 from qalt import kraus, semantics
 from qalt import syntax as ast
-from qalt.core import H, ID2, KET0, KET1, PI0, PI1, X, dim, freeze, injection
+from qalt.core import H, ID2, KET0, KET1, PI0, PI1, X, dim, freeze
 from qalt.errors import KindError, UnknownName
 from qalt.semantics import leading_permutation, signature_of
 
@@ -394,7 +394,8 @@ def _dense_measurement(stmt, ctx):
         op = np.zeros((2 * d, d), dtype=complex)
         op[v * d + kept, kept] = 1.0
         measure.append(op)
-    merge = [injection(0, tau).conj().T, injection(1, tau).conj().T]
+    d_out = dim(tau)
+    merge = [np.eye(d_out, 2 * d_out, k * d_out, dtype=complex) for k in (0, 1)]
     measured = compose(kraus.branch_sum(then_k, else_k),
                        make_kraus(sig, dsum(sig, sig), measure))
     return compose(make_kraus(dsum(tau, tau), tau, merge), measured), out_ctx
@@ -632,6 +633,26 @@ class TestTypecheckOnce:
         # elaborate runs once, then typecheck once, on elaborate's result
         assert [call[0] for call in calls] == ["elaborate", "typecheck"]
         assert calls[1][1] is calls[0][2]
+
+
+class TestPositivityCounts:
+    """The Gershgorin bound keeps every positivity check and drops the
+    eigendecompositions of trace-preserving residuals."""
+
+    def test_chain8_denote_makes_no_eigendecomposition(self, monkeypatch):
+        lines = [f"q{i} *= H" for i in range(8)]
+        lines += [f"if q{i} then {{ skip }} else {{ q{i + 1} *= {p} }}"
+                  for i, p in enumerate("XZYXZYX")]
+        ctx = Context.of(*((f"q{i}", "qbit") for i in range(8)))
+        psd = count_calls(monkeypatch, "is_psd", kraus)
+        eig = count_calls(monkeypatch, "eigvalsh", np.linalg)
+        denote("\n".join(lines), ctx)
+        # one check per make_kraus: the initial identity, a step and a
+        # composition per gate, and per alternation nine (two arms of
+        # identity, step and composition, the alternation, its reindexing
+        # and the composition)
+        assert len(psd) == 1 + 8 * 2 + 7 * 9 == 80
+        assert not eig
 
 
 class TestCaseControlOrder:
