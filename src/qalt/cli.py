@@ -208,7 +208,7 @@ def cmd_denote(source, choi, ctx_spec, tol, fmt):
     """Print the canonical Kraus operator list of a program."""
     def go():
         ctx = _parse_ctx(ctx_spec)
-        d = denote(parse(_load_source(source)), ctx)
+        d = denote(parse(_load_source(source)), ctx, tol)
         result = {
             "input_signature": list(d.kraus.input_sig.blocks),
             "output_signature": list(d.kraus.output_sig.blocks),
@@ -239,8 +239,8 @@ def cmd_denote(source, choi, ctx_spec, tol, fmt):
 
 def _comparison(kind, source_a, source_b, ctx_spec, tol, fmt):
     ctx = _parse_ctx(ctx_spec)
-    da = denote(parse(_load_source(source_a)), ctx)
-    db = denote(parse(_load_source(source_b)), ctx)
+    da = denote(parse(_load_source(source_a)), ctx, tol)
+    db = denote(parse(_load_source(source_b)), ctx, tol)
     if kind == "equiv":
         verdict = ext_equal(da.kraus, db.kraus, tol)
         label = "extensionally equal"

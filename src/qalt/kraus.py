@@ -157,8 +157,8 @@ def make_kraus(input_sig: Signature, output_sig: Signature, raw_ops,
     return kset
 
 
-def identity_kraus(sig: Signature) -> KrausSet:
-    return make_kraus(sig, sig, [np.eye(dim(sig), dtype=complex)])
+def identity_kraus(sig: Signature, tol: float = DEFAULT_TOL) -> KrausSet:
+    return make_kraus(sig, sig, [np.eye(dim(sig), dtype=complex)], tol)
 
 
 def zero_kraus(input_sig: Signature, output_sig: Signature) -> KrausSet:

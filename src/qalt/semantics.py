@@ -14,7 +14,15 @@ Both evaluators take a program through parse -> elaborate -> typecheck
 (:func:`_prepare`) and read the same core language as the typechecker.
 ``denote`` interprets the core program as one composed Kraus set, and
 ``run`` is ``apply(denote(..))`` by design, so the Kraus semantics is what
-``qalt run`` prints.  A measurement reads the direct sum of its arms
+``qalt run`` prints.  The denotation is compositional: [[S1; S2]] is [[S2]]
+after [[S1]], and a statement's set depends only on the statement and its
+typing context, so a block denotes a repeated (statement, context) pair once
+(:func:`_denote_block`).  A step is kept only if its statement occurs again
+later in the block, is dropped after that statement's last occurrence, and a
+block keeps at most :data:`MEMO_BYTES` (4 MiB) of step operators.  Every
+composed set is still canonicalised and checked, so the operator tuples are
+those of a fresh denotation of every statement.  Every Kraus set is checked
+at the caller's ``tol``.  A measurement reads the direct sum of its arms
 (:func:`qalt.kraus.branch_sum`) through one column index map, which gives
 QPL's {E Pi_0 : E in A} u {F Pi_1 : F in B} with no dense measure or merge
 map.  ``eval_direct`` is the cross-checking oracle: it streams the density
@@ -189,15 +197,52 @@ class Denotation:
                 "Kraus signatures do not match the typing contexts")
 
 
-def _denote_block(block: list, ctx: Context) -> tuple[KrausSet, Context]:
-    kset = identity_kraus(signature_of(ctx))
-    for stmt in block:
-        step, ctx = _denote_stmt(stmt, ctx)
-        kset = compose(step, kset)
+#: Bytes of step operators one block may keep for later repeats (see
+#: :func:`_denote_block`); the one place the semantics trades memory for time.
+MEMO_BYTES = 4 * 2 ** 20
+
+
+def _denote_block(block: list, ctx: Context, tol: float) -> tuple[KrausSet, Context]:
+    """[[S1; ...; Sn]] = [[Sn]] after ... after [[S1]], with each repeat denoted once.
+
+    A statement's set depends only on the statement and its typing context,
+    so a step is kept under (``repr`` of the statement, context) and reused
+    when that pair comes again in this block; ``repr`` of a core node is
+    exact for every literal (floats round-trip, -0.0 differs from 0.0).  A
+    step is kept only while its statement occurs again later in the block,
+    and only within :data:`MEMO_BYTES` of operators per block.  ``compose``
+    still canonicalises and checks every accumulated set.  The empty block
+    denotes {I}.
+    """
+    if not block:
+        return identity_kraus(signature_of(ctx), tol), ctx
+    keys = [repr(stmt) for stmt in block] if len(block) > 1 else [None]
+    last = {key: i for i, key in enumerate(keys)}
+    memo: dict = {}  # statement key -> {context: (step, output context)}
+    held = 0
+    kset = None
+    for i, (stmt, key) in enumerate(zip(block, keys)):
+        steps = memo.get(key, {})
+        if ctx in steps:
+            step, out = steps[ctx]
+        else:
+            step, out = _denote_stmt(stmt, ctx, tol)
+            size = _nbytes(step)
+            if last[key] > i and held + size <= MEMO_BYTES:
+                memo.setdefault(key, {})[ctx] = step, out
+                held += size
+        if last[key] == i:
+            held -= sum(_nbytes(s) for s, _ in memo.pop(key, {}).values())
+        kset = step if kset is None else compose(step, kset, tol)
+        ctx = out
     return kset, ctx
 
 
-def _alternation(stmt: ast.QCase, ctx: Context):
+def _nbytes(s: KrausSet) -> int:
+    return sum(e.nbytes for e in s.ops)
+
+
+def _alternation(stmt: ast.QCase, ctx: Context, tol: float):
     """Controls, branch denotations and output context of an alternation.
 
     Each arm is denoted from the inner context (``ctx`` without the
@@ -210,46 +255,48 @@ def _alternation(stmt: ast.QCase, ctx: Context):
     inner, restore = control_contexts(ctx, names)
     branches = []
     for arm in stmt.arms:
-        kset, inner_out = _denote_block(arm.block, inner)
+        kset, inner_out = _denote_block(arm.block, inner, tol)
         branches.append(kset)
     return names, branches, restore(inner_out)
 
 
-def _denote_stmt(stmt, ctx: Context) -> tuple[KrausSet, Context]:
+def _denote_stmt(stmt, ctx: Context, tol: float) -> tuple[KrausSet, Context]:
     sig = signature_of(ctx)
     if isinstance(stmt, ast.Skip):
-        return identity_kraus(sig), ctx
+        return identity_kraus(sig, tol), ctx
     if isinstance(stmt, (ast.NewQbit, ast.NewBit)):
         name = stmt.name.base
         out = ctx.add(name, QBIT if isinstance(stmt, ast.NewQbit) else BIT)
         op = _allocation_matrix(out, name)
-        return make_kraus(sig, signature_of(out), [op]), out
+        return make_kraus(sig, signature_of(out), [op], tol), out
     if isinstance(stmt, ast.ApplyGate):
         names = [t.base for t in stmt.targets]
         op = _apply_gate_matrix(ctx, names, _gate_matrix(stmt.gate))
-        return make_kraus(sig, sig, [op]), ctx
+        return make_kraus(sig, sig, [op], tol), ctx
     if isinstance(stmt, ast.Discard):
         name = stmt.name.base
         out = ctx.remove(name)
-        return make_kraus(sig, signature_of(out), _discard_matrices(ctx, name)), out
+        return make_kraus(sig, signature_of(out), _discard_matrices(ctx, name), tol), out
     if isinstance(stmt, ast.MeasureThenElse):
-        then_k, out_ctx = _denote_block(stmt.then_block, ctx)
-        else_k, _ = _denote_block(stmt.else_block, ctx)
+        then_k, out_ctx = _denote_block(stmt.then_block, ctx, tol)
+        else_k, _ = _denote_block(stmt.else_block, ctx, tol)
         # column g is column g + d * v(g) of the sum, v(g) the value of the qubit;
         # each operator lies in one block, so adding its output copies is exact
         d, d_out = dim(sig), dim(then_k.output_sig)
         cols = np.arange(d)
         cols[_where(ctx, [stmt.control.base], 1)] += d
-        ops = [(x[:d_out] + x[d_out:])[:, cols] for x in branch_sum(then_k, else_k).ops]
-        return make_kraus(sig, then_k.output_sig, ops), out_ctx
+        ops = [(x[:d_out] + x[d_out:])[:, cols]
+               for x in branch_sum(then_k, else_k, tol).ops]
+        return make_kraus(sig, then_k.output_sig, ops, tol), out_ctx
     if isinstance(stmt, ast.QCase):
-        names, branches, out_ctx = _alternation(stmt, ctx)
+        names, branches, out_ctx = _alternation(stmt, ctx, tol)
         # one control goes through `alternate`, so span traces see it used
-        alt = (alternate(*branches) if len(names) == 1
-               else alternate_case(branches, len(names)))
+        alt = (alternate(*branches, tol) if len(names) == 1
+               else alternate_case(branches, len(names), tol))
         at = np.ix_(leading_permutation(out_ctx, names),
                     leading_permutation(ctx, names))
-        return make_kraus(sig, signature_of(out_ctx), [e[at] for e in alt.ops]), out_ctx
+        return (make_kraus(sig, signature_of(out_ctx), [e[at] for e in alt.ops], tol),
+                out_ctx)
     raise TypeError(f"statement not elaborated: {stmt!r}")
 
 
@@ -263,16 +310,17 @@ def _prepare(program, ctx: Context) -> ast.Program:
     return core
 
 
-def denote(program, ctx: Context | None = None) -> Denotation:
+def denote(program, ctx: Context | None = None,
+           tol: float = DEFAULT_TOL) -> Denotation:
     """Denotation of a program (source text, AST or single statement).
 
     The program is elaborated and then typechecked from ``ctx``; statements
-    compose right-to-left onto the identity, so the empty program denotes
-    {I} on the signature of ``ctx``.
+    compose right-to-left, so the empty program denotes {I} on the signature
+    of ``ctx``.  Every Kraus set built on the way is checked at ``tol``.
     """
     ctx = ctx if ctx is not None else Context.empty()
     core = _prepare(program, ctx)
-    kset, out_ctx = _denote_block(core.body, ctx)
+    kset, out_ctx = _denote_block(core.body, ctx, tol)
     return Denotation(program, kset, ctx, out_ctx)
 
 
@@ -291,7 +339,7 @@ def run_with_context(program, initial: DensityState | None = None,
         if ctx.entries:
             raise ValueError("an initial state is required for a nonempty context")
         initial = unit_state()
-    d = denote(program, ctx)
+    d = denote(program, ctx, tol)
     return apply(d.kraus, initial, tol), d.output_ctx
 
 
@@ -350,7 +398,8 @@ def _interference(s: KrausSet) -> Matrix:
     return sum(s.ops) / np.sqrt(len(s.ops))
 
 
-def _direct_step(stmt, rho: Matrix, ctx: Context) -> tuple[Matrix, Context]:
+def _direct_step(stmt, rho: Matrix, ctx: Context,
+                 tol: float) -> tuple[Matrix, Context]:
     if isinstance(stmt, ast.Skip):
         return rho, ctx
     if isinstance(stmt, ast.ApplyGate):
@@ -378,13 +427,13 @@ def _direct_step(stmt, rho: Matrix, ctx: Context) -> tuple[Matrix, Context]:
             projected[np.ix_(keep, keep)] = rho[np.ix_(keep, keep)]
             out_ctx = ctx
             for inner in block:
-                projected, out_ctx = _direct_step(inner, projected, out_ctx)
+                projected, out_ctx = _direct_step(inner, projected, out_ctx, tol)
             total = projected if total is None else total + projected
         return total, out_ctx
     if isinstance(stmt, ast.QCase):
         # block (k, l) of the state, controls reading k on the left and l on
         # the right, becomes S_k(rho_kk) when k = l, else sigma_k rho_kl sigma_l'
-        names, branches, out_ctx = _alternation(stmt, ctx)
+        names, branches, out_ctx = _alternation(stmt, ctx, tol)
         rows = [_where(out_ctx, names, k) for k in range(len(branches))]
         cols = [_where(ctx, names, k) for k in range(len(branches))]
         sigmas = [_interference(s) for s in branches]
@@ -417,6 +466,6 @@ def eval_direct(program, initial: DensityState | None = None,
         raise SignatureMismatch("initial state does not match the context")
     rho = np.array(initial.full())
     for stmt in _prepare(program, ctx).body:
-        rho, ctx = _direct_step(stmt, rho, ctx)
+        rho, ctx = _direct_step(stmt, rho, ctx, tol)
     out_sig = signature_of(ctx)
     return DensityState(out_sig, diagonal_blocks(rho, out_sig, tol))

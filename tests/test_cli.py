@@ -245,6 +245,27 @@ class TestTolerance:
         assert "extensionally equal: True" in result.output
 
 
+    #: Each gate passes the typechecker's fixed unitarity check, but the two
+    #: together have sum E'E = I + 1.6e-9 on |0><0|.
+    NEAR_UNITARY = "q *= [[1.0000000004, 0], [0, 1]]\n" * 2
+
+    @pytest.mark.parametrize("command", ["denote", "equiv", "order", "run"])
+    def test_tolerance_reaches_every_kraus_set(self, runner, tmp_path, command):
+        src = write(tmp_path, "f.q", self.NEAR_UNITARY)
+        args = [command, src, "--ctx", "q:qbit"]
+        if command in ("equiv", "order"):
+            args.insert(2, src)
+        if command == "run":
+            # |1><1|, which the excess misses: the state check keeps its own
+            # fixed tolerance
+            one = {"signature": [2], "blocks": [[[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]}
+            args += ["--init", write(tmp_path, "one.json", json.dumps(one))]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "sum of E'E exceeds the identity" in result.output
+        assert runner.invoke(main, args + ["--tol", "1e-3"]).exit_code == 0
+
+
 class TestMetaArithmetic:
     def test_division_by_zero_is_one_error_line(self, runner, tmp_path):
         src = write(tmp_path, "z.q", "a *= Rk(1/0)\n")

@@ -11,10 +11,11 @@ import pickle
 import numpy as np
 import pytest
 
-from helpers import rand_density, state_deviation
+from helpers import count_calls, rand_density, state_deviation
 from test_corpus import generated_programs
-from qalt import (Context, denote, elaborate, eval_direct, lint_closed_system,
-                  parse, pretty, run, typecheck)
+from qalt import (Context, compose, denote, elaborate, eval_direct,
+                  lint_closed_system, parse, pretty, run, typecheck)
+from qalt import semantics
 from qalt import syntax as ast
 from qalt.errors import BranchContextMismatch, ControlCapture, ParseError, QaltError
 from qalt.semantics import signature_of
@@ -244,3 +245,67 @@ def test_if_is_the_one_control_case(source):
                 if isinstance(outcome, tuple):  # a vacuous loop raises nothing
                     faults_seen.add(outcome[0])
     assert faults_seen == set(IF_FAULTS)
+
+
+# ---------------------------------------------------------------------------
+# Loops: a block denotes each repeated statement once
+# ---------------------------------------------------------------------------
+
+def _loop_segment(rng, qubits):
+    """A loop body: gates, an allocation and discard, a measurement or a case."""
+    roll = rng.random()
+    q = qubits[int(rng.integers(len(qubits)))]
+    if roll < 0.25:
+        return _neutral_block(rng, qubits, set(), 0)
+    if roll < 0.5:
+        inner = _neutral_block(rng, qubits + ["t"], set(), 0)
+        return f"new qbit t\nt *= H\n{inner}\ndiscard t"
+    if roll < 0.75 or len(qubits) < 2:
+        inner = _neutral_block(rng, qubits, set(), 1)
+        return (f"measure {q} then {{ {inner} }} "
+                f"else {{ new qbit t\nt *= X\ndiscard t }}")
+    r = [x for x in qubits if x != q][int(rng.integers(len(qubits) - 1))]
+    arms = [_neutral_block(rng, qubits, {q, r}, 1) for _ in range(3)]
+    return (f"case ({q}, {r}) of |00> -> {{ {arms[0]} }} "
+            f"|11> -> {{ {arms[1]} }} |_> -> {{ {arms[2]} }}")
+
+
+def looped_program(rng):
+    """A fuzzed program twice in a loop, then again, then looped segments."""
+    prefix = random_program(rng)
+    live = typecheck(elaborate(parse(prefix)))
+    discards = "\n".join(f"discard {name}" for name in live.names())
+    lines = [f"for i = 1 to 2 {{ {prefix}\n{discards} }}", prefix]
+    for _ in range(int(rng.integers(1, 4))):
+        body = _loop_segment(rng, live.qubits())
+        lines.append(f"for j = 1 to {int(rng.integers(2, 4))} {{ {body} }}")
+    return "\n".join(lines)
+
+
+def _fresh_block(block, ctx, tol):
+    """``_denote_block`` without its memo: a fresh step for every statement."""
+    kset = None
+    for stmt in block:
+        step, ctx = semantics._denote_stmt(stmt, ctx, tol)
+        kset = step if kset is None else compose(step, kset, tol)
+    return kset, ctx
+
+
+@pytest.mark.parametrize("seed", [20240612, 20240613])
+def test_looped_programs_match_fresh_steps(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    programs = [looped_program(rng) for _ in range(20)]
+    steps = count_calls(monkeypatch, "_denote_stmt", semantics)
+    memoised = [denote(source) for source in programs]
+    memo_steps = len(steps)
+    for source, got in zip(programs, memoised):
+        dev = state_deviation(run(source), eval_direct(source))
+        assert dev < 1e-9, f"evaluators disagree by {dev}\n{source}"
+    monkeypatch.setattr(semantics, "_denote_block", _fresh_block)
+    del steps[:]
+    for source, got in zip(programs, memoised):
+        want = denote(source)
+        assert got.output_ctx == want.output_ctx
+        assert [x.tobytes() for x in got.kraus.ops] == \
+            [x.tobytes() for x in want.kraus.ops], source
+    assert memo_steps < len(steps) / 2  # the loops repeat most statements

@@ -382,10 +382,10 @@ class TestMeasureVersusQuantumIf:
         assert frob > 0.1
 
 
-def _dense_measurement(stmt, ctx):
+def _dense_measurement(stmt, ctx, tol):
     """measure ; (then (+) else) ; merge, the structural maps as dense Kraus sets."""
-    then_k, out_ctx = semantics._denote_block(stmt.then_block, ctx)
-    else_k, _ = semantics._denote_block(stmt.else_block, ctx)
+    then_k, out_ctx = semantics._denote_block(stmt.then_block, ctx, tol)
+    else_k, _ = semantics._denote_block(stmt.else_block, ctx, tol)
     sig, tau = signature_of(ctx), then_k.output_sig
     d = dim(sig)
     measure = []
@@ -448,10 +448,10 @@ class TestMeasurementIndexMap:
         new = [denote(p, ctx) for p, ctx in programs]
         direct = semantics._denote_stmt
 
-        def dense(stmt, ctx):
+        def dense(stmt, ctx, tol):
             if isinstance(stmt, ast.MeasureThenElse):
-                return _dense_measurement(stmt, ctx)
-            return direct(stmt, ctx)
+                return _dense_measurement(stmt, ctx, tol)
+            return direct(stmt, ctx, tol)
         monkeypatch.setattr(semantics, "_denote_stmt", dense)
         for (p, ctx), got in zip(programs, new):
             want = denote(p, ctx)
@@ -647,12 +647,72 @@ class TestPositivityCounts:
         psd = count_calls(monkeypatch, "is_psd", kraus)
         eig = count_calls(monkeypatch, "eigvalsh", np.linalg)
         denote("\n".join(lines), ctx)
-        # one check per make_kraus: the initial identity, a step and a
-        # composition per gate, and per alternation nine (two arms of
-        # identity, step and composition, the alternation, its reindexing
-        # and the composition)
-        assert len(psd) == 1 + 8 * 2 + 7 * 9 == 80
+        # one check per make_kraus: the first gate's step, a step and a
+        # composition per further gate, and per alternation five (the skip
+        # arm's identity, the other arm's step, the alternation, its
+        # reindexing and the composition)
+        assert len(psd) == 1 + 7 * 2 + 7 * 5 == 50
         assert not eig
+
+
+class TestStepMemo:
+    """A block denotes each repeated (statement, context) pair once."""
+
+    CTX_A = Context.of(("a", "qbit"))
+
+    @staticmethod
+    def op_bytes(d):
+        return [x.tobytes() for x in d.kraus.ops]
+
+    def test_loop_embeds_its_gate_once(self, monkeypatch):
+        embeds = count_calls(monkeypatch, "embed_gate", semantics)
+        makes = count_calls(monkeypatch, "make_kraus", semantics, kraus)
+        denote("for i = 1 to 50 { a *= H }", self.CTX_A)
+        assert len(embeds) == 1
+        # the one step, then one composition per further statement
+        assert len(makes) == 1 + 49
+
+    def test_context_is_part_of_the_key(self, monkeypatch):
+        embeds = count_calls(monkeypatch, "embed_gate", semantics)
+        denote("a *= H\nnew qbit b\na *= H", self.CTX_A)
+        assert len(embeds) == 2
+
+    @pytest.mark.parametrize("x, y", [
+        ("Phase(0.1)", "Phase(0.1000000000000001)"),
+        ("[[1, 0], [0, 1]]", "[[1, -0.0], [0, 1]]"),
+    ])
+    def test_literals_differing_in_the_last_bit_are_separate(self, monkeypatch,
+                                                             x, y):
+        src = "\n".join(f"a *= {g}" for g in (x, y, x, y))
+        embeds = count_calls(monkeypatch, "embed_gate", semantics)
+        got = denote(src, self.CTX_A)
+        assert len(embeds) == 2
+        monkeypatch.setattr(semantics, "MEMO_BYTES", 0)
+        assert self.op_bytes(got) == self.op_bytes(denote(src, self.CTX_A))
+
+    def test_without_budget_every_statement_is_denoted(self, monkeypatch):
+        src = ("for i = 1 to 5 { a *= H\n"
+               "if a then { b *= X\nb *= X } else { skip } }")
+        ctx = Context.of(("a", "qbit"), ("b", "qbit"))
+        steps = count_calls(monkeypatch, "_denote_stmt", semantics)
+        memoised = denote(src, ctx)
+        # the gate and the if once, and in the if's arms the repeated X once
+        # and the skip
+        assert len(steps) == 2 + 2
+        monkeypatch.setattr(semantics, "MEMO_BYTES", 0)
+        del steps[:]
+        fresh = denote(src, ctx)
+        # ten statements, and three in the arms of each of the five ifs
+        assert len(steps) == 10 + 5 * 3
+        assert self.op_bytes(memoised) == self.op_bytes(fresh)
+
+    def test_budget_bounds_the_kept_steps(self, monkeypatch):
+        # room for one 4x4 step: a's is kept, b's is built twice
+        monkeypatch.setattr(semantics, "MEMO_BYTES", 4 * 4 * 16)
+        embeds = count_calls(monkeypatch, "embed_gate", semantics)
+        denote("a *= H\nb *= H\na *= H\nb *= H",
+               Context.of(("a", "qbit"), ("b", "qbit")))
+        assert [args[1] for args in embeds] == [[0], [1], [1]]
 
 
 class TestCaseControlOrder:

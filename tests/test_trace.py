@@ -22,13 +22,15 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 CTX = Context.of(("q0", "qbit"), ("q1", "qbit"), ("q2", "qbit"))
 
-#: A gate, a measurement, a one-control ``if`` and a two-control ``case``.
+#: A gate, a measurement, a one-control ``if``, a two-control ``case`` and a
+#: repeated gate (a one-statement program composes nothing).
 PROGRAMS = [
     "q0 *= H",
     "measure q0 then { q1 *= X } else { skip }",
     "if q0 then { skip } else { q1 *= X }",
     "case (q0, q1) of |00> -> { q2 *= H } |01> -> { skip } "
     "|10> -> { q2 *= X } |11> -> { q2 *= S }",
+    "q1 *= H\nq1 *= H",
 ]
 
 
