@@ -298,7 +298,7 @@ def test_looped_programs_match_fresh_steps(monkeypatch, seed):
     steps = count_calls(monkeypatch, "_denote_stmt", semantics)
     memoised = [denote(source) for source in programs]
     memo_steps = len(steps)
-    for source, got in zip(programs, memoised):
+    for source in programs:
         dev = state_deviation(run(source), eval_direct(source))
         assert dev < 1e-9, f"evaluators disagree by {dev}\n{source}"
     monkeypatch.setattr(semantics, "_denote_block", _fresh_block)
