@@ -16,7 +16,7 @@ import sys
 import click
 import numpy as np
 
-from .core import DEFAULT_TOL, DensityState, Signature, unit_state
+from .core import DEFAULT_TOL, DensityState, Signature
 from .corpus import (
     TruthTable,
     balanced_tables,
@@ -32,11 +32,11 @@ from .corpus import (
 from .errors import LanguageError, QaltError, SemanticError
 from .kraus import (
     alternate,
-    apply,
     apply_full,
+    choi_distance,
     ext_equal,
+    identity_kraus,
     lowner_leq,
-    make_kraus,
     to_choi,
     zero_kraus,
 )
@@ -51,7 +51,8 @@ SCHEMA = "qalt-output/1"
 # ---------------------------------------------------------------------------
 
 def _encode_matrix(m) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+    m = np.asarray(m)
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def _decode_matrix(data) -> np.ndarray:
@@ -66,8 +67,9 @@ def _encode_state(state: DensityState) -> dict:
     }
 
 
-def _decode_state(data) -> DensityState:
-    """The state in ``data``; a ValueError names what is malformed."""
+def _decode_state(data, tol: float) -> DensityState:
+    """The state in ``data``, validated at ``tol``; a ValueError names what is
+    malformed."""
     expected = ("an object with a 'signature' list of block dimensions and "
                 "'blocks', one matrix of [re, im] entries per block")
     if not isinstance(data, dict) or not {"signature", "blocks"} <= data.keys():
@@ -78,7 +80,7 @@ def _decode_state(data) -> DensityState:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(
             f"malformed initial state ({exc}); expected {expected}") from None
-    return DensityState(sig, blocks)
+    return DensityState(sig, blocks, tol)
 
 
 def _fmt_complex(z: complex) -> str:
@@ -92,24 +94,20 @@ def _matrix_lines(m, indent: str = "  ") -> list[str]:
 # Every echo names its stream: click caches a wrapper per default stream,
 # and that cache keeps every redirected stream of an in-process call alive.
 
-def _emit(doc: dict, fmt: str, text_lines: list[str]):
+def _respond(command: list, tol: float, fmt: str, result: dict, lines: list[str]):
+    """Print ``result`` as the structured document of ``command``, or ``lines``."""
     if fmt == "structured":
+        doc = {"schema": SCHEMA, "command": command, "tolerance": tol,
+               "result": result}
         click.echo(json.dumps(doc, indent=2, sort_keys=True), file=sys.stdout)
     else:
-        for line in text_lines:
-            click.echo(line, file=sys.stdout)
+        click.echo("\n".join(lines), file=sys.stdout)
 
 
 def _load_source(path: str) -> str:
     # 8-bit text; the tokenizer rejects non-ASCII outside comments
     with open(path, "r", encoding="latin-1") as fh:
         return fh.read()
-
-
-def _parse_ctx(spec: str | None) -> Context:
-    if not spec:
-        return Context.empty()
-    return Context.from_spec(spec)
 
 
 def _fail(code: int, message: str):
@@ -141,7 +139,7 @@ def _check_tol(ctx, param, value):
 _TOL = click.option("--tol", type=float, default=DEFAULT_TOL, envvar="QALT_TOL",
                     callback=_check_tol,
                     help="Numeric tolerance (default 1e-9, env QALT_TOL).")
-_CTX = click.option("--ctx", "ctx_spec", default=None,
+_CTX = click.option("--ctx", "ctx_spec", default="",
                     help="Initial context, e.g. 'q0:qbit,q1:qbit'.")
 
 
@@ -166,7 +164,7 @@ def main():
 def cmd_run(source, init_path, stats_name, ctx_spec, tol, fmt):
     """Evaluate a program and print its final density state."""
     def go():
-        ctx = _parse_ctx(ctx_spec)
+        ctx = Context.from_spec(ctx_spec)
         program = parse(_load_source(source))
         initial = None
         if init_path is not None:
@@ -175,7 +173,7 @@ def cmd_run(source, init_path, stats_name, ctx_spec, tol, fmt):
                     data = json.load(fh)
                 except RecursionError:
                     raise ValueError("initial state is nested too deeply") from None
-            initial = _decode_state(data)
+            initial = _decode_state(data, tol)
         state, out_ctx = run_with_context(program, initial, ctx, tol)
         result = {"state": _encode_state(state)}
         lines = [f"final state on signature {state.signature.blocks}:"]
@@ -188,9 +186,7 @@ def cmd_run(source, init_path, stats_name, ctx_spec, tol, fmt):
             result["stats"] = {"qubit": stats_name, "p0": p0, "p1": p1}
             lines.append(f"Pr[{stats_name}=0] = {p0:.10g}")
             lines.append(f"Pr[{stats_name}=1] = {p1:.10g}")
-        doc = {"schema": SCHEMA, "command": ["run", source],
-               "tolerance": tol, "result": result}
-        _emit(doc, fmt, lines)
+        _respond(["run", source], tol, fmt, result, lines)
     _guarded(go)
 
 
@@ -207,8 +203,7 @@ def cmd_run(source, init_path, stats_name, ctx_spec, tol, fmt):
 def cmd_denote(source, choi, ctx_spec, tol, fmt):
     """Print the canonical Kraus operator list of a program."""
     def go():
-        ctx = _parse_ctx(ctx_spec)
-        d = denote(parse(_load_source(source)), ctx, tol)
+        d = denote(parse(_load_source(source)), Context.from_spec(ctx_spec), tol)
         result = {
             "input_signature": list(d.kraus.input_sig.blocks),
             "output_signature": list(d.kraus.output_sig.blocks),
@@ -227,9 +222,7 @@ def cmd_denote(source, choi, ctx_spec, tol, fmt):
             for i, member in enumerate(family.members):
                 lines.append(f"choi member {i}:")
                 lines.extend(_matrix_lines(member))
-        doc = {"schema": SCHEMA, "command": ["denote", source],
-               "tolerance": tol, "result": result}
-        _emit(doc, fmt, lines)
+        _respond(["denote", source], tol, fmt, result, lines)
     _guarded(go)
 
 
@@ -238,18 +231,14 @@ def cmd_denote(source, choi, ctx_spec, tol, fmt):
 # ---------------------------------------------------------------------------
 
 def _comparison(kind, source_a, source_b, ctx_spec, tol, fmt):
-    ctx = _parse_ctx(ctx_spec)
+    ctx = Context.from_spec(ctx_spec)
     da = denote(parse(_load_source(source_a)), ctx, tol)
     db = denote(parse(_load_source(source_b)), ctx, tol)
-    if kind == "equiv":
-        verdict = ext_equal(da.kraus, db.kraus, tol)
-        label = "extensionally equal"
-    else:
-        verdict = lowner_leq(da.kraus, db.kraus, tol)
-        label = "below in the Loewner order"
-    doc = {"schema": SCHEMA, "command": [kind, source_a, source_b],
-           "tolerance": tol, "result": {"verdict": bool(verdict)}}
-    _emit(doc, fmt, [f"{label}: {verdict}"])
+    decide, label = {"equiv": (ext_equal, "extensionally equal"),
+                     "order": (lowner_leq, "below in the Loewner order")}[kind]
+    verdict = decide(da.kraus, db.kraus, tol)
+    _respond([kind, source_a, source_b], tol, fmt, {"verdict": verdict},
+             [f"{label}: {verdict}"])
     if not verdict:
         sys.exit(2)
 
@@ -287,45 +276,41 @@ if q0 then { skip } else {
 """
 
 
-def _demo_deutsch(tolerance, table_bits=None):
-    rows = []
-    lines = ["deutsch: Pr[q0=0] per truth table"]
-    choices = [table_bits] if table_bits else ["00", "01", "10", "11"]
-    for table in [TruthTable.from_bits(b) for b in choices]:
-        d = denote(gen_deutsch(table))
-        p0, _ = measure_stats(apply(d.kraus, unit_state()), "q0", d.output_ctx)
+def _oracle_demo(key, header, field, label, tables, generate, tol):
+    """Pr[every control reads 0] after running each table's program."""
+    rows, lines = [], [header]
+    for table in tables:
+        state, ctx = run_with_context(generate(table), tol=tol)
+        # the generators allocate the oracle's target, q1, last
+        p = outcome_probability(state, ctx, {q: 0 for q in ctx.qubits()[:-1]})
         bits = "".join(str(v) for v in table.values)
-        rows.append({"f": bits, "constant": table.is_constant, "p0": p0})
-        lines.append(f"  f={bits} constant={table.is_constant} p0={p0:.10g}")
-    return {"deutsch": rows}, lines
+        rows.append({"f": bits, "constant": table.is_constant, field: p})
+        lines.append(f"  f={bits} constant={table.is_constant} {label}={p:.10g}")
+    return {key: rows}, lines
 
 
-def _demo_dj(tolerance, table_bits=None):
+def _demo_deutsch(tol, table_bits=None):
+    choices = [table_bits] if table_bits else ["00", "01", "10", "11"]
+    return _oracle_demo("deutsch", "deutsch: Pr[q0=0] per truth table", "p0", "p0",
+                        [TruthTable.from_bits(b) for b in choices], gen_deutsch, tol)
+
+
+def _demo_dj(tol, table_bits=None):
     if table_bits:
         tables = [TruthTable.from_bits(table_bits)]
-        n = tables[0].n
     else:
-        n = 3
-        tables = constant_tables(n) + balanced_tables(n)[::11]
-    rows = []
-    lines = [f"deutsch-jozsa (n={n}): Pr[all controls 0] per truth table"]
-    for table in tables:
-        d = denote(gen_deutsch_jozsa(table))
-        assignment = {f"q0_{i}": 0 for i in range(table.n)}
-        p = outcome_probability(apply(d.kraus, unit_state()), d.output_ctx,
-                                assignment)
-        bits = "".join(str(v) for v in table.values)
-        rows.append({"f": bits, "constant": table.is_constant, "p_zeros": p})
-        lines.append(f"  f={bits} constant={table.is_constant} p={p:.10g}")
-    return {"deutsch_jozsa": rows}, lines
+        tables = constant_tables(3) + balanced_tables(3)[::11]
+    return _oracle_demo(
+        "deutsch_jozsa",
+        f"deutsch-jozsa (n={tables[0].n}): Pr[all controls 0] per truth table",
+        "p_zeros", "p", tables, gen_deutsch_jozsa, tol)
 
 
-def _demo_qft(tolerance):
+def _demo_qft(tol):
     rows = []
     lines = ["qft: max deviation from the bit-reversed DFT matrix"]
     for n in range(1, 5):
-        d = denote(gen_qft(n), qft_context(n))
-        u = d.kraus.ops[0]
+        u = denote(gen_qft(n), qft_context(n), tol).kraus.ops[0]
         ref = bit_reversal_permutation(n) @ dft_matrix(n)
         dev = float(np.abs(u - ref).max())
         rows.append({"n": n, "max_deviation": dev})
@@ -333,27 +318,25 @@ def _demo_qft(tolerance):
     return {"qft": rows}, lines
 
 
-def _demo_toffoli(tolerance):
+def _demo_toffoli(tol):
     d = denote(parse(TOFFOLI_SOURCE),
-               Context.of(("q0", "qbit"), ("q1", "qbit"), ("q2", "qbit")))
+               Context.of(("q0", "qbit"), ("q1", "qbit"), ("q2", "qbit")), tol)
     dev = float(np.abs(d.kraus.ops[0] - toffoli_matrix()).max())
     exact = dev <= 1e-12
     lines = [f"toffoli: exact match = {exact} (max deviation {dev:.3e})"]
     return {"toffoli": {"exact": exact, "max_deviation": dev}}, lines
 
 
-def _demo_nonmonotone(tolerance):
-    sig = Signature((1,))
-    s = make_kraus(sig, sig, [np.eye(1)])
-    t = make_kraus(sig, sig, [np.eye(1)])
-    empty = zero_kraus(sig, sig)
-    below_zero = lowner_leq(empty, t, tolerance)
-    below_self = lowner_leq(s, s, tolerance)
-    left = alternate(s, empty)
-    right = alternate(s, t)
-    monotone = lowner_leq(left, right, tolerance)
-    plus = DensityState(Signature((2,)), (np.full((2, 2), 0.5),))
-    diff = apply_full(right, plus.full()) - apply_full(left, plus.full())
+def _demo_nonmonotone(tol):
+    s = identity_kraus(Signature((1,)), tol)
+    empty = zero_kraus(s.input_sig, s.output_sig)
+    below_zero = lowner_leq(empty, s, tol)
+    below_self = lowner_leq(s, s, tol)
+    left = alternate(s, empty, tol)
+    right = alternate(s, s, tol)
+    monotone = lowner_leq(left, right, tol)
+    plus = np.full((2, 2), 0.5)
+    diff = apply_full(right, plus) - apply_full(left, plus)
     witness = float(np.linalg.eigvalsh((diff + diff.conj().T) / 2).min())
     lines = [
         "nonmonotone: alternation versus the Loewner order",
@@ -371,18 +354,15 @@ def _demo_nonmonotone(tolerance):
     }}, lines
 
 
-def _demo_phase(tolerance):
-    sig_branch = Context.of(("q1", "qbit"))
-    skip_d = denote("skip", sig_branch)
-    phase_d = denote("q1 *= Phase(pi / 4)", sig_branch)
-    branches_equal = ext_equal(skip_d.kraus, phase_d.kraus, tolerance)
-    ctx = Context.of(("q0", "qbit"), ("q1", "qbit"))
-    alt_skip = denote("if q0 then { skip } else { skip }", ctx)
-    alt_phase = denote("if q0 then { skip } else { q1 *= Phase(pi / 4) }", ctx)
-    alternations_equal = ext_equal(alt_skip.kraus, alt_phase.kraus, tolerance)
-    ca, cb = to_choi(alt_skip.kraus), to_choi(alt_phase.kraus)
-    distance = max(float(np.abs(a - b).max())
-                   for a, b in zip(ca.members, cb.members))
+def _demo_phase(tol):
+    q1 = Context.of(("q1", "qbit"))
+    skip = denote("skip", q1, tol).kraus
+    phase = denote("q1 *= Phase(pi / 4)", q1, tol).kraus
+    # ``if q0 then { skip } else { .. }`` in the context (q0, q1)
+    alt_skip, alt_phase = alternate(skip, skip, tol), alternate(skip, phase, tol)
+    branches_equal = ext_equal(skip, phase, tol)
+    alternations_equal = ext_equal(alt_skip, alt_phase, tol)
+    distance = choi_distance(alt_skip, alt_phase)
     lines = [
         "phase: global phase is invisible until it is alternated",
         f"  branches extensionally equal: {branches_equal}",
@@ -424,9 +404,7 @@ def cmd_demo(name, table_bits, tol, fmt):
             result, lines = _DEMOS[name](tol, table_bits)
         else:
             result, lines = _DEMOS[name](tol)
-        doc = {"schema": SCHEMA, "command": ["demo", name],
-               "tolerance": tol, "result": result}
-        _emit(doc, fmt, lines)
+        _respond(["demo", name], tol, fmt, result, lines)
     _guarded(go)
 
 

@@ -15,7 +15,7 @@ significant) factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -270,13 +270,14 @@ class DensityState:
     """Sub-normalized mixed state: one positive matrix per signature block.
 
     Construction validates hermiticity, positivity and total trace at most 1
-    (within :data:`DEFAULT_TOL`) and freezes the block arrays.
+    within ``tol`` (not stored) and freezes the block arrays.
     """
 
     signature: Signature
     blocks: tuple[Matrix, ...]
+    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         sig = self.signature
         blocks = tuple(freeze(as_matrix(b)) for b in self.blocks)
         if len(blocks) != len(sig.blocks):
@@ -286,13 +287,13 @@ class DensityState:
             if b.shape != (n, n):
                 raise DimensionMismatch(
                     f"block of shape {b.shape} does not match dimension {n}")
-            if not is_psd(b, DEFAULT_TOL):
+            if not is_psd(b, tol):
                 # the Hermitian test runs again only to name the failure
-                if np.abs(b - b.conj().T).max() > DEFAULT_TOL:
+                if np.abs(b - b.conj().T).max() > tol:
                     raise ValueError("density block is not Hermitian")
                 raise ValueError("density block is not positive semidefinite")
         tr = sum(float(np.trace(b).real) for b in blocks)
-        if not -DEFAULT_TOL <= tr <= 1 + DEFAULT_TOL:
+        if not -tol <= tr <= 1 + tol:
             raise ValueError(f"total trace {tr} outside [0, 1]")
         object.__setattr__(self, "blocks", blocks)
 

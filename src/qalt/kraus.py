@@ -299,7 +299,8 @@ def apply(s: KrausSet, rho: DensityState, tol: float = DEFAULT_TOL) -> DensitySt
             f"state on {rho.signature.blocks} fed to map expecting "
             f"{s.input_sig.blocks}")
     return DensityState(s.output_sig,
-                        diagonal_blocks(apply_full(s, rho.full()), s.output_sig, tol))
+                        diagonal_blocks(apply_full(s, rho.full()), s.output_sig, tol),
+                        tol)
 
 
 def diagonal_blocks(full: Matrix, sig: Signature,
@@ -359,11 +360,16 @@ def _check_same_type(s: KrausSet, t: KrausSet):
             f"{t.input_sig.blocks}->{t.output_sig.blocks}")
 
 
-def ext_equal(s: KrausSet, t: KrausSet, tol: float = DEFAULT_TOL) -> bool:
-    """Extensional equality: do the two sets denote the same superoperator?"""
+def choi_distance(s: KrausSet, t: KrausSet) -> float:
+    """Largest entrywise difference between the two sets' Choi families."""
     _check_same_type(s, t)
     cs, ct = to_choi(s), to_choi(t)
-    return all(np.abs(a - b).max() <= tol for a, b in zip(cs.members, ct.members))
+    return max(float(np.abs(a - b).max()) for a, b in zip(cs.members, ct.members))
+
+
+def ext_equal(s: KrausSet, t: KrausSet, tol: float = DEFAULT_TOL) -> bool:
+    """Extensional equality: do the two sets denote the same superoperator?"""
+    return choi_distance(s, t) <= tol
 
 
 def lowner_leq(s: KrausSet, t: KrausSet, tol: float = DEFAULT_TOL) -> bool:

@@ -66,7 +66,6 @@ from .errors import (
 )
 from .kraus import (
     KrausSet,
-    alternate,
     alternate_case,
     apply,
     apply_full,
@@ -290,9 +289,7 @@ def _denote_stmt(stmt, ctx: Context, tol: float) -> tuple[KrausSet, Context]:
         return make_kraus(sig, then_k.output_sig, ops, tol), out_ctx
     if isinstance(stmt, ast.QCase):
         names, branches, out_ctx = _alternation(stmt, ctx, tol)
-        # one control goes through `alternate`, so span traces see it used
-        alt = (alternate(*branches, tol) if len(names) == 1
-               else alternate_case(branches, len(names), tol))
+        alt = alternate_case(branches, len(names), tol)
         at = np.ix_(leading_permutation(out_ctx, names),
                     leading_permutation(ctx, names))
         return (make_kraus(sig, signature_of(out_ctx), [e[at] for e in alt.ops], tol),
@@ -468,4 +465,4 @@ def eval_direct(program, initial: DensityState | None = None,
     for stmt in _prepare(program, ctx).body:
         rho, ctx = _direct_step(stmt, rho, ctx, tol)
     out_sig = signature_of(ctx)
-    return DensityState(out_sig, diagonal_blocks(rho, out_sig, tol))
+    return DensityState(out_sig, diagonal_blocks(rho, out_sig, tol), tol)

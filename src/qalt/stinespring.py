@@ -63,17 +63,20 @@ class StinespringRep:
         object.__setattr__(self, "v", v)
 
 
+def _dilation(ops, input_sig: Signature, output_sig: Signature) -> StinespringRep:
+    """V psi = sum_k ops[k]' psi (x) |k>: rows k, k + a, ... of V hold ops[k]'."""
+    a = len(ops)
+    v = np.zeros((dim(input_sig) * a, dim(output_sig)), dtype=complex)
+    for k, e in enumerate(ops):
+        v[k::a] += e.conj().T
+    return StinespringRep(a, v, input_sig, output_sig)
+
+
 def to_stinespring(s: KrausSet) -> StinespringRep:
     """Dilate a nonempty Kraus set: V psi = sum_E E' psi (x) |E>."""
     if not s.ops:
         raise EmptySetError("the zero map has no canonical dilation here")
-    a = len(s.ops)
-    v = np.zeros((dim(s.input_sig) * a, dim(s.output_sig)), dtype=complex)
-    for k, e in enumerate(s.ops):
-        unit = np.zeros((a, 1), dtype=complex)
-        unit[k, 0] = 1.0
-        v += np.kron(e.conj().T, unit)
-    return StinespringRep(a, v, s.input_sig, s.output_sig)
+    return _dilation(s.ops, s.input_sig, s.output_sig)
 
 
 def from_stinespring(rep: StinespringRep) -> KrausSet:
@@ -113,13 +116,5 @@ def alternation_stinespring(s: KrausSet, t: KrausSet) -> StinespringRep:
     if s.input_sig != t.input_sig or s.output_sig != t.output_sig:
         raise SignatureMismatch("alternation branches must share signatures")
     elements = case_elements([s, t], 1)  # ordered E-major: (e, f) pairs
-    a = len(s.ops) * len(t.ops)
-    in_sig = qbit_tensor(s.input_sig)
-    out_sig = qbit_tensor(s.output_sig)
-    v = np.zeros((dim(in_sig) * a, dim(out_sig)), dtype=complex)
-    for pos, alt in enumerate(elements):
-        e_idx, f_idx = divmod(pos, len(t.ops))
-        unit = np.zeros((a, 1), dtype=complex)
-        unit[f_idx * len(s.ops) + e_idx, 0] = 1.0
-        v += np.kron(alt.conj().T, unit)
-    return StinespringRep(a, v, in_sig, out_sig)
+    f_major = [x for f in range(len(t.ops)) for x in elements[f::len(t.ops)]]
+    return _dilation(f_major, qbit_tensor(s.input_sig), qbit_tensor(s.output_sig))

@@ -27,6 +27,7 @@ away before anything reaches the semantics.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -264,8 +265,16 @@ class Context:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = ("->", "*=", "{", "}", "(", ")", "[", "]", ",", "|", ">", "=",
-            "+", "-", "*", "/")
+#: One token or skipped span per match.  Upper-case groups are token kinds;
+#: a comment does not move the column, so EOF after one keeps its start.
+_TOKEN = re.compile(r"""
+    (?P<space>[ \t\r]+)
+  | (?P<newline>\n)
+  | (?P<comment>//[^\n]*)
+  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<NUM>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
+  | (?P<SYM>->|\*=|[{}()\[\],|>=+\-*/])
+""", re.VERBOSE)
 
 
 @dataclass
@@ -278,62 +287,20 @@ class Token:
 
 def _tokenize(text: str) -> list[Token]:
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ord(c) > 127:
-            raise ParseError(f"non-ASCII character {c!r}", line, col)
-        if c.isalpha() or c == "_":
-            j = i
-            # a non-ASCII character ends a name or number and is rejected at its column
-            while j < n and text[j].isascii() and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and "0" <= text[j + 1] <= "9":
-                j += 1
-                while j < n and "0" <= text[j] <= "9":
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and "0" <= text[k] <= "9":
-                    j = k
-                    while j < n and "0" <= text[j] <= "9":
-                        j += 1
-            tokens.append(Token("NUM", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("SYM", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
+    pos, line, col = 0, 1, 1
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            c = text[pos]
+            what = "non-ASCII" if ord(c) > 127 else "unexpected"
+            raise ParseError(f"{what} character {c!r}", line, col)
+        kind, pos = m.lastgroup, m.end()
+        if kind == "newline":
+            line, col = line + 1, 1
+        elif kind != "comment":
+            if kind.isupper():
+                tokens.append(Token(kind, m.group(), line, col))
+            col += len(m.group())
     tokens.append(Token("EOF", "", line, col))
     return tokens
 

@@ -256,13 +256,25 @@ class TestTolerance:
         if command in ("equiv", "order"):
             args.insert(2, src)
         if command == "run":
-            # |1><1|, which the excess misses: the state check keeps its own
-            # fixed tolerance
+            # |1><1|, which the excess misses, so the output state has trace 1
             one = {"signature": [2], "blocks": [[[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]}
             args += ["--init", write(tmp_path, "one.json", json.dumps(one))]
         result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert "sum of E'E exceeds the identity" in result.output
+        assert runner.invoke(main, args + ["--tol", "1e-3"]).exit_code == 0
+
+
+    def test_tolerance_reaches_the_state_check(self, runner, tmp_path):
+        # the output trace is 1 + 1.6e-9, over the default tolerance
+        src = write(tmp_path, "f.q", "new qbit q\n" + self.NEAR_UNITARY)
+        assert runner.invoke(main, ["run", src]).exit_code == 2
+        result = runner.invoke(main, ["run", src, "--tol", "1e-3"])
+        assert result.exit_code == 0, result.output
+        init = {"signature": [2], "blocks": [[[[1.000001, 0], [0, 0]], [[0, 0], [0, 0]]]]}
+        args = ["run", write(tmp_path, "skip.q", "skip\n"), "--ctx", "q:qbit",
+                "--init", write(tmp_path, "over.json", json.dumps(init))]
+        assert "total trace" in runner.invoke(main, args).output
         assert runner.invoke(main, args + ["--tol", "1e-3"]).exit_code == 0
 
 
@@ -487,6 +499,16 @@ class TestDemo:
         assert facts["branches_equal"] is True
         assert facts["alternations_equal"] is False
         assert facts["witness_distance"] > 0.1
+
+    def test_phase_at_tol(self, runner, tmp_path):
+        # the demo denotes its branches at --tol, as `denote` would
+        src = write(tmp_path, "p.q", "q1 *= Phase(pi / 4)\n")
+        denoted = runner.invoke(main, ["denote", src, "--ctx", "q1:qbit",
+                                       "--tol", "1e-300"])
+        demo = runner.invoke(main, ["demo", "phase", "--tol", "1e-300"])
+        assert (demo.exit_code, demo.output) == (2, denoted.output)
+        assert demo.output == ("error: sum of E'E exceeds the identity; "
+                               "not trace-nonincreasing\n")
 
     def test_truth_table_argument(self, runner):
         result = runner.invoke(main, ["demo", "dj", "--f", "0110",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -262,6 +263,15 @@ class TestDensityState:
             DensityState(Signature((2,)), (np.array([[0.5, 0.1], [0, 0.5]]),))
         with pytest.raises(ValueError, match="not positive semidefinite"):
             DensityState(Signature((2,)), (0.5 * np.array([[0, 1], [1, 1]]),))
+
+    def test_tolerance(self):
+        over = (np.diag([1.0 + 1e-6, 0.0]),)
+        with pytest.raises(ValueError, match="total trace"):
+            DensityState(Signature((2,)), over)
+        slack = DensityState(Signature((2,)), over, 1e-3)
+        # the tolerance is not a field, so it is neither stored nor compared
+        assert [f.name for f in dataclasses.fields(slack)] == ["signature", "blocks"]
+        assert repr(slack) == repr(DensityState(Signature((2,)), over, 1e-5))
 
     def test_blocks_frozen(self):
         state = DensityState(Signature((2,)), (PI0,))

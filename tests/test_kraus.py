@@ -35,7 +35,8 @@ from qalt.errors import (
     SignatureMismatch,
     TraceConditionViolated,
 )
-from qalt.kraus import COALESCE_TOL, KrausSet, _canonical_key, case_elements
+from qalt.kraus import (COALESCE_TOL, KrausSet, _canonical_key, case_elements,
+                        choi_distance)
 
 Q = Signature((2,))
 ONE = Signature((1,))
@@ -590,6 +591,22 @@ class TestExtEqual:
         b = alternate(identity_kraus(Q),
                       kraus_of(np.exp(1j * math.pi / 4) * np.eye(2)))
         assert not ext_equal(a, b)
+
+    def test_is_choi_distance_within_tol(self):
+        rng = np.random.default_rng(83)
+        for trial in range(40):
+            sig = (Q, Signature((2, 1)))[trial % 2]
+            s = rand_kraus(rng, sig, size=int(rng.integers(1, 4)), scale=0.9)
+            # t near s half the time, so distances straddle the tolerances
+            t = (rand_kraus(rng, sig, size=int(rng.integers(1, 4)), scale=0.9)
+                 if trial % 4 < 2 else
+                 make_kraus(sig, sig, [e * (1 + 1e-9 * rng.normal()) for e in s.ops]))
+            dist = choi_distance(s, t)
+            members = zip(to_choi(s).members, to_choi(t).members)
+            assert dist == max(np.abs(a - b).max() for a, b in members)
+            assert choi_distance(s, s) == 0.0
+            for tol in (1e-12, 1e-9, 1e-6, dist, np.nextafter(dist, 0)):
+                assert ext_equal(s, t, tol) == (dist <= tol)
 
     def test_reflexive(self):
         meas = kraus_of(PI0, PI1)

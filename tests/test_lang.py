@@ -103,6 +103,23 @@ class TestParse:
                 parse(source)
             assert (info.value.line, info.value.col) == (1, col)
 
+    def test_tokenizer_edges(self):
+        def tokens(text):
+            return [(t.kind, t.text, t.line, t.col) for t in ast._tokenize(text)]
+        # a comment does not move the end-of-input column
+        assert tokens("skip // c") == [("IDENT", "skip", 1, 1), ("EOF", "", 1, 6)]
+        assert tokens("x\n// c\n") == [("IDENT", "x", 1, 1), ("EOF", "", 3, 1)]
+        # an exponent needs digits; "1e+" is a number, a name and a sign
+        assert tokens("1e+") == [("NUM", "1", 1, 1), ("IDENT", "e", 1, 2),
+                                 ("SYM", "+", 1, 3), ("EOF", "", 1, 4)]
+        assert tokens("2.5e-3") == [("NUM", "2.5e-3", 1, 1), ("EOF", "", 1, 7)]
+        for text, message in (("1.", "1:2: unexpected character '.'"),
+                              ("a\tb\x0c", "1:4: unexpected character '\\x0c'"),
+                              ("q *= H\nabé1", "2:3: non-ASCII character 'é'")):
+            with pytest.raises(ParseError) as info:
+                ast._tokenize(text)
+            assert str(info.value) == message
+
     def test_non_ascii_allowed_in_comments(self):
         p = parse("// préparation\nnew qbit q")
         assert len(p.body) == 1

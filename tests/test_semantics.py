@@ -12,6 +12,7 @@ from qalt import (
     DensityState,
     Signature,
     TruthTable,
+    alternate,
     compose,
     denote,
     dsum,
@@ -480,6 +481,17 @@ class TestPhaseVisibility:
         assert np.abs(d.kraus.ops[0] - z_tensor_i).max() < 1e-12
         plain = denote("if q0 then { skip } else { skip }", CTX_2)
         assert not ext_equal(d.kraus, plain.kraus)
+
+    @pytest.mark.parametrize("arm", ["skip", "q1 *= Phase(pi / 4)"])
+    def test_alternation_is_the_denoted_if(self, arm):
+        # the phase demo alternates the denoted branches directly
+        branch_ctx = Context.of(("q1", "qbit"))
+        skip_k = denote("skip", branch_ctx).kraus
+        alt = alternate(skip_k, denote(arm, branch_ctx).kraus)
+        d = denote(f"if q0 then {{ skip }} else {{ {arm} }}", CTX_2)
+        assert (alt.input_sig, alt.output_sig) == (d.kraus.input_sig,
+                                                   d.kraus.output_sig)
+        assert [e.tobytes() for e in alt.ops] == [e.tobytes() for e in d.kraus.ops]
 
 
 class TestEvalDirect:

@@ -56,11 +56,12 @@ def test_every_traced_function_fires(tmp_path):
             assert qalt.lowner_leq(d.kraus, d.kraus)
         prog = tmp_path / "p.q"
         prog.write_text(PROGRAMS[1], encoding="ascii")
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            code = qalt.cli.main.main(
-                args=["equiv", str(prog), str(prog), "--ctx", CTX.describe()],
-                standalone_mode=False)
-        assert code in (None, 0)
+        # both benchmark workloads run `demo phase`, the one caller of `alternate`
+        for args in (["equiv", str(prog), str(prog), "--ctx", CTX.describe()],
+                     ["demo", "phase"]):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = qalt.cli.main.main(args=args, standalone_mode=False)
+            assert code in (None, 0)
     finally:
         tracer.job = None
         tracer.uninstall()
