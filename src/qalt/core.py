@@ -50,6 +50,14 @@ def freeze(m: Matrix) -> Matrix:
     return out
 
 
+def same_matrices(xs, ys) -> bool:
+    """True iff two sequences of matrices match in order, dtype, shape and
+    bytes: exact equality, so -0.0 differs from 0.0."""
+    return len(xs) == len(ys) and all(
+        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in zip(xs, ys))
+
+
 def tensor(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with the left operand as the leading factor."""
     return np.kron(as_matrix(a), as_matrix(b))
@@ -265,12 +273,13 @@ def basis_elements(sig: Signature) -> list[tuple[Matrix, ...]]:
 # Density states
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityState:
     """Sub-normalized mixed state: one positive matrix per signature block.
 
     Construction validates hermiticity, positivity and total trace at most 1
-    within ``tol`` (not stored) and freezes the block arrays.
+    within ``tol`` (not stored) and freezes the block arrays.  ``==`` is
+    exact: equal signatures and byte-equal blocks.  States are unhashable.
     """
 
     signature: Signature
@@ -296,6 +305,12 @@ class DensityState:
         if not -tol <= tr <= 1 + tol:
             raise ValueError(f"total trace {tr} outside [0, 1]")
         object.__setattr__(self, "blocks", blocks)
+
+    def __eq__(self, other):
+        if not isinstance(other, DensityState):
+            return NotImplemented
+        return (self.signature == other.signature
+                and same_matrices(self.blocks, other.blocks))
 
     def full(self) -> Matrix:
         """The state as a single block-diagonal matrix."""

@@ -29,6 +29,7 @@ from .core import (
     dsum,
     freeze,
     is_psd,
+    same_matrices,
     split_blocks,
     tensor_sig,
 )
@@ -44,7 +45,7 @@ from .errors import (
 COALESCE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausSet:
     """Canonical Kraus decomposition between two signature spaces.
 
@@ -54,11 +55,22 @@ class KrausSet:
     row-major order and -0.0 equal to 0.0; operators equal under both keep
     their input order.  The empty tuple is the zero superoperator.  Use
     :func:`make_kraus` to construct one from raw operators.
+
+    ``==`` is the same denotation: equal signatures and byte-equal operator
+    tuples, order included (:func:`ext_equal` compares the action instead).
+    Sets are unhashable.
     """
 
     input_sig: Signature
     output_sig: Signature
     ops: tuple[Matrix, ...]
+
+    def __eq__(self, other):
+        if not isinstance(other, KrausSet):
+            return NotImplemented
+        return (self.input_sig == other.input_sig
+                and self.output_sig == other.output_sig
+                and same_matrices(self.ops, other.ops))
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -107,21 +119,36 @@ def _coalesce(ops: list[Matrix]) -> list[Matrix]:
     Each operator joins the first group whose representative lies within
     :data:`COALESCE_TOL` of it entrywise, else it starts a group.  Folding
     repeats until a pass merges nothing.  All operators share one shape.
+
+    A group is skipped without the entrywise comparison when its
+    representative's mean entry is more than 2 * COALESCE_TOL from the
+    operator's, compared as entry sums of N entries with the margin scaled
+    by N.  The skip is exact: |mean(A) - mean(B)| <= mean|A - B| <=
+    max|A - B|, so a skipped group could never have matched, and the first
+    match, the sqrt(l) cascade and the result are those of the full scan.
+    The second COALESCE_TOL covers the rounding of the two computed means:
+    near 1e-15 for entries of modulus about 1, still below COALESCE_TOL
+    for entries of a few hundred.  A set that passes the trace check at
+    ``tol`` has no entry above sqrt(1 + tol), since |E_ij| <= ||E|| and
+    ||E||^2 <= ||sum E'E|| <= 1 + tol; a set with larger entries fails that
+    check whatever the grouping.
     """
     current = [m for m in ops if np.abs(m).max() > COALESCE_TOL]
     while len(current) > 1:
-        groups: list[list] = []  # [representative, count]
-        for m in current:
+        margin = 2 * COALESCE_TOL * current[0].size
+        groups: list[list] = []  # [entry sum, representative, count]
+        for m, total in zip(current, np.asarray(current).sum(axis=(1, 2)).tolist()):
             for g in groups:
-                if np.abs(g[0] - m).max() <= COALESCE_TOL:
-                    g[1] += 1
+                if (abs(g[0] - total) <= margin
+                        and np.abs(g[1] - m).max() <= COALESCE_TOL):
+                    g[2] += 1
                     break
             else:
-                groups.append([m, 1])
+                groups.append([total, m, 1])
         if len(groups) == len(current):
             break
         # scaling may have created new collisions; fold again
-        current = [g[0] * math.sqrt(g[1]) if g[1] > 1 else g[0] for g in groups]
+        current = [g[1] * math.sqrt(g[2]) if g[2] > 1 else g[1] for g in groups]
     return current
 
 

@@ -1,5 +1,7 @@
 """Shared random generators and brute-force oracles for the test suite."""
 
+import math
+
 import numpy as np
 
 from qalt import DensityState, dim, make_kraus
@@ -96,3 +98,28 @@ def count_calls(monkeypatch, name, *owners) -> list:
     for owner in owners:
         monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def pairwise_coalesce(ops, tol):
+    """Reference coalescing: every operator against every group in turn.
+
+    The full first-match scan that :func:`qalt.kraus._coalesce` must agree
+    with byte for byte: each operator joins the first group whose
+    representative lies within ``tol`` entrywise, l members fold into
+    sqrt(l) times the representative, and folding repeats until a pass
+    merges nothing.
+    """
+    current = [m for m in ops if np.abs(m).max() > tol]
+    while len(current) > 1:
+        groups = []  # [representative, count]
+        for m in current:
+            for g in groups:
+                if np.abs(g[0] - m).max() <= tol:
+                    g[1] += 1
+                    break
+            else:
+                groups.append([m, 1])
+        if len(groups) == len(current):
+            break
+        current = [g[0] * math.sqrt(g[1]) if g[1] > 1 else g[0] for g in groups]
+    return current

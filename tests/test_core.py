@@ -273,6 +273,28 @@ class TestDensityState:
         assert [f.name for f in dataclasses.fields(slack)] == ["signature", "blocks"]
         assert repr(slack) == repr(DensityState(Signature((2,)), over, 1e-5))
 
+    def test_equality_is_exact(self):
+        half = np.eye(2) / 2
+        state = DensityState(Signature((2,)), (half,))
+        assert state == DensityState(Signature((2,)), (half.copy(),))
+        assert state == DensityState(Signature((2,)), (half,), 1e-3)
+        assert state != DensityState(Signature((2,)), (np.diag([0.5, 0.25]),))
+        assert state != DensityState(Signature((2,)), (half * (1 + 1e-15),))
+        assert state != "not a state"
+
+    def test_equality_order_count_and_signature(self):
+        a, b = np.diag([0.25, 0.0]), np.diag([0.0, 0.5])
+        two = DensityState(Signature((2, 2)), (a, b))
+        assert two == DensityState(Signature((2, 2)), (a, b))
+        assert two != DensityState(Signature((2, 2)), (b, a))
+        assert two != DensityState(Signature((2, 2, 1)), (a, b, [[0.0]]))
+        assert (DensityState(Signature((1, 1)), ([[0.5]], [[0.5]]))
+                != DensityState(Signature((2,)), (np.eye(2) / 2,)))
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(DensityState(Signature((2,)), (PI0,)))
+
     def test_blocks_frozen(self):
         state = DensityState(Signature((2,)), (PI0,))
         with pytest.raises(ValueError):

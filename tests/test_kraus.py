@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import count_calls, rand_density, rand_kraus, rand_unitary, superop_matrix
+from helpers import (count_calls, pairwise_coalesce, rand_density, rand_kraus,
+                     rand_unitary, superop_matrix)
 from qalt import (
+    Context,
     DensityState,
     Signature,
     alternate,
@@ -15,6 +17,7 @@ from qalt import (
     basis_elements,
     branch_sum,
     compose,
+    denote,
     dim,
     dsum,
     ext_equal,
@@ -27,7 +30,7 @@ from qalt import (
     to_choi,
     zero_kraus,
 )
-from qalt.core import H, ID2, PI0, PI1, X, block_diag, is_psd
+from qalt.core import H, ID2, PI0, PI1, X, Y, Z, block_diag, freeze, is_psd
 from qalt.errors import (
     BranchCountMismatch,
     DimensionMismatch,
@@ -35,8 +38,9 @@ from qalt.errors import (
     SignatureMismatch,
     TraceConditionViolated,
 )
-from qalt.kraus import (COALESCE_TOL, KrausSet, _canonical_key, case_elements,
-                        choi_distance)
+from qalt import kraus
+from qalt.kraus import (COALESCE_TOL, KrausSet, _canonical_key, _coalesce,
+                        case_elements, choi_distance)
 
 Q = Signature((2,))
 ONE = Signature((1,))
@@ -166,6 +170,248 @@ class TestCanonicalForm:
         (op,) = kraus_of(np.array([[-0.0, 1.0], [1.0, 0.0]])).ops
         assert np.signbit(op[0, 0].real)  # stored as given, -0.0 kept
         assert len(calls) == 3
+
+
+def assert_coalesce_matches_full_scan(ops):
+    """The prefiltered fold against the pairwise reference, byte for byte."""
+    got = _coalesce(list(ops))
+    want = pairwise_coalesce(list(ops), COALESCE_TOL)
+    assert [(m.shape, m.tobytes()) for m in got] == [(m.shape, m.tobytes()) for m in want]
+    return got
+
+
+def tol_apart(a, direction):
+    """``a`` moved by COALESCE_TOL along ``direction`` (+-1 or +-1j) in every
+    entry, then pulled back ulp by ulp until no entry is more than
+    COALESCE_TOL away."""
+    part = "imag" if complex(direction).imag else "real"
+    b = a + COALESCE_TOL * direction
+    while True:
+        over = np.abs(b - a) > COALESCE_TOL
+        if not over.any():
+            return b
+        moved = getattr(b, part)
+        moved[over] = np.nextafter(moved[over], getattr(a, part)[over])
+
+
+def mean_twins(rng, d):
+    """Distinct operators with equal means: permuted rows and columns, Paulis
+    and their tensor products, and alternation elements whose branch
+    operators trade places."""
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    a /= 2 * np.abs(a).max()
+    twins = [a, a[rng.permutation(d)], a[:, rng.permutation(d)], a.T.copy()]
+    paulis = [ID2, X, Y, Z]
+    if d == 2:
+        twins += [p / 2 for p in paulis]
+    elif d == 4:
+        twins += [np.kron(p, q) / 2 for p, q in itertools.product(paulis, repeat=2)]
+    if d % 2 == 0:
+        half = d // 2
+        e = rng.normal(size=(half, half)) / half
+        f = e[::-1].copy()
+        s = KrausSet(Signature((half,)), Signature((half,)), (e, f))
+        twins += case_elements([s, s], 1)
+    return twins
+
+
+def random_multiset(rng, size):
+    """Operators of one shape drawn with repeats from mean twins, some
+    tol apart in every entry, some folded or split as sqrt(l) cascades, and
+    some zero."""
+    pool = mean_twins(rng, int(rng.choice([2, 4, 8])))
+    ops = []
+    while len(ops) < size:
+        m = pool[rng.integers(len(pool))]
+        r = rng.random()
+        if r < 0.15:
+            m = tol_apart(m, rng.choice([1, 1j]) * rng.choice([1, -1]))
+        elif r < 0.3:
+            ops += [m / math.sqrt(2)] * 2  # a split that refolds into m
+            continue
+        elif r < 0.4:
+            m = m * math.sqrt(2)  # {K, K, sqrt(2) K} when two copies of m are drawn
+        elif r < 0.45:
+            m = np.zeros_like(m)
+        elif r < 0.6:
+            m = m + rng.choice([-1, 1], size=m.shape) * 1e-13
+        ops.append(m)
+    order = rng.permutation(len(ops))
+    return [ops[i] for i in order]
+
+
+class TestMeanPrefilter:
+    """`_coalesce` skips a group whose representative's mean entry is more
+    than 2 * COALESCE_TOL from the operator's; it must return what the full
+    pairwise scan returns, operator for operator and byte for byte."""
+
+    def test_random_multisets_match_full_scan(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            assert_coalesce_matches_full_scan(random_multiset(rng, int(rng.integers(2, 40))))
+
+    def test_sets_of_128_match_full_scan(self):
+        rng = np.random.default_rng(128)
+        for _ in range(6):
+            assert_coalesce_matches_full_scan(random_multiset(rng, 128))
+        big = rand_kraus(rng, Signature((2, 2)), size=16)
+        small = rand_kraus(rng, Signature((2, 2)), size=8)
+        elements = case_elements([big, small], 1)
+        assert len(elements) == 128
+        assert len(assert_coalesce_matches_full_scan(elements + elements[::3])) == 128
+
+    def test_equal_means_different_entries_stay_apart(self):
+        rng = np.random.default_rng(5)
+        for d in (2, 4, 8):
+            twins = mean_twins(rng, d)
+            got = assert_coalesce_matches_full_scan(twins + twins)
+            assert len(got) == len({m.tobytes() for m in twins})
+
+    def test_operators_tol_apart_in_every_entry_merge(self):
+        # |mean(A) - mean(B)| is COALESCE_TOL up to rounding here, so a
+        # margin of one COALESCE_TOL would skip some of these pairs
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            d = int(rng.choice([2, 4, 8]))
+            a = rng.uniform(-1, 1, size=(d, d)) + 1j * rng.uniform(-1, 1, size=(d, d))
+            a /= np.abs(a).max()
+            direction = rng.choice([1, 1j]) * rng.choice([1, -1])
+            b = tol_apart(a, direction)
+            assert np.abs(b - a).max() <= COALESCE_TOL
+            assert np.abs(b - a).min() > 0.999 * COALESCE_TOL
+            (merged,) = assert_coalesce_matches_full_scan([a, b])
+            assert np.array_equal(merged, a * math.sqrt(2))
+
+    def test_cascades_match_full_scan(self):
+        rng = np.random.default_rng(3)
+        k = rng.normal(size=(4, 4)) / 8 + 0j
+        for ops in ([k, k, math.sqrt(2) * k], [math.sqrt(2) * k, k, k],
+                    [k] * 4 + [2 * k], [k / 2] * 16, [k, -k, k, -k]):
+            assert_coalesce_matches_full_scan(ops)
+        (folded,) = assert_coalesce_matches_full_scan([k, k, math.sqrt(2) * k])
+        assert np.abs(folded - 2 * k).max() < 1e-15
+
+
+#: Programs whose denotations coalesce sets of 16 to 256 raw operators:
+#: measurements and discarded ancillas nested inside `if` and `case`.
+MANY_OPERATORS_CTX = Context.of(("q", "qbit"), ("r", "qbit"), ("s", "qbit"))
+MANY_OPERATORS_IF = (
+    "if q then { measure r then { s *= H } else { s *= X } "
+    "measure s then { r *= S } else { skip } } "
+    "else { measure s then { r *= H } else { skip } "
+    "measure r then { s *= S } else { s *= H } }")
+MANY_OPERATORS_CASE = (
+    "case (q, r) of |00> -> { measure s then { s *= H } else { skip } } "
+    "|01> -> { new qbit t t *= H if t then { skip } else { s *= S } discard t } "
+    "|10> -> { measure s then { s *= X } else { s *= T } "
+    "measure s then { skip } else { s *= H } } "
+    "|_> -> { s *= H new qbit t t *= H if t then { skip } else { s *= X } discard t }")
+MANY_OPERATORS = [MANY_OPERATORS_IF, MANY_OPERATORS_CASE,
+                  f"{MANY_OPERATORS_IF} {MANY_OPERATORS_CASE}",
+                  f"{MANY_OPERATORS_CASE} {MANY_OPERATORS_IF}"]
+
+
+def canonical_order(ops):
+    return sorted(range(len(ops)), key=lambda i: _canonical_key(ops[i]))
+
+
+class TestNearBoundaryDeterminism:
+    """Coalescing and the canonical order under perturbations of 1e-13,
+    ten times below COALESCE_TOL."""
+
+    @staticmethod
+    def denoted_raw_sets(monkeypatch):
+        """The raw operator multisets of 16 or more operators that the
+        denotations of MANY_OPERATORS coalesce."""
+        recorded = []
+        fold = kraus._coalesce
+
+        def record(ops):
+            recorded.append([m.copy() for m in ops])
+            return fold(ops)
+        monkeypatch.setattr(kraus, "_coalesce", record)
+        for program in MANY_OPERATORS:
+            denote(program, MANY_OPERATORS_CTX)
+        monkeypatch.undo()
+        return [ops for ops in recorded if len(ops) >= 16]
+
+    def test_perturbed_sets_keep_groups_and_order(self, monkeypatch):
+        raw_sets = self.denoted_raw_sets(monkeypatch)
+        assert max(len(ops) for ops in raw_sets) == 256
+        rng = np.random.default_rng(13)
+        stable = crossed = 0
+        for _ in range(5):
+            for raw in raw_sets:
+                base = _coalesce(list(raw))
+                moved = [m + 1e-13 * rng.choice([-1.0, 1.0], size=m.shape) for m in raw]
+                got = assert_coalesce_matches_full_scan(moved)
+                # the same groups, found in the same first-match order
+                assert len(got) == len(base)
+                assert all(np.abs(a - b).max() < 1e-12 for a, b in zip(got, base))
+                if any((np.round(a, 12) != np.round(b, 12)).any()
+                       for a, b in zip(got, base)):
+                    # an entry crossed a 12-digit rounding boundary; the
+                    # order may change (see the pinned case below)
+                    crossed += 1
+                    continue
+                assert canonical_order(got) == canonical_order(base)
+                stable += 1
+        assert stable > crossed > 0
+
+    def test_order_flips_at_a_rounding_boundary(self):
+        # Pinned: the canonical order rounds entries to 12 digits first, so
+        # it cannot be stable where an entry lies within a perturbation of a
+        # rounding boundary.  sqrt(2) / 8 = 0.17677669529663687 is 1.4e-13
+        # above 0.1767766952965; four copies of E / 2, each moved down by
+        # 1e-13 in that entry, fold into one operator moved by 2e-13, which
+        # rounds down and now sorts before an operator it used to follow.
+        e = math.sqrt(2) / 8
+        first = np.array([[e, 0.1], [0.0, 0.0]], dtype=complex)
+        second = np.array([[e, 0.2], [0.0, 0.0]], dtype=complex)
+        assert canonical_order([first, second]) == [0, 1]
+        nudge = np.array([[1e-13, 0.0], [0.0, 0.0]])
+        raw = [first] + [second / 2 - nudge] * 4
+        got = assert_coalesce_matches_full_scan(raw)
+        assert len(got) == 2
+        assert np.abs(got[1] - second).max() < 1e-12
+        assert canonical_order(got) == [1, 0]
+
+
+class TestEquality:
+    """`==` on Kraus sets is the same denotation: equal signatures and
+    byte-equal operator tuples, order included."""
+
+    def test_equal(self):
+        ops = [X / math.sqrt(2), Z / math.sqrt(2)]
+        assert make_kraus(Q, Q, ops) == make_kraus(Q, Q, ops[::-1])
+        assert zero_kraus(Q, Q) == zero_kraus(Q, Q)
+        assert not make_kraus(Q, Q, ops) != make_kraus(Q, Q, ops)
+
+    def test_different_order(self):
+        a, b = freeze(X / math.sqrt(2)), freeze(Z / math.sqrt(2))
+        assert KrausSet(Q, Q, (a, b)) != KrausSet(Q, Q, (b, a))
+        assert ext_equal(KrausSet(Q, Q, (a, b)), KrausSet(Q, Q, (b, a)))
+
+    def test_different_count(self):
+        assert kraus_of(ID2) != kraus_of(ID2 / math.sqrt(2), X / math.sqrt(2))
+        assert kraus_of(ID2) != zero_kraus(Q, Q)
+        # the same channel from a different decomposition is a different set
+        assert kraus_of(PI0, PI1) != kraus_of(ID2 / math.sqrt(2), Z / math.sqrt(2))
+
+    def test_different_signature(self):
+        two = Signature((1, 1))
+        assert make_kraus(two, two, [ID2]) != kraus_of(ID2)
+        assert zero_kraus(Q, ONE) != zero_kraus(ONE, Q)
+
+    def test_exact_bytes(self):
+        assert kraus_of(ID2) != kraus_of(ID2 * (1 + 1e-15))
+        zero = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        assert kraus_of(zero) != kraus_of(np.array([[-0.0, 1.0], [1.0, 0.0]]))
+        assert kraus_of(ID2) != "not a set"
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(kraus_of(ID2))
 
 
 class TestCompose:

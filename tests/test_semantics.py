@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import count_calls, rand_density, state_deviation
+from helpers import count_calls, pairwise_coalesce, rand_density, state_deviation
 from test_corpus import generated_programs
 from test_fuzz import random_program
 from qalt import (
@@ -468,6 +468,21 @@ class TestMeasurementIndexMap:
         assert freeze(raw).flags.c_contiguous
         for p, ctx in generated_programs() + NESTED_MEASUREMENTS:
             assert all(x.flags.c_contiguous for x in denote(p, ctx).kraus.ops), p
+
+
+class TestCoalescePrefilter:
+    """`kraus._coalesce` skips groups by their mean entry; every denotation
+    must be the one the full pairwise scan gives."""
+
+    def test_bytes_equal_full_pairwise_scan(self, monkeypatch):
+        programs = _measurement_programs()
+        new = [denote(p, ctx) for p, ctx in programs]
+        monkeypatch.setattr(kraus, "_coalesce",
+                            lambda ops: pairwise_coalesce(ops, kraus.COALESCE_TOL))
+        for (p, ctx), got in zip(programs, new):
+            want = denote(p, ctx)
+            assert got.output_ctx == want.output_ctx
+            assert got.kraus == want.kraus, p
 
 
 class TestPhaseVisibility:
