@@ -349,7 +349,7 @@ def diagonal_blocks(full: Matrix, sig: Signature,
 # Choi family, extensional equality, Loewner order
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiFamily:
     """One Choi matrix per input block: the canonical form of the action.
 
@@ -357,11 +357,21 @@ class ChoiFamily:
     supported on block i, including any off-block output components, so two
     Kraus sets have equal families exactly when they act identically on all
     block-diagonal states.
+
+    ``==`` is exact: equal signatures and byte-equal members (use
+    :func:`choi_distance` for a tolerance).  Families are unhashable.
     """
 
     input_sig: Signature
     output_sig: Signature
     members: tuple[Matrix, ...]
+
+    def __eq__(self, other):
+        if not isinstance(other, ChoiFamily):
+            return NotImplemented
+        return (self.input_sig == other.input_sig
+                and self.output_sig == other.output_sig
+                and same_matrices(self.members, other.members))
 
 
 def to_choi(s: KrausSet) -> ChoiFamily:

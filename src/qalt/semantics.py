@@ -19,13 +19,18 @@ after [[S1]], and a statement's set depends only on the statement and its
 typing context, so a block denotes a repeated (statement, context) pair once
 (:func:`_denote_block`).  A step is kept only if its statement occurs again
 later in the block, is dropped after that statement's last occurrence, and a
-block keeps at most :data:`MEMO_BYTES` (4 MiB) of step operators.  Every
-composed set is still canonicalised and checked, so the operator tuples are
-those of a fresh denotation of every statement.  Every Kraus set is checked
-at the caller's ``tol``.  A measurement reads the direct sum of its arms
-(:func:`qalt.kraus.branch_sum`) through one column index map, which gives
-QPL's {E Pi_0 : E in A} u {F Pi_1 : F in B} with no dense measure or merge
-map.  ``eval_direct`` is the cross-checking oracle: it streams the density
+block keeps at most :data:`MEMO_BYTES` (4 MiB) of step operators.  A run of
+steps that each hold one operator (gates, allocations, alternations of
+unitaries) is kept as one raw product, the one ``compose`` would form, and
+canonicalised once when the run ends; an alternation is one ``make_kraus``
+over its case elements read in the context layout.  So the operator tuples
+are those of a fresh denotation and composition of every statement, and
+every Kraus set that is built is checked at the caller's ``tol``.  A prefix
+of a run is not checked on its own: one that exceeds ``tol`` only by
+rounding passes when the whole run does.  A measurement reads the direct
+sum of its arms (:func:`qalt.kraus.branch_sum`) through one column index
+map, which gives QPL's {E Pi_0 : E in A} u {F Pi_1 : F in B} with no dense
+measure or merge map.  ``eval_direct`` is the cross-checking oracle: it streams the density
 matrix statement by statement (gates by tensor contraction, allocation and
 discard by scatter and gather, measurement by projection) and never composes
 program-level Kraus sets.  At an alternation it denotes each arm and fills
@@ -66,10 +71,10 @@ from .errors import (
 )
 from .kraus import (
     KrausSet,
-    alternate_case,
     apply,
     apply_full,
     branch_sum,
+    case_elements,
     compose,
     diagonal_blocks,
     identity_kraus,
@@ -209,8 +214,16 @@ def _denote_block(block: list, ctx: Context, tol: float) -> tuple[KrausSet, Cont
     when that pair comes again in this block; ``repr`` of a core node is
     exact for every literal (floats round-trip, -0.0 differs from 0.0).  A
     step is kept only while its statement occurs again later in the block,
-    and only within :data:`MEMO_BYTES` of operators per block.  ``compose``
-    still canonicalises and checks every accumulated set.  The empty block
+    and only within :data:`MEMO_BYTES` of operators per block.
+
+    While the set so far and the next step each hold one operator, the block
+    keeps the raw product ``step.ops[0] @ acc``: the product ``compose``
+    would form, in the same order.  The run is canonicalised and checked
+    once, by ``make_kraus``, when it ends: at a step with several operators
+    (or none), which then goes through ``compose``, or at the end of the
+    block.  So a prefix of a run is not checked on its own, and a prefix
+    that exceeds ``tol`` only by rounding passes if the whole run does.
+    Every set that is built is still checked at ``tol``.  The empty block
     denotes {I}.
     """
     if not block:
@@ -220,6 +233,7 @@ def _denote_block(block: list, ctx: Context, tol: float) -> tuple[KrausSet, Cont
     memo: dict = {}  # statement key -> {context: (step, output context)}
     held = 0
     kset = None
+    product = None  # raw product of the open run of one-operator steps
     for i, (stmt, key) in enumerate(zip(block, keys)):
         steps = memo.get(key, {})
         if ctx in steps:
@@ -232,8 +246,18 @@ def _denote_block(block: list, ctx: Context, tol: float) -> tuple[KrausSet, Cont
                 held += size
         if last[key] == i:
             held -= sum(_nbytes(s) for s, _ in memo.pop(key, {}).values())
-        kset = step if kset is None else compose(step, kset, tol)
+        if kset is None:
+            kset = step
+        elif len(step.ops) == 1 and (product is not None or len(kset.ops) == 1):
+            product = step.ops[0] @ (kset.ops[0] if product is None else product)
+        else:
+            if product is not None:
+                kset = make_kraus(kset.input_sig, step.input_sig, [product], tol)
+                product = None
+            kset = compose(step, kset, tol)
         ctx = out
+    if product is not None:
+        kset = make_kraus(kset.input_sig, signature_of(ctx), [product], tol)
     return kset, ctx
 
 
@@ -288,12 +312,13 @@ def _denote_stmt(stmt, ctx: Context, tol: float) -> tuple[KrausSet, Context]:
                for x in branch_sum(then_k, else_k, tol).ops]
         return make_kraus(sig, then_k.output_sig, ops, tol), out_ctx
     if isinstance(stmt, ast.QCase):
+        # one set: the case elements, built controls leading, read in the
+        # context layout; a permutation keeps coalescing and the order keys
         names, branches, out_ctx = _alternation(stmt, ctx, tol)
-        alt = alternate_case(branches, len(names), tol)
         at = np.ix_(leading_permutation(out_ctx, names),
                     leading_permutation(ctx, names))
-        return (make_kraus(sig, signature_of(out_ctx), [e[at] for e in alt.ops], tol),
-                out_ctx)
+        ops = [e[at] for e in case_elements(branches, len(names))]
+        return make_kraus(sig, signature_of(out_ctx), ops, tol), out_ctx
     raise TypeError(f"statement not elaborated: {stmt!r}")
 
 

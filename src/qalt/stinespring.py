@@ -23,6 +23,7 @@ from .core import (
     freeze,
     is_psd,
     qbit_tensor,
+    same_matrices,
 )
 from .errors import (
     DimensionMismatch,
@@ -33,7 +34,7 @@ from .errors import (
 from .kraus import KrausSet, apply_full, case_elements, make_kraus
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StinespringRep:
     """Dilation data: V maps the output space into input (x) ancilla.
 
@@ -41,12 +42,23 @@ class StinespringRep:
     columns by the output basis.  The represented channel must be
     trace-nonincreasing, i.e. the ancilla partial trace of VV' is at most the
     identity (equivalently, the read-off operators satisfy sum E'E <= I).
+
+    ``==`` is exact: equal ancilla dimensions and signatures and a
+    byte-equal ``v``.  Representations are unhashable.
     """
 
     ancilla_dim: int
     v: Matrix
     input_sig: Signature
     output_sig: Signature
+
+    def __eq__(self, other):
+        if not isinstance(other, StinespringRep):
+            return NotImplemented
+        return (self.ancilla_dim == other.ancilla_dim
+                and self.input_sig == other.input_sig
+                and self.output_sig == other.output_sig
+                and same_matrices((self.v,), (other.v,)))
 
     def __post_init__(self):
         v = freeze(as_matrix(self.v))

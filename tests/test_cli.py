@@ -265,6 +265,17 @@ class TestTolerance:
         assert runner.invoke(main, args + ["--tol", "1e-3"]).exit_code == 0
 
 
+    def test_a_run_of_gates_is_checked_once(self, runner, tmp_path):
+        # the first two gates alone exceed the default tolerance by rounding;
+        # a block checks its run of one-operator steps as one product, and
+        # with the third gate that product has sum E'E = I + 8e-10
+        args = ["denote", write(tmp_path, "f.q", self.NEAR_UNITARY), "--ctx", "q:qbit"]
+        assert runner.invoke(main, args).exit_code == 2
+        args[1] = write(tmp_path, "g.q",
+                        self.NEAR_UNITARY + "q *= [[0.9999999996, 0], [0, 1]]\n")
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+
     def test_tolerance_reaches_the_state_check(self, runner, tmp_path):
         # the output trace is 1 + 1.6e-9, over the default tolerance
         src = write(tmp_path, "f.q", "new qbit q\n" + self.NEAR_UNITARY)

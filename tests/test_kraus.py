@@ -814,6 +814,17 @@ class TestChoi:
         from qalt import is_psd
         assert all(is_psd(m, 1e-9) for m in to_choi(s).members)
 
+    def test_equality_is_exact(self):
+        s = make_kraus(Q, Q, [X / math.sqrt(2), Z / math.sqrt(2)])
+        assert to_choi(s) == to_choi(s)
+        assert not to_choi(s) != to_choi(s)
+        assert to_choi(s) != to_choi(make_kraus(Q, Q, [PI0, PI1]))
+        assert to_choi(identity_kraus(Q)) != to_choi(kraus_of(ID2 * (1 + 1e-15)))
+        assert to_choi(zero_kraus(Q, ONE)) != to_choi(zero_kraus(Q, Q))
+        assert to_choi(s) != "not a family"
+        with pytest.raises(TypeError):
+            hash(to_choi(s))
+
     def test_choi_determines_action(self):
         rng = np.random.default_rng(71)
         sig = Signature((2, 1))

@@ -4,15 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from helpers import count_calls, pairwise_coalesce, rand_density, state_deviation
+from helpers import (count_calls, pairwise_coalesce, rand_density, rand_kraus,
+                     state_deviation)
 from test_corpus import generated_programs
-from test_fuzz import random_program
+from test_fuzz import _fresh_block, _neutral_stmt, random_program
 from qalt import (
     Context,
     DensityState,
     Signature,
     TruthTable,
     alternate,
+    alternate_case,
     compose,
     denote,
     dsum,
@@ -30,10 +32,12 @@ from qalt import (
     run,
     tensor,
     typecheck,
+    zero_kraus,
 )
 from qalt import kraus, semantics
 from qalt import syntax as ast
 from qalt.core import H, ID2, KET0, KET1, PI0, PI1, X, dim, freeze
+from qalt.check import control_contexts
 from qalt.errors import KindError, UnknownName
 from qalt.semantics import leading_permutation, signature_of
 
@@ -485,6 +489,141 @@ class TestCoalescePrefilter:
             assert got.kraus == want.kraus, p
 
 
+def _two_set_alternation(names, branches, ctx, out_ctx, tol):
+    """The alternation checked in the controls-leading layout, then re-indexed
+    into the context layout and checked again."""
+    alt = alternate_case(branches, len(names), tol)
+    at = np.ix_(leading_permutation(out_ctx, names), leading_permutation(ctx, names))
+    return make_kraus(signature_of(ctx), signature_of(out_ctx),
+                      [e[at] for e in alt.ops], tol)
+
+
+class TestAlternationPlacement:
+    """An alternation is one make_kraus over its case elements moved into the
+    context layout: the set the two-set construction gives, byte for byte."""
+
+    CTX = Context.of(("q0", "qbit"), ("b0", "bit"), ("q1", "qbit"),
+                     ("q2", "qbit"), ("q3", "qbit"))
+
+    def test_bytes_equal_two_set_construction(self, monkeypatch):
+        rng = np.random.default_rng(20240614)
+        tol = 1e-9
+        for trial in range(90):
+            n = 1 + trial % 3
+            names = [str(q) for q in rng.permutation(self.CTX.qubits())[:n]]
+            inner, restore = control_contexts(self.CTX, names)
+            # half of the cases allocate a bit in every arm
+            inner_out = inner.add("c", "bit") if trial % 2 else inner
+            out_ctx = restore(inner_out)
+            sig_in, sig_out = signature_of(inner), signature_of(inner_out)
+            sizes = rng.integers(0, 5, size=2 ** n)
+            while math.prod(int(k) for k in sizes if k) > 64:
+                sizes = rng.integers(0, 5, size=2 ** n)
+            branches = [rand_kraus(rng, sig_in, sig_out, size=int(k), scale=0.9)
+                        if k else zero_kraus(sig_in, sig_out) for k in sizes]
+            monkeypatch.setattr(semantics, "_alternation",
+                                lambda stmt, ctx, tol: (names, branches, out_ctx))
+            got, got_ctx = semantics._denote_stmt(ast.QCase([], []), self.CTX, tol)
+            assert got_ctx == out_ctx
+            assert got == _two_set_alternation(names, branches, self.CTX,
+                                               out_ctx, tol), (names, sizes)
+
+
+def _run_breaking_block(rng) -> str:
+    """Runs of one-operator statements (gates and ifs of gates), broken by a
+    measurement or a discard, with bits allocated inside the runs."""
+    qubits = ["q0", "q1", "q2"]
+    lines = []
+    bit = None
+    for _ in range(int(rng.integers(2, 5))):
+        for _ in range(int(rng.integers(1, 5))):
+            q, r = (str(x) for x in rng.permutation(qubits)[:2])
+            if rng.random() < 0.3:
+                lines.append(f"if {q} then {{ {r} *= H }} else {{ {r} *= S }}")
+            else:
+                lines.append(_neutral_stmt(rng, qubits, set(), 2))
+            if bit is None and rng.random() < 0.2:
+                bit = f"c{len(lines)}"
+                lines.append(f"new bit {bit}")
+        q = qubits[int(rng.integers(3))]
+        if bit is not None and rng.random() < 0.4:
+            lines.append(f"discard {bit}")
+            bit = None
+        elif rng.random() < 0.5:
+            lines.append(f"measure {q} then {{ {q} *= X }} else {{ skip }}")
+        else:
+            lines.append("new qbit t\nt *= H\ndiscard t")
+    return "\n".join(lines)
+
+
+class TestFusedRuns:
+    """A block keeps one raw product per run of one-operator steps; its sets
+    are those of composing every step in turn."""
+
+    CTX = Context.of(("q0", "qbit"), ("b0", "bit"), ("q1", "qbit"), ("q2", "qbit"))
+
+    def test_bytes_equal_left_fold(self, monkeypatch):
+        rng = np.random.default_rng(20240615)
+        blocks = [_run_breaking_block(rng) for _ in range(100)]
+        fused = [denote(src, self.CTX) for src in blocks]
+        monkeypatch.setattr(semantics, "_denote_block", _fresh_block)
+        for src, got in zip(blocks, fused):
+            want = denote(src, self.CTX)
+            assert got.output_ctx == want.output_ctx
+            assert got.kraus == want.kraus, src
+
+    def test_run_is_checked_once(self, monkeypatch):
+        makes = count_calls(monkeypatch, "make_kraus", semantics, kraus)
+        composes = count_calls(monkeypatch, "compose", semantics)
+        denote("q0 *= H\nnew bit c\nq1 *= X\n"
+               "measure q0 then { skip } else { skip }\nq2 *= H\nq2 *= S", self.CTX)
+        # three steps before the measurement; its arms' identities, their
+        # sum and the measurement; two gate steps after it; the product of
+        # the first three steps; then one composition per later step, as the
+        # set so far holds two operators
+        assert len(composes) == 3
+        assert len(makes) == 3 + 4 + 2 + 1 + 3
+
+
+def _layout_map(a: Context, b: Context) -> np.ndarray:
+    """Entry g: the index in ``b`` of basis vector g of ``a``, two orders of
+    one set of variables; each layout is the bits, then the qubits, each in
+    allocation order, the first axis most significant."""
+    axes_a, axes_b = a.bits() + a.qubits(), b.bits() + b.qubits()
+    out = np.zeros(2 ** len(axes_a), dtype=int)
+    for g in range(out.size):
+        values = {name: get_bit(g, len(axes_a), i) for i, name in enumerate(axes_a)}
+        out[g] = sum(values[name] << (len(axes_b) - 1 - i)
+                     for i, name in enumerate(axes_b))
+    return out
+
+
+class TestLayoutCovariance:
+    """A body denoted in two allocation orders of one context gives the same
+    set once one result is moved into the other's layout and re-canonicalised."""
+
+    A = Context.of(("q0", "qbit"), ("b0", "bit"), ("q1", "qbit"), ("q2", "qbit"))
+    B = Context.of(("q2", "qbit"), ("q0", "qbit"), ("b0", "bit"), ("q1", "qbit"))
+
+    def test_bytes_equal_after_the_move(self):
+        rng = np.random.default_rng(20240616)
+        qubits = ["q0", "q1", "q2"]
+        for _ in range(300):
+            lines = [_neutral_stmt(rng, qubits, set(), 0) for _ in range(4)]
+            if rng.random() < 0.3:  # an allocation, discarded again or kept
+                k = int(rng.integers(4))
+                lines[k:k] = ["new qbit t\nt *= H", "discard t"][:int(rng.integers(1, 3))]
+            if rng.random() < 0.3:
+                lines.insert(int(rng.integers(5)), "new bit c")
+            body = "\n".join(lines)
+            a, b = denote(body, self.A), denote(body, self.B)
+            rows = _layout_map(a.output_ctx, b.output_ctx)
+            cols = _layout_map(self.A, self.B)
+            moved = make_kraus(a.kraus.input_sig, a.kraus.output_sig,
+                               [e[np.ix_(rows, cols)] for e in b.kraus.ops])
+            assert moved == a.kraus, body
+
+
 class TestPhaseVisibility:
     def test_branches_equal_but_alternations_differ(self):
         branch_ctx = Context.of(("q1", "qbit"))
@@ -627,7 +766,8 @@ class TestEvalDirect:
         assert state_deviation(via_kraus, direct) < 1e-9
         mutants = {"scale_by_all_sizes": scale_by_all_sizes,
                    "swap_values_0_1": swap_values_0_1}
-        monkeypatch.setattr(kraus, "case_elements", mutants[mutation])
+        for owner in (kraus, semantics):
+            monkeypatch.setattr(owner, "case_elements", mutants[mutation])
         mutated_direct = eval_direct(src, rho, ctx)
         assert state_deviation(mutated_direct, direct) == 0.0
         assert state_deviation(run(src, rho, ctx), mutated_direct) > 1e-9
@@ -674,11 +814,10 @@ class TestPositivityCounts:
         psd = count_calls(monkeypatch, "is_psd", kraus)
         eig = count_calls(monkeypatch, "eigvalsh", np.linalg)
         denote("\n".join(lines), ctx)
-        # one check per make_kraus: the first gate's step, a step and a
-        # composition per further gate, and per alternation five (the skip
-        # arm's identity, the other arm's step, the alternation, its
-        # reindexing and the composition)
-        assert len(psd) == 1 + 7 * 2 + 7 * 5 == 50
+        # one check per make_kraus: each gate's step, per alternation three
+        # (the skip arm's identity, the other arm's step and the alternation
+        # set), and one for the block, a single run of one-operator steps
+        assert len(psd) == 8 + 7 * 3 + 1 == 30
         assert not eig
 
 
@@ -696,8 +835,8 @@ class TestStepMemo:
         makes = count_calls(monkeypatch, "make_kraus", semantics, kraus)
         denote("for i = 1 to 50 { a *= H }", self.CTX_A)
         assert len(embeds) == 1
-        # the one step, then one composition per further statement
-        assert len(makes) == 1 + 49
+        # the one step, then one check of the run's product
+        assert len(makes) == 2
 
     def test_context_is_part_of_the_key(self, monkeypatch):
         embeds = count_calls(monkeypatch, "embed_gate", semantics)

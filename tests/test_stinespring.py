@@ -58,6 +58,19 @@ class TestToStinespring:
         with pytest.raises(EmptySetError):
             to_stinespring(zero_kraus(Q, Q))
 
+    def test_equality_is_exact(self):
+        s = kraus_of(X / math.sqrt(2), Z / math.sqrt(2))
+        rep = to_stinespring(s)
+        assert rep == to_stinespring(s)
+        assert not rep != to_stinespring(s)
+        assert rep != to_stinespring(kraus_of(PI0, PI1))
+        assert to_stinespring(kraus_of(ID2)) != to_stinespring(kraus_of(ID2 * (1 - 1e-15)))
+        same_v = StinespringRep(1, np.eye(2), Q, Q)
+        assert same_v != StinespringRep(1, np.eye(2), Signature((1, 1)), Q)
+        assert rep != "not a representation"
+        with pytest.raises(TypeError):
+            hash(rep)
+
 
 class TestVerifyStinespring:
     def test_roundtrip_verifies(self):

@@ -22,8 +22,9 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 CTX = Context.of(("q0", "qbit"), ("q1", "qbit"), ("q2", "qbit"))
 
-#: A gate, a measurement, a one-control ``if``, a two-control ``case`` and a
-#: repeated gate (a one-statement program composes nothing).
+#: A gate, a measurement, a one-control ``if``, a two-control ``case``, a
+#: repeated gate (one product, checked once) and a gate after a measurement
+#: (a block composes only where a set has several operators).
 PROGRAMS = [
     "q0 *= H",
     "measure q0 then { q1 *= X } else { skip }",
@@ -31,6 +32,7 @@ PROGRAMS = [
     "case (q0, q1) of |00> -> { q2 *= H } |01> -> { skip } "
     "|10> -> { q2 *= X } |11> -> { q2 *= S }",
     "q1 *= H\nq1 *= H",
+    "measure q0 then { skip } else { q1 *= X }\nq2 *= H",
 ]
 
 
