@@ -29,7 +29,7 @@ from .corpus import (
     qft_context,
     toffoli_matrix,
 )
-from .errors import LanguageError, QaltError, SemanticError
+from .errors import LanguageError, QaltError
 from .kraus import (
     alternate,
     apply_full,
@@ -120,7 +120,7 @@ def _guarded(fn):
         fn()
     except LanguageError as exc:
         _fail(1, str(exc))
-    except (SemanticError, QaltError, ValueError) as exc:
+    except (QaltError, ValueError) as exc:
         _fail(2, str(exc))
     except OSError as exc:
         _fail(3, str(exc))
@@ -182,6 +182,9 @@ def cmd_run(source, init_path, stats_name, ctx_spec, tol, fmt):
             lines.extend(_matrix_lines(block))
         lines.append(f"trace: {state.trace():.10g}")
         if stats_name is not None:
+            if stats_name not in out_ctx.qubits():
+                raise ValueError(f"--stats {stats_name!r} names no qubit of the "
+                                 f"output context ({out_ctx.describe()})")
             p0, p1 = measure_stats(state, stats_name, out_ctx)
             result["stats"] = {"qubit": stats_name, "p0": p0, "p1": p1}
             lines.append(f"Pr[{stats_name}=0] = {p0:.10g}")

@@ -205,10 +205,6 @@ class Signature:
             raise ValueError(f"block dimensions must be positive: {blocks}")
         object.__setattr__(self, "blocks", blocks)
 
-    @classmethod
-    def of(cls, *blocks: int) -> "Signature":
-        return cls(tuple(blocks))
-
 
 def dim(sig: Signature) -> int:
     """Total dimension of the direct-sum space."""

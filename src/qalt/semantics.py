@@ -15,22 +15,13 @@ Both evaluators take a program through parse -> elaborate -> typecheck
 ``denote`` interprets the core program as one composed Kraus set, and
 ``run`` is ``apply(denote(..))`` by design, so the Kraus semantics is what
 ``qalt run`` prints.  The denotation is compositional: [[S1; S2]] is [[S2]]
-after [[S1]], and a statement's set depends only on the statement and its
-typing context, so a block denotes a repeated (statement, context) pair once
-(:func:`_denote_block`).  A step is kept only if its statement occurs again
-later in the block, is dropped after that statement's last occurrence, and a
-block keeps at most :data:`MEMO_BYTES` (4 MiB) of step operators.  A run of
-steps that each hold one operator (gates, allocations, alternations of
-unitaries) is kept as one raw product, the one ``compose`` would form, and
-canonicalised once when the run ends; an alternation is one ``make_kraus``
-over its case elements read in the context layout.  So the operator tuples
-are those of a fresh denotation and composition of every statement, and
-every Kraus set that is built is checked at the caller's ``tol``.  A prefix
-of a run is not checked on its own: one that exceeds ``tol`` only by
-rounding passes when the whole run does.  A measurement reads the direct
-sum of its arms (:func:`qalt.kraus.branch_sum`) through one column index
-map, which gives QPL's {E Pi_0 : E in A} u {F Pi_1 : F in B} with no dense
-measure or merge map.  ``eval_direct`` is the cross-checking oracle: it streams the density
+after [[S1]].  :func:`_denote_block` denotes a repeated statement once and
+canonicalises a run of one-operator steps once; an alternation is one
+``make_kraus`` over its case elements read in the context layout.  A
+measurement reads the direct sum of its arms (:func:`qalt.kraus.branch_sum`)
+through one column index map, which gives QPL's
+{E Pi_0 : E in A} u {F Pi_1 : F in B} with no dense measure or merge map.
+``eval_direct`` is the cross-checking oracle: it streams the density
 matrix statement by statement (gates by tensor contraction, allocation and
 discard by scatter and gather, measurement by projection) and never composes
 program-level Kraus sets.  At an alternation it denotes each arm and fills
@@ -223,8 +214,9 @@ def _denote_block(block: list, ctx: Context, tol: float) -> tuple[KrausSet, Cont
     (or none), which then goes through ``compose``, or at the end of the
     block.  So a prefix of a run is not checked on its own, and a prefix
     that exceeds ``tol`` only by rounding passes if the whole run does.
-    Every set that is built is still checked at ``tol``.  The empty block
-    denotes {I}.
+    The operator tuples are those of composing a fresh denotation of every
+    statement, and every set that is built is still checked at ``tol``.
+    The empty block denotes {I}.
     """
     if not block:
         return identity_kraus(signature_of(ctx), tol), ctx

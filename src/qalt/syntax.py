@@ -317,7 +317,19 @@ def _tokenize(text: str) -> list[Token]:
 MAX_NESTING = 200
 
 
+def _num_value(text: str):
+    if "." in text or "e" in text or "E" in text:
+        return float(text)
+    return int(text)
+
+
 class _Parser:
+    """Recursive descent with one method per grammar form.
+
+    A symbol's text is only ever a SYM token and a keyword's text only ever
+    an IDENT token, so :meth:`accept` and :meth:`expect` compare text alone.
+    """
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
@@ -335,12 +347,6 @@ class _Parser:
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col)
 
-    def expect_sym(self, sym: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "SYM" or tok.text != sym:
-            self.fail(f"expected {sym!r}, found {tok.text!r}")
-        return self.next()
-
     def nest(self, tok: Token):
         """Enter one nesting level, opened by ``tok``."""
         self.depth += 1
@@ -348,19 +354,22 @@ class _Parser:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
                              tok.line, tok.col)
 
-    def at_sym(self, sym: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "SYM" and tok.text == sym
+    def at_sym(self, *syms: str) -> bool:
+        return self.tokens[self.pos].text in syms
 
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "IDENT" and tok.text == word
+    def accept(self, word: str) -> Token | None:
+        """Consume and return the next token if its text is ``word``."""
+        tok = self.tokens[self.pos]
+        if tok.text != word:
+            return None
+        self.pos += 1
+        return tok
 
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if not self.at_keyword(word):
-            self.fail(f"expected {word!r}, found {tok.text!r}")
-        return self.next()
+    def expect(self, word: str) -> Token:
+        tok = self.accept(word)
+        if tok is None:
+            self.fail(f"expected {word!r}, found {self.peek().text!r}")
+        return tok
 
     def expect_ident(self) -> Token:
         tok = self.peek()
@@ -368,13 +377,21 @@ class _Parser:
             self.fail(f"expected an identifier, found {tok.text!r}")
         return self.next()
 
+    def items(self, item, close: str) -> list:
+        """``item ("," item)* close``: the results of ``item()``."""
+        found = [item()]
+        while self.accept(","):
+            found.append(item())
+        self.expect(close)
+        return found
+
     # -- expressions --
 
     def parse_expr(self) -> Expr:
         # each operator deepens the tree, so its level lasts until the end
         depth = self.depth
         node = self.parse_term()
-        while self.at_sym("+") or self.at_sym("-"):
+        while self.at_sym("+", "-"):
             op = self.next()
             self.nest(op)
             node = BinOp(op.text, node, self.parse_term())
@@ -383,7 +400,7 @@ class _Parser:
 
     def parse_term(self) -> Expr:
         node = self.parse_factor()
-        while self.at_sym("*") or self.at_sym("/"):
+        while self.at_sym("*", "/"):
             op = self.next()
             self.nest(op)
             node = BinOp(op.text, node, self.parse_factor())
@@ -391,74 +408,59 @@ class _Parser:
 
     def parse_factor(self) -> Expr:
         tok = self.peek()
-        if self.at_sym("-"):
-            self.nest(self.next())
-            node = Neg(self.parse_factor())
-            self.depth -= 1
-            return node
-        if self.at_sym("("):
-            self.nest(self.next())
-            node = self.parse_expr()
-            self.expect_sym(")")
-            self.depth -= 1
-            return node
         if tok.kind == "NUM":
             self.next()
-            return Num(self._num_value(tok.text))
+            return Num(_num_value(tok.text))
         if tok.kind == "IDENT" and tok.text not in KEYWORDS:
             self.next()
             return Var(tok.text)
-        self.fail(f"expected an expression, found {tok.text!r}")
-
-    @staticmethod
-    def _num_value(text: str):
-        if "." in text or "e" in text or "E" in text:
-            return float(text)
-        return int(text)
+        if not self.at_sym("-", "("):
+            self.fail(f"expected an expression, found {tok.text!r}")
+        self.nest(self.next())
+        if tok.text == "-":
+            node = Neg(self.parse_factor())
+        else:
+            node = self.parse_expr()
+            self.expect(")")
+        self.depth -= 1
+        return node
 
     # -- names --
 
     def parse_name(self) -> NameRef:
         base = self.expect_ident().text
         index = None
-        if self.at_sym("["):
-            self.next()
+        if self.accept("["):
             index = self.parse_expr()
-            self.expect_sym("]")
+            self.expect("]")
         return NameRef(base, index)
 
     # -- gates --
 
     def parse_gate(self):
         tok = self.peek()
-        if self.at_sym("["):
-            return self.parse_matrix_gate()
+        if self.accept("["):
+            rows = self.items(self.parse_row, "]")
+            if any(len(r) != len(rows[0]) for r in rows):
+                self.fail("ragged matrix literal")
+            return MatrixGate(tuple(rows))
         if tok.kind != "IDENT":
             self.fail(f"expected a gate, found {tok.text!r}")
         if tok.text in GATE_NAMES:
             self.next()
             return NamedGate(tok.text)
-        if tok.text == "Rk":
-            self.next()
-            self.expect_sym("(")
-            k = self.parse_expr()
-            self.expect_sym(")")
-            return RkGate(k)
-        if tok.text == "Phase":
-            self.next()
-            self.expect_sym("(")
-            theta = self.parse_expr()
-            self.expect_sym(")")
-            return PhaseGate(theta)
-        if tok.text == "OracleU":
-            self.next()
-            self.expect_sym("(")
-            table = self.parse_bitstring()
-            self.expect_sym(",")
-            point = self.parse_expr()
-            self.expect_sym(")")
-            return OracleGate(table, point)
-        self.fail(f"unknown gate {tok.text!r}")
+        node = {"Rk": RkGate, "Phase": PhaseGate, "OracleU": OracleGate}.get(tok.text)
+        if node is None:
+            self.fail(f"unknown gate {tok.text!r}")
+        self.next()
+        self.expect("(")
+        args = []
+        if node is OracleGate:
+            args.append(self.parse_bitstring())
+            self.expect(",")
+        args.append(self.parse_expr())
+        self.expect(")")
+        return node(*args)
 
     def parse_bitstring(self) -> tuple:
         tok = self.peek()
@@ -467,142 +469,92 @@ class _Parser:
         self.next()
         return tuple(int(c) for c in tok.text)
 
-    def parse_matrix_gate(self) -> MatrixGate:
-        self.expect_sym("[")
-        rows = [self.parse_matrix_row()]
-        while self.at_sym(","):
-            self.next()
-            rows.append(self.parse_matrix_row())
-        self.expect_sym("]")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            self.fail("ragged matrix literal")
-        return MatrixGate(tuple(rows))
-
-    def parse_matrix_row(self) -> tuple:
-        self.expect_sym("[")
-        entries = [self.parse_complex()]
-        while self.at_sym(","):
-            self.next()
-            entries.append(self.parse_complex())
-        self.expect_sym("]")
-        return tuple(entries)
+    def parse_row(self) -> tuple:
+        self.expect("[")
+        return tuple(self.items(self.parse_complex, "]"))
 
     def parse_complex(self) -> complex:
         value = self._complex_term()
-        while self.at_sym("+") or self.at_sym("-"):
+        while self.at_sym("+", "-"):
             sign = 1 if self.next().text == "+" else -1
             value += sign * self._complex_term()
         return value
 
     def _complex_term(self) -> complex:
         sign = 1
-        while self.at_sym("-") or self.at_sym("+"):
+        while self.at_sym("-", "+"):
             if self.next().text == "-":
                 sign = -sign
         tok = self.peek()
         if tok.kind == "NUM":
             self.next()
-            mag = float(self._num_value(tok.text))
-            if self.at_keyword("i"):
-                self.next()
+            mag = float(tok.text)
+            if self.accept("i"):
                 return complex(0, sign * mag)
             return complex(sign * mag, 0)
-        if self.at_keyword("i"):
-            self.next()
+        if self.accept("i"):
             return complex(0, sign)
         self.fail(f"expected a number, found {tok.text!r}")
 
     # -- statements --
 
     def parse_block(self) -> list:
-        self.nest(self.expect_sym("{"))
+        self.nest(self.expect("{"))
         body = []
-        while not self.at_sym("}"):
+        while not self.accept("}"):
             if self.peek().kind == "EOF":
                 self.fail("unterminated block")
             body.append(self.parse_stmt())
-        self.expect_sym("}")
         self.depth -= 1
         return body if body else [Skip()]
 
     def parse_stmt(self):
         tok = self.peek()
-        if self.at_keyword("skip"):
-            self.next()
+        if tok.kind == "IDENT" and tok.text not in KEYWORDS:
+            return ApplyGate(self.items(self.parse_name, "*="), self.parse_gate())
+        if self.accept("skip"):
             return Skip()
-        if self.at_keyword("new"):
+        if self.accept("new"):
+            node = {QBIT: NewQbit, BIT: NewBit}.get(self.peek().text)
+            if node is None:
+                self.fail("expected 'qbit' or 'bit' after 'new'")
             self.next()
-            if self.at_keyword(QBIT):
-                self.next()
-                return NewQbit(self.parse_name())
-            if self.at_keyword(BIT):
-                self.next()
-                return NewBit(self.parse_name())
-            self.fail("expected 'qbit' or 'bit' after 'new'")
-        if self.at_keyword("discard"):
-            self.next()
+            return node(self.parse_name())
+        if self.accept("discard"):
             return Discard(self.parse_name())
-        if self.at_keyword("measure"):
+        if tok.text in ("measure", "if"):
             self.next()
+            node = MeasureThenElse if tok.text == "measure" else QIf
             control = self.parse_name()
-            self.expect_keyword("then")
+            self.expect("then")
             then_block = self.parse_block()
-            self.expect_keyword("else")
-            else_block = self.parse_block()
-            return MeasureThenElse(control, then_block, else_block)
-        if self.at_keyword("if"):
-            self.next()
-            control = self.parse_name()
-            self.expect_keyword("then")
-            then_block = self.parse_block()
-            self.expect_keyword("else")
-            else_block = self.parse_block()
-            return QIf(control, then_block, else_block)
-        if self.at_keyword("case"):
-            self.next()
-            self.expect_sym("(")
-            controls = [self.parse_name()]
-            while self.at_sym(","):
-                self.next()
-                controls.append(self.parse_name())
-            self.expect_sym(")")
-            self.expect_keyword("of")
+            self.expect("else")
+            return node(control, then_block, self.parse_block())
+        if self.accept("case"):
+            self.expect("(")
+            controls = self.items(self.parse_name, ")")
+            self.expect("of")
             arms = [self.parse_arm()]
             while self.at_sym("|"):
                 arms.append(self.parse_arm())
             return QCase(controls, arms)
-        if self.at_keyword("for"):
-            self.next()
+        if self.accept("for"):
             var = self.expect_ident().text
-            self.expect_sym("=")
+            self.expect("=")
             lo = self.parse_expr()
-            self.expect_keyword("to")
+            self.expect("to")
             hi = self.parse_expr()
-            body = self.parse_block()
-            return ForLoop(var, lo, hi, body)
-        if tok.kind == "IDENT" and tok.text not in KEYWORDS:
-            targets = [self.parse_name()]
-            while self.at_sym(","):
-                self.next()
-                targets.append(self.parse_name())
-            self.expect_sym("*=")
-            gate = self.parse_gate()
-            return ApplyGate(targets, gate)
+            return ForLoop(var, lo, hi, self.parse_block())
         self.fail(f"expected a statement, found {tok.text!r}")
 
     def parse_arm(self) -> CaseArm:
-        self.expect_sym("|")
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text == "_":
-            self.next()
-            label = None
-        else:
+        self.expect("|")
+        label = None
+        if not self.accept("_"):
             label = "".join(str(b) for b in self.parse_bitstring())
-        self.expect_sym(">")
-        self.expect_sym("->")
-        block = self.parse_block()
-        return CaseArm(label, block)
+        self.expect(">")
+        self.expect("->")
+        return CaseArm(label, self.parse_block())
 
     def parse_program(self) -> Program:
         body = []
@@ -696,15 +648,12 @@ def _stmt_lines(stmt, indent: int) -> list[str]:
     pad = "  " * indent
     if isinstance(stmt, Skip):
         return [pad + "skip"]
-    if isinstance(stmt, NewQbit):
-        return [pad + f"new qbit {_name_str(stmt.name)}"]
-    if isinstance(stmt, NewBit):
-        return [pad + f"new bit {_name_str(stmt.name)}"]
+    if isinstance(stmt, (NewQbit, NewBit, Discard)):
+        word = {NewQbit: "new qbit", NewBit: "new bit", Discard: "discard"}[type(stmt)]
+        return [pad + f"{word} {_name_str(stmt.name)}"]
     if isinstance(stmt, ApplyGate):
         targets = ", ".join(_name_str(t) for t in stmt.targets)
         return [pad + f"{targets} *= {_gate_str(stmt.gate)}"]
-    if isinstance(stmt, Discard):
-        return [pad + f"discard {_name_str(stmt.name)}"]
     if isinstance(stmt, (MeasureThenElse, QIf)):
         word = "measure" if isinstance(stmt, MeasureThenElse) else "if"
         lines = [pad + f"{word} {_name_str(stmt.control)} then {{"]

@@ -79,6 +79,14 @@ class TestRun:
         doc = json.loads(result.output)
         assert doc["result"]["stats"]["p0"] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("name", ["nosuch", "b"])
+    def test_stats_of_no_qubit_is_a_usage_error(self, runner, tmp_path, name):
+        src = write(tmp_path, "p.q", "new qbit q\nnew bit b\nq *= H\n")
+        result = runner.invoke(main, ["run", src, "--stats", name])
+        assert result.exit_code == 2
+        assert result.output == (f"error: --stats {name!r} names no qubit of "
+                                 "the output context (q:qbit, b:bit)\n")
+
     def test_init_state_and_ctx(self, runner, tmp_path):
         src = write(tmp_path, "x.q", "q *= X\n")
         init = tmp_path / "init.json"
@@ -333,6 +341,14 @@ class TestMetaArithmetic:
         assert result.exit_code == 1
         assert result.output == "error: matrix literal entries must be finite\n"
         assert caught == []  # no RuntimeWarning from an infinite product
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_long_integer_matrix_entry_is_not_finite(self, runner, tmp_path, digits):
+        # read as a float, as 1e999 is: no OverflowError, no digit limit
+        src = write(tmp_path, "m.q", f"a *= [[{'1' * digits}, 0], [0, 1]]\n")
+        result = runner.invoke(main, ["denote", src, "--ctx", "a:qbit"])
+        assert result.exit_code == 1
+        assert result.output == "error: matrix literal entries must be finite\n"
 
 
 class TestNesting:

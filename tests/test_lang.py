@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 import re
 
 import numpy as np
@@ -12,6 +14,7 @@ from qalt import (
     eval_direct,
     gen_deutsch,
     gen_deutsch_jozsa,
+    gen_grover_oracle,
     gen_qft,
     parse,
     pretty,
@@ -232,6 +235,98 @@ class TestPrettyRoundTrip:
                      for n in (1, 2, 3) for x0 in (0, 2 ** n - 1)]
         for program in programs:
             assert parse(pretty(program)) == program
+
+
+#: Words of the seeded parser inputs: every keyword, gate and symbol, some
+#: names and numbers, a comment and characters the tokenizer rejects.
+PARSER_VOCAB = sorted(ast.KEYWORDS) + list(ast.GATE_NAMES) + [
+    "Rk", "Phase", "OracleU", "Foo", "i", "_", "q", "q0", "a", "pi",
+    "0", "1", "01", "0110", "2", "10", "1.5", "2e3", "0.25e-1",
+    "->", "*=", "{", "}", "(", ")", "[", "]", ",", "|", ">", "=",
+    "+", "-", "*", "/", "$", ".", "é", "// c\n"]
+
+PARSER_CORPUS = TestPrettyRoundTrip.SOURCES + [
+    pretty(program) for program in (
+        [gen_deutsch(TruthTable.from_bits(b)) for b in ("01", "11")]
+        + [gen_deutsch_jozsa(TruthTable.from_bits("0110"))]
+        + [gen_qft(n) for n in (2, 3)]
+        + [gen_grover_oracle(1, 2)])] + [
+    "q *= [[0.5 + 0.5i, -i], [1e-3 - -2i, +1]]\nq *= [[1], [i]]",
+    "t *= OracleU(0110, k * 2 - (1 + -j) / 3)",
+    "new bit b[2 * i]\nfor j = -1 to (n) { a[j], b *= Rk(-(-j)) }",
+]
+
+
+def _mutant(rng, programs) -> str:
+    """A corpus program with one or two words dropped, added or changed."""
+    words = list(rng.choice(programs))
+    for _ in range(rng.randint(1, 2)):
+        at = rng.randrange(len(words) + 1)
+        roll = rng.randrange(6)
+        if roll == 0:
+            words[at:at + 1] = []
+        elif roll == 1:
+            words.insert(at, rng.choice(PARSER_VOCAB))
+        elif roll == 2:
+            words[at:at + 1] = [rng.choice(PARSER_VOCAB)]
+        elif roll == 3:
+            words[at:at] = words[at:at + rng.randint(1, 3)]
+        elif roll == 4:
+            words[at:at + 2] = words[at:at + 2][::-1]
+        else:
+            words = words[:at]
+    return "".join(w + rng.choice(" \n") for w in words)
+
+
+def _deep_source(rng) -> str:
+    """Blocks and expression levels that end near :data:`MAX_NESTING`."""
+    # two of the five forms open no level around their operand
+    blocks = rng.randrange(25)
+    expr = "1"
+    for _ in range((ast.MAX_NESTING - blocks) * rng.randrange(160, 240) // 100):
+        expr = rng.choice(
+            ["-{}", "({})", "{} + 2", "2 * {}", "{} / x - 1"]).format(expr)
+    return ("measure q then {\n" * blocks + f"q *= Phase({expr})"
+            + "\n} else { skip }" * blocks)
+
+
+def parser_inputs(seed: int, count: int) -> list[str]:
+    """Seeded parser inputs: random word strings, corpus mutants and deep
+    nestings."""
+    rng = random.Random(seed)
+    programs = [[t.text for t in ast._tokenize(source)[:-1]]
+                for source in PARSER_CORPUS]
+    inputs = []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.01:
+            inputs.append(_deep_source(rng))
+        elif roll < 0.45:
+            words = rng.choices(PARSER_VOCAB, k=rng.randint(1, 10))
+            inputs.append("".join(w + rng.choice(["", " ", " ", "\n"])
+                                  for w in words))
+        else:
+            inputs.append(_mutant(rng, programs))
+    return inputs
+
+
+def parser_outcome(source: str) -> str:
+    """``repr`` of the AST, or of the error's (message, line, col)."""
+    try:
+        return repr(parse(source))
+    except ParseError as err:
+        return repr((str(err), err.line, err.col))
+
+
+class TestParserPinned:
+    def test_outcomes_of_seeded_inputs(self):
+        # pins every AST and every ParseError message and position that
+        # the parser gives on 20000 inputs, about 1300 of which parse
+        outcomes = [parser_outcome(s) for s in parser_inputs(2024, 20000)]
+        parsed = sum(o.startswith("Program(") for o in outcomes)
+        digest = hashlib.sha256("\0".join(outcomes).encode()).hexdigest()
+        assert (parsed, digest) == (
+            1284, "22592496a4305a26d2c6bec3e2b62061c908423f58e7742ade332aa6d4db252a")
 
 
 class TestTypecheck:

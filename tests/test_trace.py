@@ -58,7 +58,8 @@ def test_every_traced_function_fires(tmp_path):
             assert qalt.lowner_leq(d.kraus, d.kraus)
         prog = tmp_path / "p.q"
         prog.write_text(PROGRAMS[1], encoding="ascii")
-        # both benchmark workloads run `demo phase`, the one caller of `alternate`
+        # `demo phase` calls `alternate`, as `demo nonmonotone` does; it is the
+        # one such demo that both benchmark workloads run
         for args in (["equiv", str(prog), str(prog), "--ctx", CTX.describe()],
                      ["demo", "phase"]):
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
