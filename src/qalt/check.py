@@ -30,7 +30,7 @@ from .errors import (
     NonConstantBound,
     UnknownName,
 )
-from .syntax import BIT, QBIT, Context
+from .syntax import QBIT, Context
 
 #: Unitarity tolerance for matrix-literal gates.
 GATE_UNITARY_TOL = 1e-9
@@ -92,7 +92,10 @@ def resolve_name(ref: ast.NameRef, env: dict) -> str:
     """Concrete variable name of a (possibly indexed) reference."""
     if ref.index is None:
         return ref.base
-    return ref.base + str(eval_int(ref.index, env))
+    try:
+        return ref.base + str(eval_int(ref.index, env))
+    except ValueError:  # past Python's limit on integer digits
+        raise NonConstantBound(f"index of '{ref.base}' has too many digits") from None
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +225,8 @@ def _name(ref: ast.NameRef) -> str:
     return ref.base
 
 
-def _use(name: str, ctx: Context, blocked: frozenset, kind: str | None = None):
+def check_use(name: str, ctx: Context, blocked: frozenset, kind: str | None = None):
+    """Raise unless ``name`` is in scope, not in ``blocked`` and of ``kind``."""
     if name in blocked:
         raise ControlCapture(f"branch mentions control qubit '{name}'")
     if not ctx.has(name):
@@ -303,21 +307,21 @@ def _check_stmt(stmt, ctx: Context, blocked: frozenset) -> Context:
     if isinstance(stmt, (ast.NewQbit, ast.NewBit)):
         name = _name(stmt.name)
         _declare(name, ctx, blocked)
-        return ctx.add(name, QBIT if isinstance(stmt, ast.NewQbit) else BIT)
+        return ctx.add(name, stmt.kind)
     if isinstance(stmt, ast.ApplyGate):
         names = [_name(t) for t in stmt.targets]
         if len(set(names)) != len(names):
             raise InvalidGate(f"duplicate gate target in {names}")
         for name in names:
-            _use(name, ctx, blocked, QBIT)
+            check_use(name, ctx, blocked, QBIT)
         _check_gate(stmt.gate, len(names))
         return ctx
     if isinstance(stmt, ast.Discard):
         name = _name(stmt.name)
-        _use(name, ctx, blocked)
+        check_use(name, ctx, blocked)
         return ctx.remove(name)
     if isinstance(stmt, ast.MeasureThenElse):
-        _use(_name(stmt.control), ctx, blocked, QBIT)
+        check_use(_name(stmt.control), ctx, blocked, QBIT)
         out = _check_block(stmt.then_block, ctx, blocked)
         _branch_contexts_equal(out, _check_block(stmt.else_block, ctx, blocked))
         return out
@@ -329,7 +333,7 @@ def _check_stmt(stmt, ctx: Context, blocked: frozenset) -> Context:
         if len(set(names)) != len(names):
             raise DuplicateName(f"duplicate control in {names}")
         for name in names:
-            _use(name, ctx, blocked, QBIT)
+            check_use(name, ctx, blocked, QBIT)
         inner, restore = control_contexts(ctx, names)
         shielded = blocked | set(names)
         out = _check_block(stmt.arms[0].block, inner, shielded)

@@ -29,7 +29,7 @@ from .corpus import (
     qft_context,
     toffoli_matrix,
 )
-from .errors import LanguageError, QaltError
+from .errors import LanguageError, QaltError, UnsupportedArity
 from .kraus import (
     alternate,
     apply_full,
@@ -292,17 +292,14 @@ def _oracle_demo(key, header, field, label, tables, generate, tol):
     return {key: rows}, lines
 
 
-def _demo_deutsch(tol, table_bits=None):
-    choices = [table_bits] if table_bits else ["00", "01", "10", "11"]
+def _demo_deutsch(tol, tables=None):
+    tables = tables or [TruthTable.from_bits(b) for b in ("00", "01", "10", "11")]
     return _oracle_demo("deutsch", "deutsch: Pr[q0=0] per truth table", "p0", "p0",
-                        [TruthTable.from_bits(b) for b in choices], gen_deutsch, tol)
+                        tables, gen_deutsch, tol)
 
 
-def _demo_dj(tol, table_bits=None):
-    if table_bits:
-        tables = [TruthTable.from_bits(table_bits)]
-    else:
-        tables = constant_tables(3) + balanced_tables(3)[::11]
+def _demo_dj(tol, tables=None):
+    tables = tables or constant_tables(3) + balanced_tables(3)[::11]
     return _oracle_demo(
         "deutsch_jozsa",
         f"deutsch-jozsa (n={tables[0].n}): Pr[all controls 0] per truth table",
@@ -399,14 +396,21 @@ _DEMOS = {
 def cmd_demo(name, table_bits, tol, fmt):
     """Reproduce one of the built-in demonstrations."""
     def go():
-        if table_bits is not None:
-            if name not in ("deutsch", "dj"):
+        if table_bits is None:
+            result, lines = _DEMOS[name](tol)
+        else:
+            generate = {"deutsch": gen_deutsch, "dj": gen_deutsch_jozsa}.get(name)
+            if generate is None:
                 raise ValueError("--f applies only to the deutsch and dj demos")
             if not table_bits or any(c not in "01" for c in table_bits):
                 raise ValueError(f"not a bitstring: {table_bits!r}")
-            result, lines = _DEMOS[name](tol, table_bits)
-        else:
-            result, lines = _DEMOS[name](tol)
+            try:
+                table = TruthTable.from_bits(table_bits)
+                generate(table)
+            except (UnsupportedArity, ValueError) as exc:
+                raise ValueError(f"--f {table_bits!r} is not a table the {name} "
+                                 f"demo takes: {exc}") from None
+            result, lines = _DEMOS[name](tol, [table])
         _respond(["demo", name], tol, fmt, result, lines)
     _guarded(go)
 

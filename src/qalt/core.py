@@ -15,7 +15,7 @@ significant) factor.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, fields
 
 import numpy as np
 
@@ -50,12 +50,23 @@ def freeze(m: Matrix) -> Matrix:
     return out
 
 
-def same_matrices(xs, ys) -> bool:
-    """True iff two sequences of matrices match in order, dtype, shape and
-    bytes: exact equality, so -0.0 differs from 0.0."""
-    return len(xs) == len(ys) and all(
-        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
-        for x, y in zip(xs, ys))
+def exact_eq(a, b):
+    """Exact ``==`` of two dataclass values, ``NotImplemented`` for another class.
+
+    Every field must match: a matrix, alone or in a tuple, by dtype, shape
+    and bytes, so -0.0 differs from 0.0, and anything else by ``==``.
+    """
+    if not isinstance(b, type(a)):
+        return NotImplemented
+    return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
+
+def _same(x, y) -> bool:
+    if isinstance(x, tuple):
+        return len(x) == len(y) and all(map(_same, x, y))
+    if isinstance(x, np.ndarray):
+        return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    return x == y
 
 
 def tensor(a: Matrix, b: Matrix) -> Matrix:
@@ -275,7 +286,7 @@ class DensityState:
 
     Construction validates hermiticity, positivity and total trace at most 1
     within ``tol`` (not stored) and freezes the block arrays.  ``==`` is
-    exact: equal signatures and byte-equal blocks.  States are unhashable.
+    :func:`exact_eq`; states are unhashable.
     """
 
     signature: Signature
@@ -297,16 +308,12 @@ class DensityState:
                 if np.abs(b - b.conj().T).max() > tol:
                     raise ValueError("density block is not Hermitian")
                 raise ValueError("density block is not positive semidefinite")
-        tr = sum(float(np.trace(b).real) for b in blocks)
+        object.__setattr__(self, "blocks", blocks)
+        tr = self.trace()
         if not -tol <= tr <= 1 + tol:
             raise ValueError(f"total trace {tr} outside [0, 1]")
-        object.__setattr__(self, "blocks", blocks)
 
-    def __eq__(self, other):
-        if not isinstance(other, DensityState):
-            return NotImplemented
-        return (self.signature == other.signature
-                and same_matrices(self.blocks, other.blocks))
+    __eq__ = exact_eq
 
     def full(self) -> Matrix:
         """The state as a single block-diagonal matrix."""

@@ -27,9 +27,9 @@ from .core import (
     block_offsets,
     dim,
     dsum,
+    exact_eq,
     freeze,
     is_psd,
-    same_matrices,
     split_blocks,
     tensor_sig,
 )
@@ -56,21 +56,15 @@ class KrausSet:
     their input order.  The empty tuple is the zero superoperator.  Use
     :func:`make_kraus` to construct one from raw operators.
 
-    ``==`` is the same denotation: equal signatures and byte-equal operator
-    tuples, order included (:func:`ext_equal` compares the action instead).
-    Sets are unhashable.
+    ``==`` is :func:`~qalt.core.exact_eq`, so the operator order counts
+    (:func:`ext_equal` compares the action instead).  Sets are unhashable.
     """
 
     input_sig: Signature
     output_sig: Signature
     ops: tuple[Matrix, ...]
 
-    def __eq__(self, other):
-        if not isinstance(other, KrausSet):
-            return NotImplemented
-        return (self.input_sig == other.input_sig
-                and self.output_sig == other.output_sig
-                and same_matrices(self.ops, other.ops))
+    __eq__ = exact_eq
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -231,13 +225,9 @@ def case_elements(branches, n: int) -> list[Matrix]:
         raise BranchCountMismatch(
             f"expected {2 ** n} branches for {n} control qubit(s), "
             f"got {len(branches)}")
+    for b in branches[1:]:
+        _check_same_type(branches[0], b)
     sig_in, sig_out = branches[0].input_sig, branches[0].output_sig
-    for b in branches:
-        if b.input_sig != sig_in or b.output_sig != sig_out:
-            raise SignatureMismatch(
-                f"alternation branches must share signatures: "
-                f"{sig_in.blocks}->{sig_out.blocks} vs "
-                f"{b.input_sig.blocks}->{b.output_sig.blocks}")
     populated = [(k, b.ops) for k, b in enumerate(branches) if b.ops]
     if not populated:
         return []
@@ -287,8 +277,7 @@ def branch_sum(s: KrausSet, t: KrausSet, tol: float = DEFAULT_TOL) -> KrausSet:
     Each operator of ``s`` (of ``t``) is written into the first (second)
     diagonal block of a zero operator on the doubled spaces.
     """
-    if s.input_sig != t.input_sig or s.output_sig != t.output_sig:
-        raise SignatureMismatch("branch_sum needs equal signatures on both sides")
+    _check_same_type(s, t)
     sig, tau = s.input_sig, s.output_sig
     d_out, d_in = s.op_shape()
     ops = []
@@ -358,20 +347,15 @@ class ChoiFamily:
     Kraus sets have equal families exactly when they act identically on all
     block-diagonal states.
 
-    ``==`` is exact: equal signatures and byte-equal members (use
-    :func:`choi_distance` for a tolerance).  Families are unhashable.
+    ``==`` is :func:`~qalt.core.exact_eq` (use :func:`choi_distance` for a
+    tolerance).  Families are unhashable.
     """
 
     input_sig: Signature
     output_sig: Signature
     members: tuple[Matrix, ...]
 
-    def __eq__(self, other):
-        if not isinstance(other, ChoiFamily):
-            return NotImplemented
-        return (self.input_sig == other.input_sig
-                and self.output_sig == other.output_sig
-                and same_matrices(self.members, other.members))
+    __eq__ = exact_eq
 
 
 def to_choi(s: KrausSet) -> ChoiFamily:
@@ -392,8 +376,7 @@ def to_choi(s: KrausSet) -> ChoiFamily:
 def _check_same_type(s: KrausSet, t: KrausSet):
     if s.input_sig != t.input_sig or s.output_sig != t.output_sig:
         raise SignatureMismatch(
-            f"cannot compare maps of different type: "
-            f"{s.input_sig.blocks}->{s.output_sig.blocks} vs "
+            f"maps of different types: {s.input_sig.blocks}->{s.output_sig.blocks} vs "
             f"{t.input_sig.blocks}->{t.output_sig.blocks}")
 
 

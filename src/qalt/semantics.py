@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import syntax as ast
-from .check import control_contexts, elaborate, typecheck
+from .check import check_use, control_contexts, elaborate, typecheck
 from .core import (
     DEFAULT_TOL,
     DensityState,
@@ -55,11 +55,7 @@ from .core import (
     rk_gate,
     unit_state,
 )
-from .errors import (
-    KindError,
-    SignatureMismatch,
-    UnknownName,
-)
+from .errors import SignatureMismatch
 from .kraus import (
     KrausSet,
     apply,
@@ -71,7 +67,7 @@ from .kraus import (
     identity_kraus,
     make_kraus,
 )
-from .syntax import BIT, QBIT, Context
+from .syntax import QBIT, Context
 
 # ---------------------------------------------------------------------------
 # Layout maps
@@ -281,7 +277,7 @@ def _denote_stmt(stmt, ctx: Context, tol: float) -> tuple[KrausSet, Context]:
         return identity_kraus(sig, tol), ctx
     if isinstance(stmt, (ast.NewQbit, ast.NewBit)):
         name = stmt.name.base
-        out = ctx.add(name, QBIT if isinstance(stmt, ast.NewQbit) else BIT)
+        out = ctx.add(name, stmt.kind)
         op = _allocation_matrix(out, name)
         return make_kraus(sig, signature_of(out), [op], tol), out
     if isinstance(stmt, ast.ApplyGate):
@@ -338,6 +334,16 @@ def denote(program, ctx: Context | None = None,
     return Denotation(program, kset, ctx, out_ctx)
 
 
+def _start(initial: DensityState | None, ctx: Context | None):
+    """The initial state and context, defaulting to the empty context's unit state."""
+    ctx = ctx if ctx is not None else Context.empty()
+    if initial is None:
+        if ctx.entries:
+            raise ValueError("an initial state is required for a nonempty context")
+        initial = unit_state()
+    return initial, ctx
+
+
 def run(program, initial: DensityState | None = None,
         ctx: Context | None = None, tol: float = DEFAULT_TOL) -> DensityState:
     """Final density state of a program via its composed Kraus set."""
@@ -348,11 +354,7 @@ def run_with_context(program, initial: DensityState | None = None,
                      ctx: Context | None = None,
                      tol: float = DEFAULT_TOL) -> tuple[DensityState, Context]:
     """:func:`run`, also returning the output context of its one denotation."""
-    ctx = ctx if ctx is not None else Context.empty()
-    if initial is None:
-        if ctx.entries:
-            raise ValueError("an initial state is required for a nonempty context")
-        initial = unit_state()
+    initial, ctx = _start(initial, ctx)
     d = denote(program, ctx, tol)
     return apply(d.kraus, initial, tol), d.output_ctx
 
@@ -363,10 +365,7 @@ def outcome_probability(rho: DensityState, ctx: Context,
     if rho.signature != signature_of(ctx):
         raise SignatureMismatch("state does not match the context layout")
     for name in assignment:
-        if not ctx.has(name):
-            raise UnknownName(f"name '{name}' is not in scope")
-        if ctx.kind_of(name) != QBIT:
-            raise KindError(f"'{name}' has kind bit, expected qbit")
+        check_use(name, ctx, frozenset(), QBIT)
     values = [int(v) for v in assignment.values()]
     if any(v not in (0, 1) for v in values):
         return 0.0
@@ -423,7 +422,7 @@ def _direct_step(stmt, rho: Matrix, ctx: Context,
                                2 ** len(ctx.bits())), ctx
     if isinstance(stmt, (ast.NewQbit, ast.NewBit)):
         name = stmt.name.base
-        out_ctx = ctx.add(name, QBIT if isinstance(stmt, ast.NewQbit) else BIT)
+        out_ctx = ctx.add(name, stmt.kind)
         d = dim(signature_of(out_ctx))
         out = np.zeros((d, d), dtype=complex)
         at = _where(out_ctx, [name], 0)
@@ -471,11 +470,7 @@ def eval_direct(program, initial: DensityState | None = None,
     the composed Kraus semantics (an alternation goes through the
     interference identity described in the module docstring).
     """
-    ctx = ctx if ctx is not None else Context.empty()
-    if initial is None:
-        if ctx.entries:
-            raise ValueError("an initial state is required for a nonempty context")
-        initial = unit_state()
+    initial, ctx = _start(initial, ctx)
     if initial.signature != signature_of(ctx):
         raise SignatureMismatch("initial state does not match the context")
     rho = np.array(initial.full())

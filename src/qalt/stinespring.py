@@ -20,18 +20,17 @@ from .core import (
     basis_elements,
     block_diag,
     dim,
+    exact_eq,
     freeze,
     is_psd,
     qbit_tensor,
-    same_matrices,
 )
 from .errors import (
     DimensionMismatch,
     EmptySetError,
-    SignatureMismatch,
     TraceConditionViolated,
 )
-from .kraus import KrausSet, apply_full, case_elements, make_kraus
+from .kraus import KrausSet, _check_same_type, apply_full, case_elements, make_kraus
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,8 +42,7 @@ class StinespringRep:
     trace-nonincreasing, i.e. the ancilla partial trace of VV' is at most the
     identity (equivalently, the read-off operators satisfy sum E'E <= I).
 
-    ``==`` is exact: equal ancilla dimensions and signatures and a
-    byte-equal ``v``.  Representations are unhashable.
+    ``==`` is :func:`~qalt.core.exact_eq`; representations are unhashable.
     """
 
     ancilla_dim: int
@@ -52,13 +50,7 @@ class StinespringRep:
     input_sig: Signature
     output_sig: Signature
 
-    def __eq__(self, other):
-        if not isinstance(other, StinespringRep):
-            return NotImplemented
-        return (self.ancilla_dim == other.ancilla_dim
-                and self.input_sig == other.input_sig
-                and self.output_sig == other.output_sig
-                and same_matrices((self.v,), (other.v,)))
+    __eq__ = exact_eq
 
     def __post_init__(self):
         v = freeze(as_matrix(self.v))
@@ -125,8 +117,7 @@ def alternation_stinespring(s: KrausSet, t: KrausSet) -> StinespringRep:
     """
     if not s.ops or not t.ops:
         raise EmptySetError("alternation dilation needs two nonempty branches")
-    if s.input_sig != t.input_sig or s.output_sig != t.output_sig:
-        raise SignatureMismatch("alternation branches must share signatures")
+    _check_same_type(s, t)
     elements = case_elements([s, t], 1)  # ordered E-major: (e, f) pairs
     f_major = [x for f in range(len(t.ops)) for x in elements[f::len(t.ops)]]
     return _dilation(f_major, qbit_tensor(s.input_sig), qbit_tensor(s.output_sig))

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import ClassVar, NamedTuple
 
 from .errors import ParseError
 
@@ -124,11 +125,13 @@ class Skip:
 @dataclass
 class NewQbit:
     name: NameRef
+    kind: ClassVar[str] = QBIT
 
 
 @dataclass
 class NewBit:
     name: NameRef
+    kind: ClassVar[str] = BIT
 
 
 @dataclass
@@ -265,44 +268,38 @@ class Context:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-#: One token or skipped span per match.  Upper-case groups are token kinds;
-#: a comment does not move the column, so EOF after one keeps its start.
+#: One token or skipped span (space, comment) per match; each named group is
+#: a token kind, and BAD is any character that no other kind admits.
 _TOKEN = re.compile(r"""
-    (?P<space>[ \t\r]+)
-  | (?P<newline>\n)
-  | (?P<comment>//[^\n]*)
+    [ \t\r\n]+ | //[^\n]*
   | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<NUM>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
   | (?P<SYM>->|\*=|[{}()\[\],|>=+\-*/])
+  | (?P<BAD>.)
 """, re.VERBOSE)
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT, NUM, SYM, EOF
     text: str
-    line: int
-    col: int
+    at: int  # offset in the source text
+
+
+def _line_col(text: str, at: int) -> tuple[int, int]:
+    """1-based (line, column) of offset ``at``: worked out only for an error."""
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
 def _tokenize(text: str) -> list[Token]:
-    tokens = []
-    pos, line, col = 0, 1, 1
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            c = text[pos]
-            what = "non-ASCII" if ord(c) > 127 else "unexpected"
-            raise ParseError(f"{what} character {c!r}", line, col)
-        kind, pos = m.lastgroup, m.end()
-        if kind == "newline":
-            line, col = line + 1, 1
-        elif kind != "comment":
-            if kind.isupper():
-                tokens.append(Token(kind, m.group(), line, col))
-            col += len(m.group())
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
+    tokens = [Token(m.lastgroup, m.group(), m.start())
+              for m in _TOKEN.finditer(text) if m.lastgroup]
+    bad = next((tok for tok in tokens if tok.kind == "BAD"), None)
+    if bad is not None:
+        what = "non-ASCII" if ord(bad.text) > 127 else "unexpected"
+        raise ParseError(f"{what} character {bad.text!r}", *_line_col(text, bad.at))
+    # EOF after a comment on the last line is at the comment's start
+    end = text.find("//", text.rfind("\n") + 1)
+    return tokens + [Token("EOF", "", end if end >= 0 else len(text))]
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +328,7 @@ class _Parser:
     """
 
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -343,16 +341,15 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def fail(self, message: str, tok: Token | None = None):
+        at = (tok or self.peek()).at
+        raise ParseError(message, *_line_col(self.text, at))
 
     def nest(self, tok: Token):
         """Enter one nesting level, opened by ``tok``."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
-                             tok.line, tok.col)
+            self.fail(f"nesting deeper than {MAX_NESTING} levels", tok)
 
     def at_sym(self, *syms: str) -> bool:
         return self.tokens[self.pos].text in syms
@@ -409,8 +406,12 @@ class _Parser:
     def parse_factor(self) -> Expr:
         tok = self.peek()
         if tok.kind == "NUM":
+            try:
+                value = _num_value(tok.text)
+            except ValueError:  # past Python's limit on integer digits
+                self.fail(f"integer literal of {len(tok.text)} digits is too long")
             self.next()
-            return Num(_num_value(tok.text))
+            return Num(value)
         if tok.kind == "IDENT" and tok.text not in KEYWORDS:
             self.next()
             return Var(tok.text)

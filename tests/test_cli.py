@@ -342,6 +342,16 @@ class TestMetaArithmetic:
         assert result.output == "error: matrix literal entries must be finite\n"
         assert caught == []  # no RuntimeWarning from an infinite product
 
+    @pytest.mark.parametrize("source, message", [
+        ("a *= Rk(" + "1" * 5000 + ")", "1:9: integer literal of 5000 digits is too long"),
+        (f"a[{'9' * 4000} * {'9' * 4000}] *= H", "index of 'a' has too many digits"),
+    ], ids=["literal", "index"])
+    def test_integer_past_the_digit_limit_is_one_error_line(self, runner, tmp_path,
+                                                             source, message):
+        src = write(tmp_path, "big.q", source + "\n")
+        result = runner.invoke(main, ["denote", src, "--ctx", "a:qbit"])
+        assert (result.exit_code, result.output) == (1, f"error: {message}\n")
+
     @pytest.mark.parametrize("digits", [400, 5000])
     def test_long_integer_matrix_entry_is_not_finite(self, runner, tmp_path, digits):
         # read as a float, as 1e999 is: no OverflowError, no digit limit
@@ -549,6 +559,18 @@ class TestDemo:
     def test_bad_truth_table(self, runner):
         result = runner.invoke(main, ["demo", "dj", "--f", "01abc"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("name, bits, reason", [
+        ("deutsch", "0110", "deutsch needs a 1-bit function, got n=2"),
+        ("dj", "0", "deutsch-jozsa supports n <= 4, got n=0"),
+        ("dj", "011", "table of length 3 for arity 2"),
+    ], ids=["deutsch-0110", "dj-0", "dj-011"])
+    def test_table_the_demo_cannot_take_is_a_usage_error(self, runner, name, bits,
+                                                          reason):
+        result = runner.invoke(main, ["demo", name, "--f", bits])
+        assert result.exit_code == 2
+        assert result.output == (f"error: --f {bits!r} is not a table the {name} "
+                                 f"demo takes: {reason}\n")
 
     @pytest.mark.parametrize("name", ["deutsch", "dj"])
     def test_empty_truth_table(self, runner, name):

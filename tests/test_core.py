@@ -20,6 +20,8 @@ from qalt import (
 )
 from qalt.core import H, ID2, KET0, KET1, PI0, X, rk_gate
 from qalt.errors import DimensionMismatch
+from qalt.kraus import ChoiFamily, make_kraus
+from qalt.stinespring import StinespringRep
 
 CNOT = np.array([[1, 0, 0, 0],
                  [0, 1, 0, 0],
@@ -304,3 +306,27 @@ class TestDensityState:
         state = DensityState(Signature((1, 1)), ([[0.25]], [[0.75]]))
         assert np.array_equal(state.full(), np.diag([0.25, 0.75]))
         assert state.trace() == pytest.approx(1.0)
+
+
+#: A value of each class whose ``==`` is ``exact_eq``, built from one 2x2
+#: matrix on the one-qubit signature.
+Q = Signature((2,))
+EXACT_EQ_VALUES = {
+    "KrausSet": lambda m: make_kraus(Q, Q, [m]),
+    "ChoiFamily": lambda m: ChoiFamily(Q, Q, (m,)),
+    "DensityState": lambda m: DensityState(Q, (m,)),
+    "StinespringRep": lambda m: StinespringRep(1, m, Q, Q),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_EQ_VALUES))
+def test_exact_eq(name):
+    def value(zero, cls=name):
+        return EXACT_EQ_VALUES[cls](np.array([[1.0, zero], [zero, 0.0]], dtype=complex))
+    assert value(0.0) == value(0.0)
+    assert value(0.0) != value(-0.0)  # a signed zero is another byte pattern
+    for other in EXACT_EQ_VALUES:
+        if other != name:
+            assert value(0.0) != value(0.0, other)
+    with pytest.raises(TypeError):
+        hash(value(0.0))

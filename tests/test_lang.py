@@ -108,7 +108,8 @@ class TestParse:
 
     def test_tokenizer_edges(self):
         def tokens(text):
-            return [(t.kind, t.text, t.line, t.col) for t in ast._tokenize(text)]
+            return [(t.kind, t.text, *ast._line_col(text, t.at))
+                    for t in ast._tokenize(text)]
         # a comment does not move the end-of-input column
         assert tokens("skip // c") == [("IDENT", "skip", 1, 1), ("EOF", "", 1, 6)]
         assert tokens("x\n// c\n") == [("IDENT", "x", 1, 1), ("EOF", "", 3, 1)]
@@ -116,9 +117,16 @@ class TestParse:
         assert tokens("1e+") == [("NUM", "1", 1, 1), ("IDENT", "e", 1, 2),
                                  ("SYM", "+", 1, 3), ("EOF", "", 1, 4)]
         assert tokens("2.5e-3") == [("NUM", "2.5e-3", 1, 1), ("EOF", "", 1, 7)]
+        # "\r" is space: it counts as a column and ends no line
+        assert tokens("a\r\n b\r") == [("IDENT", "a", 1, 1), ("IDENT", "b", 2, 2),
+                                        ("EOF", "", 2, 4)]
+        # the first "//" of the last line starts its comment
+        assert tokens("x\ny // c // d") == [("IDENT", "x", 1, 1), ("IDENT", "y", 2, 1),
+                                            ("EOF", "", 2, 3)]
         for text, message in (("1.", "1:2: unexpected character '.'"),
                               ("a\tb\x0c", "1:4: unexpected character '\\x0c'"),
-                              ("q *= H\nabé1", "2:3: non-ASCII character 'é'")):
+                              ("q *= H\nabé1", "2:3: non-ASCII character 'é'"),
+                              ("x // é $\n $", "2:2: unexpected character '$'")):
             with pytest.raises(ParseError) as info:
                 ast._tokenize(text)
             assert str(info.value) == message
@@ -453,6 +461,18 @@ class TestFrontEnd:
         with pytest.raises(NonConstantBound, match=re.escape(
                 f"meta expression '{product}' is too large for a float")):
             elaborate(parse(f"t *= Phase({product})"))
+
+    def test_integer_literal_past_the_digit_limit(self):
+        # longer than Python's limit on int(str): a ParseError at the literal
+        with pytest.raises(ParseError) as info:
+            parse("new qbit q\nq *= Rk(" + "1" * 5000 + ")")
+        assert str(info.value) == "2:9: integer literal of 5000 digits is too long"
+
+    def test_name_index_past_the_digit_limit(self):
+        # the index is an exact int whose name Python will not write out
+        nines = "9" * 4000
+        with pytest.raises(NonConstantBound, match="index of 'q' has too many digits"):
+            elaborate(parse(f"q[{nines} * {nines}] *= H"))
 
     @pytest.mark.parametrize("default", ["{ skip }", "{ t *= H }"],
                              ids=["well_typed", "ill_typed"])
