@@ -20,7 +20,7 @@ import operator
 import numpy as np
 
 from . import syntax as ast
-from .core import transposition_gate
+from .core import RK_IDENTITY, transposition_gate
 from .errors import (
     BranchContextMismatch,
     ControlCapture,
@@ -114,7 +114,7 @@ def _elab_gate(gate, env: dict, n_targets: int):
         k = eval_int(gate.k, env)
         if k < 0:
             raise InvalidGate("Rk needs a nonnegative index")
-        return ast.RkGate(ast.Num(k))
+        return ast.RkGate(ast.Num(min(k, RK_IDENTITY)))
     if isinstance(gate, ast.PhaseGate):
         try:
             return ast.PhaseGate(ast.Num(float(eval_expr(gate.theta, env))))
@@ -129,7 +129,8 @@ def _elab_gate(gate, env: dict, n_targets: int):
             raise InvalidGate("oracle table length must be a power of two")
         point = eval_int(gate.point, env)
         if not 0 <= point < size:
-            raise InvalidGate(f"oracle point {point} outside table of size {size}")
+            raise InvalidGate(f"oracle point {ast.expr_str(gate.point)} outside table "
+                              f"of size {size}")
         u = transposition_gate(gate.table[point], 2 ** n_targets)
         return ast.MatrixGate(tuple(tuple(z for z in row) for row in u))
     raise TypeError(f"not a gate: {gate!r}")

@@ -51,20 +51,14 @@ SCHEMA = "qalt-output/1"
 # ---------------------------------------------------------------------------
 
 def _encode_matrix(m) -> list:
-    m = np.asarray(m)
+    """``json.dumps``'s ``default``: a matrix as rows of [re, im] pairs."""
+    if not isinstance(m, np.ndarray):
+        raise TypeError(f"Object of type {type(m).__name__} is not JSON serializable")
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def _decode_matrix(data) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in data])
-
-
-def _encode_state(state: DensityState) -> dict:
-    return {
-        "signature": list(state.signature.blocks),
-        "blocks": [_encode_matrix(b) for b in state.blocks],
-        "trace": state.trace(),
-    }
 
 
 def _decode_state(data, tol: float) -> DensityState:
@@ -83,25 +77,24 @@ def _decode_state(data, tol: float) -> DensityState:
     return DensityState(sig, blocks, tol)
 
 
-def _fmt_complex(z: complex) -> str:
-    return f"{z.real:.10g}{z.imag:+.10g}i"
-
-
-def _matrix_lines(m, indent: str = "  ") -> list[str]:
-    return [indent + "  ".join(_fmt_complex(z) for z in row) for row in np.asarray(m)]
+def _matrix_lines(m) -> list[str]:
+    return ["  " + "  ".join(f"{z.real:.10g}{z.imag:+.10g}i" for z in row) for row in m]
 
 
 # Every echo names its stream: click caches a wrapper per default stream,
 # and that cache keeps every redirected stream of an in-process call alive.
 
-def _respond(command: list, tol: float, fmt: str, result: dict, lines: list[str]):
-    """Print ``result`` as the structured document of ``command``, or ``lines``."""
+def _respond(command: list, tol: float, fmt: str, result: dict, lines: list):
+    """Print ``result`` as the structured document of ``command``, or ``lines``;
+    matrices stay ndarrays until this writes each once, in the format asked for."""
     if fmt == "structured":
         doc = {"schema": SCHEMA, "command": command, "tolerance": tol,
                "result": result}
-        click.echo(json.dumps(doc, indent=2, sort_keys=True), file=sys.stdout)
+        text = json.dumps(doc, indent=2, sort_keys=True, default=_encode_matrix)
     else:
-        click.echo("\n".join(lines), file=sys.stdout)
+        text = "\n".join(row for line in lines for row in (
+            _matrix_lines(line) if isinstance(line, np.ndarray) else [line]))
+    click.echo(text, file=sys.stdout)
 
 
 def _load_source(path: str) -> str:
@@ -175,11 +168,11 @@ def cmd_run(source, init_path, stats_name, ctx_spec, tol, fmt):
                     raise ValueError("initial state is nested too deeply") from None
             initial = _decode_state(data, tol)
         state, out_ctx = run_with_context(program, initial, ctx, tol)
-        result = {"state": _encode_state(state)}
+        result = {"state": {"signature": state.signature.blocks,
+                            "blocks": state.blocks, "trace": state.trace()}}
         lines = [f"final state on signature {state.signature.blocks}:"]
         for i, block in enumerate(state.blocks):
-            lines.append(f"block {i}:")
-            lines.extend(_matrix_lines(block))
+            lines += [f"block {i}:", block]
         lines.append(f"trace: {state.trace():.10g}")
         if stats_name is not None:
             if stats_name not in out_ctx.qubits():
@@ -208,23 +201,20 @@ def cmd_denote(source, choi, ctx_spec, tol, fmt):
     def go():
         d = denote(parse(_load_source(source)), Context.from_spec(ctx_spec), tol)
         result = {
-            "input_signature": list(d.kraus.input_sig.blocks),
-            "output_signature": list(d.kraus.output_sig.blocks),
-            "operators": [_encode_matrix(op) for op in d.kraus.ops],
+            "input_signature": d.kraus.input_sig.blocks,
+            "output_signature": d.kraus.output_sig.blocks,
+            "operators": d.kraus.ops,
         }
         lines = [
             f"kraus set: {d.kraus.input_sig.blocks} -> "
             f"{d.kraus.output_sig.blocks}, {len(d.kraus)} operator(s)"
         ]
         for i, op in enumerate(d.kraus.ops):
-            lines.append(f"operator {i}:")
-            lines.extend(_matrix_lines(op))
+            lines += [f"operator {i}:", op]
         if choi:
-            family = to_choi(d.kraus)
-            result["choi"] = [_encode_matrix(c) for c in family.members]
-            for i, member in enumerate(family.members):
-                lines.append(f"choi member {i}:")
-                lines.extend(_matrix_lines(member))
+            result["choi"] = to_choi(d.kraus).members
+            for i, member in enumerate(result["choi"]):
+                lines += [f"choi member {i}:", member]
         _respond(["denote", source], tol, fmt, result, lines)
     _guarded(go)
 

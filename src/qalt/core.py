@@ -164,6 +164,10 @@ KET0 = freeze(np.array([[1], [0]], dtype=complex))
 KET1 = freeze(np.array([[0], [1]], dtype=complex))
 
 
+#: The least k whose ``rk_gate(k)`` is exactly I: 2*pi*2**-k underflows to 0.
+RK_IDENTITY = 1078
+
+
 def rk_gate(k: int) -> Matrix:
     """Phase-shift gate with angle 2*pi/2**k on the |1> component."""
     if k < 0:

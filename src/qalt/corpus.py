@@ -100,7 +100,7 @@ def gen_deutsch(f: TruthTable) -> ast.Program:
 def gen_deutsch_jozsa(f: TruthTable) -> ast.Program:
     """n-bit generalization: the quantum `if` becomes a `case` over q0_*."""
     if not 1 <= f.n <= 4:
-        raise UnsupportedArity(f"deutsch-jozsa supports n <= 4, got n={f.n}")
+        raise UnsupportedArity(f"deutsch-jozsa supports 1 <= n <= 4, got n={f.n}")
     controls = [f"q0_{i}" for i in range(f.n)]
     body = [ast.NewQbit(NameRef(c)) for c in controls]
     body.append(ast.NewQbit(NameRef("q1")))
@@ -141,7 +141,7 @@ def qft_context(n: int) -> Context:
 def gen_grover_oracle(x0: int, n: int) -> ast.Program:
     """Case program denoting the search oracle that flips q1 exactly on |x0>."""
     if not 1 <= n <= 3:
-        raise UnsupportedArity(f"search oracle supports n <= 3, got n={n}")
+        raise UnsupportedArity(f"search oracle supports 1 <= n <= 3, got n={n}")
     if not 0 <= x0 < 2 ** n:
         raise ValueError(f"marked item {x0} outside range for n={n}")
     f = TruthTable(n, tuple(1 if x == x0 else 0 for x in range(2 ** n)))

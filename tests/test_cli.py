@@ -352,6 +352,27 @@ class TestMetaArithmetic:
         result = runner.invoke(main, ["denote", src, "--ctx", "a:qbit"])
         assert (result.exit_code, result.output) == (1, f"error: {message}\n")
 
+    @pytest.mark.parametrize("source, reference", [
+        ("q *= Rk({n} * {n})", "q *= I"),
+        ("for i = {n} * {n} to {n} * {n} {{ q *= Rk(i) }}\nq *= H", "q *= I\nq *= H"),
+    ], ids=["literal", "loop"])
+    def test_rk_index_past_the_digit_limit_is_the_identity(self, runner, tmp_path,
+                                                           source, reference):
+        nines = "9" * 4000
+        big = write(tmp_path, "big.q", "new qbit q\n" + source.format(n=nines) + "\n")
+        ref = write(tmp_path, "ref.q", "new qbit q\n" + reference + "\n")
+        for command in ("run", "denote"):
+            result = runner.invoke(main, [command, big])
+            assert result.exit_code == 0, result.output
+            assert result.output == runner.invoke(main, [command, ref]).output
+
+    def test_oracle_point_past_the_digit_limit_is_one_error_line(self, runner, tmp_path):
+        nines = "9" * 4000
+        src = write(tmp_path, "big.q", f"a *= OracleU(01, {nines} * {nines})\n")
+        result = runner.invoke(main, ["denote", src, "--ctx", "a:qbit"])
+        assert (result.exit_code, result.output) == (
+            1, f"error: oracle point {nines} * {nines} outside table of size 2\n")
+
     @pytest.mark.parametrize("digits", [400, 5000])
     def test_long_integer_matrix_entry_is_not_finite(self, runner, tmp_path, digits):
         # read as a float, as 1e999 is: no OverflowError, no digit limit
@@ -562,7 +583,7 @@ class TestDemo:
 
     @pytest.mark.parametrize("name, bits, reason", [
         ("deutsch", "0110", "deutsch needs a 1-bit function, got n=2"),
-        ("dj", "0", "deutsch-jozsa supports n <= 4, got n=0"),
+        ("dj", "0", "deutsch-jozsa supports 1 <= n <= 4, got n=0"),
         ("dj", "011", "table of length 3 for arity 2"),
     ], ids=["deutsch-0110", "dj-0", "dj-011"])
     def test_table_the_demo_cannot_take_is_a_usage_error(self, runner, name, bits,
@@ -578,3 +599,57 @@ class TestDemo:
         result = runner.invoke(main, ["demo", name, "--f", ""])
         assert result.exit_code == 2
         assert result.output == "error: not a bitstring: ''\n"
+
+
+# One invocation per command, demo and matrix-bearing option.  The programs
+# put entries such as 1/sqrt(2) and e^(i pi/4) into states, operators and
+# Choi members, whose 9- and 10-digit renderings differ.
+FORMAT_FILES = {
+    "h": "new qbit q\nq *= H\nq *= Rk(3)\n",
+    "g": "q *= Rk(3)\n",
+    "m": "q *= H\nmeasure q then { skip } else { q *= X }\n",
+    "x": "q *= X\n",
+    "init": json.dumps(VALID_INIT),
+}
+FORMAT_INVOCATIONS = [
+    ["run", "{h}"],
+    ["run", "{g}", "--ctx", "q:qbit", "--init", "{init}", "--stats", "q"],
+    ["denote", "{h}"],
+    ["denote", "{m}", "--ctx", "q:qbit", "--choi"],
+    ["equiv", "{g}", "{g}", "--ctx", "q:qbit"],
+    ["order", "{g}", "{x}", "--ctx", "q:qbit"],
+    ["demo", "dj", "--f", "0110"],
+] + [["demo", name] for name in ("deutsch", "dj", "nonmonotone", "phase", "qft",
+                                 "toffoli")]
+MATRIX_ROW = re.compile(r"  \S+i(  \S+i)*")
+
+
+def structured_matrices(doc) -> list:
+    """The matrices of a document, in the order the text output prints them."""
+    result = doc["result"]
+    if doc["command"][0] == "run":
+        return result["state"]["blocks"]
+    if doc["command"][0] == "denote":
+        return result["operators"] + result.get("choi", [])
+    return []
+
+
+class TestOutputFormat:
+    """Both formats of each command, checked against each other and against
+    the standard library's JSON writer; no output bytes are pinned."""
+
+    @pytest.mark.parametrize("argv", FORMAT_INVOCATIONS,
+                             ids=lambda argv: "-".join(a.strip("{}-") for a in argv))
+    def test_formats_agree(self, runner, tmp_path, argv):
+        paths = {key: write(tmp_path, f"{key}.in", text)
+                 for key, text in FORMAT_FILES.items()}
+        argv = [a.format(**paths) for a in argv]
+        text = runner.invoke(main, argv)
+        structured = runner.invoke(main, argv + ["--format", "structured"])
+        assert text.exit_code == structured.exit_code in (0, 2), text.output
+        out = structured.stdout
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        rows = [line for line in text.stdout.splitlines() if MATRIX_ROW.fullmatch(line)]
+        assert rows == ["  " + "  ".join(f"{re:.10g}{im:+.10g}i" for re, im in row)
+                        for m in structured_matrices(json.loads(out)) for row in m]
+        assert bool(rows) == (argv[0] in ("run", "denote"))

@@ -101,6 +101,17 @@ class TestGenerators:
         with pytest.raises(UnsupportedArity):
             gen_grover_oracle(0, 4)
 
+    @pytest.mark.parametrize("generate, message", [
+        (lambda: gen_deutsch_jozsa(TruthTable.from_bits("0")),
+         "deutsch-jozsa supports 1 <= n <= 4, got n=0"),
+        (lambda: gen_qft(0), "qft supports 1 <= n <= 6, got n=0"),
+        (lambda: gen_grover_oracle(0, 0), "search oracle supports 1 <= n <= 3, got n=0"),
+    ], ids=["dj", "qft", "grover"])
+    def test_arity_message_states_both_bounds(self, generate, message):
+        with pytest.raises(UnsupportedArity) as info:
+            generate()
+        assert str(info.value) == message
+
     def test_qft_operation_count(self):
         for n in (1, 2, 3, 4):
             core = elaborate(gen_qft(n))

@@ -23,7 +23,7 @@ from qalt import (
 )
 from qalt import syntax as ast
 from qalt.check import lint_closed_system
-from qalt.core import DensityState, Signature
+from qalt.core import RK_IDENTITY, DensityState, Signature, rk_gate
 from qalt.errors import (
     BranchContextMismatch,
     ControlCapture,
@@ -473,6 +473,32 @@ class TestFrontEnd:
         nines = "9" * 4000
         with pytest.raises(NonConstantBound, match="index of 'q' has too many digits"):
             elaborate(parse(f"q[{nines} * {nines}] *= H"))
+
+    def test_rk_is_exactly_the_identity_from_1078_on(self):
+        # the angle 2*pi*2**-k underflows to 0 at k = 1078, not before
+        eye = np.eye(2, dtype=complex).tobytes()
+        assert rk_gate(1078).tobytes() == eye
+        assert rk_gate(1077).tobytes() != eye
+        assert RK_IDENTITY == 1078
+
+    @pytest.mark.parametrize("source, reference", [
+        ("q *= Rk({n} * {n})", "q *= I"),
+        ("for i = {n} * {n} to {n} * {n} {{ q *= Rk(i) }}\nq *= H", "q *= I\nq *= H"),
+    ], ids=["literal", "loop"])
+    def test_rk_index_past_the_digit_limit_is_the_identity(self, source, reference):
+        nines = "9" * 4000
+        program = parse("new qbit q\n" + source.format(n=nines))
+        core = elaborate(program)
+        assert core.body[1].gate == ast.RkGate(ast.Num(1078))
+        assert "Rk(1078)" in pretty(core) and "Num(value=1078)" in repr(core)
+        assert denote(program).kraus == denote("new qbit q\n" + reference).kraus
+
+    def test_oracle_point_past_the_digit_limit(self):
+        # the message names the point as written, not the product's digits
+        nines = "9" * 4000
+        with pytest.raises(InvalidGate) as info:
+            elaborate(parse(f"t *= OracleU(01, {nines} * {nines})"))
+        assert str(info.value) == f"oracle point {nines} * {nines} outside table of size 2"
 
     @pytest.mark.parametrize("default", ["{ skip }", "{ t *= H }"],
                              ids=["well_typed", "ill_typed"])
