@@ -261,7 +261,10 @@ def _check_gate(gate, n_targets: int):
                 f"{n_targets} qubit(s)")
         if not np.all(np.isfinite(m)):
             raise InvalidGate("matrix literal entries must be finite")
-        if np.abs(m.conj().T @ m - np.eye(d)).max() > GATE_UNITARY_TOL:
+        # a unitary within the tolerance has no entry above 1 + tol, so
+        # rejecting those first keeps m'm finite; `not <=` rejects NaN too
+        if (np.abs(m).max() > 1 + GATE_UNITARY_TOL
+                or not np.abs(m.conj().T @ m - np.eye(d)).max() <= GATE_UNITARY_TOL):
             raise InvalidGate("matrix literal is not unitary")
         return
     raise TypeError(f"gate not elaborated: {gate!r}")

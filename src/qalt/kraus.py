@@ -178,8 +178,27 @@ def make_kraus(input_sig: Signature, output_sig: Signature, raw_ops,
     return kset
 
 
+def unchecked_singleton(input_sig: Signature, output_sig: Signature,
+                        op: Matrix) -> KrausSet:
+    """The set {op}, built without a check of its own.
+
+    This is the value ``make_kraus(input_sig, output_sig, [op], tol)``
+    returns when that call passes, byte for byte, but it forms no sum E'E.
+    The caller owes everything ``make_kraus`` would have checked: ``op`` is a
+    finite dim(output) x dim(input) matrix with an entry above
+    :data:`COALESCE_TOL`, and I - op'op is positive at ``tol`` because a set
+    already checked at ``tol`` has a residual that fixes it.  For a gate,
+    op = I (x) U re-indexed and the residual is I (x) (I - U'U), so checking
+    {U} decides it.
+    """
+    return KrausSet(input_sig, output_sig, (freeze(op),))
+
+
 def identity_kraus(sig: Signature, tol: float = DEFAULT_TOL) -> KrausSet:
-    return make_kraus(sig, sig, [np.eye(dim(sig), dtype=complex)], tol)
+    """{I} on ``sig``, checked as the gate I on no qubit, {[1]}."""
+    scalar = Signature((1,))
+    make_kraus(scalar, scalar, [np.eye(1)], tol)
+    return unchecked_singleton(sig, sig, np.eye(dim(sig), dtype=complex))
 
 
 def zero_kraus(input_sig: Signature, output_sig: Signature) -> KrausSet:

@@ -16,8 +16,8 @@ Both evaluators take a program through parse -> elaborate -> typecheck
 ``run`` is ``apply(denote(..))`` by design, so the Kraus semantics is what
 ``qalt run`` prints.  The denotation is compositional: [[S1; S2]] is [[S2]]
 after [[S1]].  :func:`_denote_block` denotes a repeated statement once and
-canonicalises a run of one-operator steps once; an alternation is one
-``make_kraus`` over its case elements read in the context layout.  A
+canonicalises a run of one-operator steps once; an alternation is one set
+over its case elements read in the context layout.  A
 measurement reads the direct sum of its arms (:func:`qalt.kraus.branch_sum`)
 through one column index map, which gives QPL's
 {E Pi_0 : E in A} u {F Pi_1 : F in B} with no dense measure or merge map.
@@ -32,6 +32,18 @@ product-of-branches construction through a different identity, not a second
 copy of it.  Both evaluators work out each statement's typing context as
 they go; an alternation's output context comes from :func:`_alternation`,
 which follows the typechecker's rule (:func:`qalt.check.control_contexts`).
+
+Where each set is checked (sum E'E <= I at ``tol``): a statement whose set
+holds one operator is checked on the smallest space that fixes that
+operator, and its full-width set is built unchecked
+(:func:`qalt.kraus.unchecked_singleton`).  A gate is checked as {U} on its
+2^t targets, since I (x) U re-indexed has residual I (x) (I - U'U); ``skip``
+and the empty block as {[1]}; an allocation as {|0>}.  An alternation whose
+arms each hold one operator is not checked again: its one element's
+residual is the direct sum of the arms' residuals, and each arm was checked
+when it was denoted.  Other alternations, measurements, discards and
+compositions go through ``make_kraus`` at full width, and so does the raw
+product of a run of one-operator steps, once, when the run ends.
 """
 
 from __future__ import annotations
@@ -46,6 +58,7 @@ from .check import check_use, control_contexts, elaborate, typecheck
 from .core import (
     DEFAULT_TOL,
     DensityState,
+    KET0,
     Matrix,
     NAMED_GATES,
     Signature,
@@ -66,6 +79,7 @@ from .kraus import (
     diagonal_blocks,
     identity_kraus,
     make_kraus,
+    unchecked_singleton,
 )
 from .syntax import QBIT, Context
 
@@ -206,13 +220,15 @@ def _denote_block(block: list, ctx: Context, tol: float) -> tuple[KrausSet, Cont
     While the set so far and the next step each hold one operator, the block
     keeps the raw product ``step.ops[0] @ acc``: the product ``compose``
     would form, in the same order.  The run is canonicalised and checked
-    once, by ``make_kraus``, when it ends: at a step with several operators
-    (or none), which then goes through ``compose``, or at the end of the
-    block.  So a prefix of a run is not checked on its own, and a prefix
-    that exceeds ``tol`` only by rounding passes if the whole run does.
-    The operator tuples are those of composing a fresh denotation of every
-    statement, and every set that is built is still checked at ``tol``.
-    The empty block denotes {I}.
+    once, by ``make_kraus`` at full width, when it ends: at a step with
+    several operators (or none), which then goes through ``compose``, or at
+    the end of the block.  So a prefix of a run is not checked on its own,
+    and a prefix that exceeds ``tol`` only by rounding passes if the whole
+    run does.  A one-operator step was checked on its own small space when
+    it was denoted (see the module docstring), so a run of one step is not
+    checked again.  The operator tuples are those of composing a fresh
+    denotation of every statement, and every set that is built is still
+    checked at ``tol``.  The empty block denotes {I}, checked as {[1]}.
     """
     if not block:
         return identity_kraus(signature_of(ctx), tol), ctx
@@ -276,14 +292,20 @@ def _denote_stmt(stmt, ctx: Context, tol: float) -> tuple[KrausSet, Context]:
     if isinstance(stmt, ast.Skip):
         return identity_kraus(sig, tol), ctx
     if isinstance(stmt, (ast.NewQbit, ast.NewBit)):
+        # appending |0> is an isometry: its residual is 0, as {|0>}'s is
         name = stmt.name.base
         out = ctx.add(name, stmt.kind)
+        make_kraus(Signature((1,)), Signature((2,)), [KET0], tol)
         op = _allocation_matrix(out, name)
-        return make_kraus(sig, signature_of(out), [op], tol), out
+        return unchecked_singleton(sig, signature_of(out), op), out
     if isinstance(stmt, ast.ApplyGate):
+        # I (x) U re-indexed: residual I (x) (I - U'U), checked as {U}
         names = [t.base for t in stmt.targets]
-        op = _apply_gate_matrix(ctx, names, _gate_matrix(stmt.gate))
-        return make_kraus(sig, sig, [op], tol), ctx
+        u = _gate_matrix(stmt.gate)
+        targets = Signature((len(u),))
+        make_kraus(targets, targets, [u], tol)
+        op = _apply_gate_matrix(ctx, names, u)
+        return unchecked_singleton(sig, sig, op), ctx
     if isinstance(stmt, ast.Discard):
         name = stmt.name.base
         out = ctx.remove(name)
@@ -306,6 +328,10 @@ def _denote_stmt(stmt, ctx: Context, tol: float) -> tuple[KrausSet, Context]:
         at = np.ix_(leading_permutation(out_ctx, names),
                     leading_permutation(ctx, names))
         ops = [e[at] for e in case_elements(branches, len(names))]
+        if all(len(b.ops) == 1 for b in branches):
+            # one element, the direct sum of the arms re-indexed: its residual
+            # is the direct sum of the arms' residuals, each already checked
+            return unchecked_singleton(sig, signature_of(out_ctx), ops[0]), out_ctx
         return make_kraus(sig, signature_of(out_ctx), ops, tol), out_ctx
     raise TypeError(f"statement not elaborated: {stmt!r}")
 

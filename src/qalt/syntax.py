@@ -200,6 +200,8 @@ class Context:
         for n, k in entries:
             if k not in (QBIT, BIT):
                 raise ValueError(f"unknown kind {k!r}")
+            if n.split() != [n]:  # no program could mention it
+                raise ValueError(f"context name {n!r} is empty or holds whitespace")
             if n in seen:
                 raise ValueError(f"duplicate name {n!r} in context")
             seen.add(n)

@@ -206,6 +206,14 @@ class TestEquivAndOrder:
         result = runner.invoke(main, ["order", a, b, "--ctx", "q:qbit"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("spec, name", [(":qbit", ""), ("x y:qbit", "x y")])
+    def test_unmentionable_context_name_is_one_error_line(self, runner, tmp_path,
+                                                          spec, name):
+        src = write(tmp_path, "s.q", "skip\n")
+        result = runner.invoke(main, ["denote", src, "--ctx", spec])
+        assert (result.exit_code, result.output) == (
+            2, f"error: context name {name!r} is empty or holds whitespace\n")
+
     def test_signature_mismatch_exit_2(self, runner, tmp_path):
         a = write(tmp_path, "a.q", "skip\n")
         b = write(tmp_path, "b.q", "discard q\n")
@@ -341,6 +349,19 @@ class TestMetaArithmetic:
         assert result.exit_code == 1
         assert result.output == "error: matrix literal entries must be finite\n"
         assert caught == []  # no RuntimeWarning from an infinite product
+
+    @pytest.mark.parametrize("literal", ["[[1e200, 1e200], [1e200, 1e200 i]]",
+                                         "[[1e308, 0], [0, 1]]"])
+    def test_huge_matrix_literal_is_not_unitary(self, runner, tmp_path, literal):
+        # m'm would overflow to inf or NaN; an entry above modulus 1 + tol
+        # already rules out unitarity
+        src = write(tmp_path, "m.q", f"q0 *= {literal}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["denote", src, "--ctx", "q0:qbit"])
+        assert (result.exit_code, result.output) == (
+            1, "error: matrix literal is not unitary\n")
+        assert caught == []
 
     @pytest.mark.parametrize("source, message", [
         ("a *= Rk(" + "1" * 5000 + ")", "1:9: integer literal of 5000 digits is too long"),

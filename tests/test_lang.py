@@ -358,6 +358,16 @@ class TestTypecheck:
         with pytest.raises(UnknownName):
             typecheck(parse("q *= H"))
 
+    @pytest.mark.parametrize("name", ["", " ", "x y", " q", "q\t"])
+    def test_context_rejects_names_no_program_can_mention(self, name):
+        with pytest.raises(ValueError, match="empty or holds whitespace"):
+            Context.of((name, "qbit"))
+
+    def test_context_keeps_names_an_index_resolves_to(self):
+        # q[0 - 1] is the variable q-1
+        ctx = Context.of(("q-1", "qbit"))
+        assert typecheck(elaborate(parse("q[0 - 1] *= X")), ctx) == ctx
+
     def test_duplicate_name(self):
         with pytest.raises(DuplicateName):
             typecheck(parse("new qbit q\nnew bit q"))

@@ -7,7 +7,7 @@ import pytest
 from helpers import (count_calls, pairwise_coalesce, rand_density, rand_kraus,
                      state_deviation)
 from test_corpus import generated_programs
-from test_fuzz import _fresh_block, _neutral_stmt, random_program
+from test_fuzz import _fresh_block, _neutral_stmt, looped_program, random_program
 from qalt import (
     Context,
     DensityState,
@@ -36,9 +36,9 @@ from qalt import (
 )
 from qalt import kraus, semantics
 from qalt import syntax as ast
-from qalt.core import H, ID2, KET0, KET1, PI0, PI1, X, dim, freeze
+from qalt.core import H, ID2, KET0, KET1, NAMED_GATES, PI0, PI1, X, dim, freeze
 from qalt.check import control_contexts
-from qalt.errors import KindError, UnknownName
+from qalt.errors import KindError, TraceConditionViolated, UnknownName
 from qalt.semantics import leading_permutation, signature_of
 
 CTX_Q = Context.of(("q", "qbit"))
@@ -814,11 +814,89 @@ class TestPositivityCounts:
         psd = count_calls(monkeypatch, "is_psd", kraus)
         eig = count_calls(monkeypatch, "eigvalsh", np.linalg)
         denote("\n".join(lines), ctx)
-        # one check per make_kraus: each gate's step, per alternation three
-        # (the skip arm's identity, the other arm's step and the alternation
-        # set), and one for the block, a single run of one-operator steps
-        assert len(psd) == 8 + 7 * 3 + 1 == 30
+        # each gate's {U} and, per alternation, the skip arm's {[1]} and the
+        # other arm's {U}; the alternation's one element is not checked again,
+        # and the block, a single run of one-operator steps, once at full width
+        assert len(psd) == 8 + 7 * 2 + 1 == 23
+        assert sorted(len(m) for m, _ in psd) == [1] * 7 + [2] * 15 + [256]
         assert not eig
+
+
+def _raises(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except TraceConditionViolated:
+        return True
+    return False
+
+
+def _chain(m: int, paulis: str) -> str:
+    lines = [f"q{i} *= H" for i in range(m)]
+    lines += [f"if q{i} then {{ skip }} else {{ q{i + 1} *= {p} }}"
+              for i, p in enumerate(paulis)]
+    return "\n".join(lines)
+
+
+class TestSmallChecks:
+    """A one-operator step (gate, skip, allocation, alternation of
+    one-operator arms) is checked on the smallest space that fixes its
+    operator, and is the set make_kraus builds from that operator."""
+
+    TOLS = [1e-300, 1e-12, 1e-9, 1e-3]
+    CTX = Context.of(("c", "bit"), ("a", "qbit"), ("b", "qbit"))
+    # U'U = I + 2e-10 on the second diagonal entry: over 1e-12, within 1e-9
+    NEAR = "[[1, 0], [0, 1.0000000001]]"
+
+    @staticmethod
+    def programs():
+        rng = np.random.default_rng(20241019)
+        jobs = [(random_program(rng), Context.empty()) for _ in range(60)]
+        jobs += [(looped_program(rng), Context.empty()) for _ in range(15)]
+        jobs += generated_programs()
+        ctx = Context.of(("b", "bit"), *((f"q{i}", "qbit") for i in range(4)))
+        jobs += [(_chain(4, paulis), ctx) for paulis in ("XYZ", "ZZX")]
+        return jobs
+
+    def test_one_operator_steps_are_what_make_kraus_builds(self, monkeypatch):
+        original = semantics._denote_stmt
+        steps = []
+
+        def recording(stmt, ctx, tol):
+            step, out = original(stmt, ctx, tol)
+            if len(step.ops) == 1:
+                steps.append((type(stmt).__name__, step, tol))
+            return step, out
+        monkeypatch.setattr(semantics, "_denote_stmt", recording)
+        for program, ctx in self.programs():
+            denote(program, ctx)
+        assert {kind for kind, _, _ in steps} >= {
+            "Skip", "NewQbit", "NewBit", "ApplyGate", "QCase"}
+        for _, step, tol in steps:
+            assert step == make_kraus(step.input_sig, step.output_sig, step.ops, tol)
+
+    @pytest.mark.parametrize("tol", TOLS)
+    @pytest.mark.parametrize("src", [
+        "skip", "new qbit t", "new bit t", "a *= H", f"a *= {NEAR}",
+        "if a then { skip } else { b *= X }",
+        f"if a then {{ b *= H }} else {{ b *= {NEAR} }}",
+    ])
+    def test_denote_raises_exactly_when_the_full_width_check_does(self, src, tol):
+        full = denote(src, self.CTX).kraus  # passes at the default tol
+        assert _raises(denote, src, self.CTX, tol) == _raises(
+            make_kraus, full.input_sig, full.output_sig, full.ops, tol)
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_a_gate_is_decided_on_its_own_matrix(self, tol):
+        # T'T is I up to rounding that depends on the product's kernel: a
+        # 2x2 product can leave a 1e-17 imaginary part on its diagonal where
+        # a wider one leaves none.  At tol = 1e-300 that rounding decides the
+        # check, and the decision is {T}'s whatever the context's width.
+        t = NAMED_GATES["T"]
+        want = _raises(make_kraus, Signature((2,)), Signature((2,)), [t], tol)
+        for ctx in (Context.of(("a", "qbit")), self.CTX):
+            assert _raises(denote, "a *= T", ctx, tol) == want
+        if tol >= 1e-12:
+            assert not want
 
 
 class TestStepMemo:
