@@ -248,18 +248,6 @@ def block_offsets(sig: Signature) -> list[int]:
     return offs
 
 
-def split_blocks(m: Matrix, sig: Signature) -> list[Matrix]:
-    """Extract the diagonal blocks of ``m`` according to ``sig``."""
-    m = as_matrix(m)
-    if m.shape != (dim(sig), dim(sig)):
-        raise DimensionMismatch(
-            f"matrix of shape {m.shape} does not match signature {sig.blocks}")
-    out = []
-    for off, n in zip(block_offsets(sig), sig.blocks):
-        out.append(m[off:off + n, off:off + n].copy())
-    return out
-
-
 def basis_elements(sig: Signature) -> list[tuple[Matrix, ...]]:
     """Block-diagonal matrix units spanning the space of block tuples.
 

@@ -119,11 +119,14 @@ def _where(ctx: Context, names: list[str], k: int) -> np.ndarray:
     return index[tuple(at)].ravel()
 
 
-def _rows(indices: np.ndarray, d: int) -> Matrix:
-    """0/1 matrix whose row i is basis vector ``indices[i]`` of C^d."""
-    op = np.zeros((indices.size, d), dtype=complex)
-    op[np.arange(indices.size), indices] = 1.0
-    return op
+def _bra(ctx: Context, name: str, v: int) -> Matrix:
+    """<v| on the axis of ``name``: the rows of I where ``name`` reads ``v``.
+
+    Discarding ``name`` is {<0|, <1|}.  Allocation appends ``name`` as the
+    last variable of its kind in ``out`` and is the adjoint of <0| there,
+    ``_bra(out, name, 0).T`` (the matrix is real).
+    """
+    return np.eye(dim(signature_of(ctx)), dtype=complex)[_where(ctx, [name], v)]
 
 
 def leading_permutation(ctx: Context, controls: list[str]) -> np.ndarray:
@@ -165,21 +168,6 @@ def _apply_gate_matrix(ctx: Context, names: list[str], u: Matrix) -> Matrix:
     positions = [qubits.index(n) for n in names]
     embedded = embed_gate(u, positions, len(qubits))
     return np.kron(np.eye(2 ** len(ctx.bits()), dtype=complex), embedded)
-
-
-def _allocation_matrix(out: Context, name: str) -> Matrix:
-    """Isometry into ``out`` from the context without ``name``, which reads 0.
-
-    Allocation appends ``name`` as the last variable of its kind, so this is
-    the append of a trailing |0> qubit or of a 0-valued least significant bit.
-    """
-    return _rows(_where(out, [name], 0), dim(signature_of(out))).T
-
-
-def _discard_matrices(ctx: Context, name: str) -> list[Matrix]:
-    """{<v| on the axis of ``name``}: the partial trace over a qubit or a bit."""
-    d = dim(signature_of(ctx))
-    return [_rows(_where(ctx, [name], v), d) for v in (0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +284,7 @@ def _denote_stmt(stmt, ctx: Context, tol: float) -> tuple[KrausSet, Context]:
         name = stmt.name.base
         out = ctx.add(name, stmt.kind)
         make_kraus(Signature((1,)), Signature((2,)), [KET0], tol)
-        op = _allocation_matrix(out, name)
+        op = _bra(out, name, 0).T
         return unchecked_singleton(sig, signature_of(out), op), out
     if isinstance(stmt, ast.ApplyGate):
         # I (x) U re-indexed: residual I (x) (I - U'U), checked as {U}
@@ -309,7 +297,8 @@ def _denote_stmt(stmt, ctx: Context, tol: float) -> tuple[KrausSet, Context]:
     if isinstance(stmt, ast.Discard):
         name = stmt.name.base
         out = ctx.remove(name)
-        return make_kraus(sig, signature_of(out), _discard_matrices(ctx, name), tol), out
+        ops = [_bra(ctx, name, v) for v in (0, 1)]
+        return make_kraus(sig, signature_of(out), ops, tol), out
     if isinstance(stmt, ast.MeasureThenElse):
         then_k, out_ctx = _denote_block(stmt.then_block, ctx, tol)
         else_k, _ = _denote_block(stmt.else_block, ctx, tol)

@@ -12,25 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL,
-    Matrix,
-    Signature,
-    as_matrix,
-    basis_elements,
-    block_diag,
-    dim,
-    exact_eq,
-    freeze,
-    is_psd,
-    qbit_tensor,
-)
-from .errors import (
-    DimensionMismatch,
-    EmptySetError,
-    TraceConditionViolated,
-)
-from .kraus import KrausSet, _check_same_type, apply_full, case_elements, make_kraus
+from .core import (DEFAULT_TOL, Matrix, Signature, as_matrix, dim, exact_eq,
+                   freeze, qbit_tensor)
+from .errors import DimensionMismatch, EmptySetError
+from .kraus import KrausSet, _check_same_type, case_elements, ext_equal, make_kraus
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,8 +24,8 @@ class StinespringRep:
 
     Rows of ``v`` are indexed (input basis) * ancilla_dim + (ancilla basis);
     columns by the output basis.  The represented channel must be
-    trace-nonincreasing, i.e. the ancilla partial trace of VV' is at most the
-    identity (equivalently, the read-off operators satisfy sum E'E <= I).
+    trace-nonincreasing: construction reads the operators off V, as
+    :func:`from_stinespring` does, and ``make_kraus`` checks sum E'E <= I.
 
     ``==`` is :func:`~qalt.core.exact_eq`; representations are unhashable.
     """
@@ -58,13 +43,8 @@ class StinespringRep:
         if v.shape != expected:
             raise DimensionMismatch(
                 f"dilation operator of shape {v.shape}, expected {expected}")
-        d_in = dim(self.input_sig)
-        gram = (v @ v.conj().T).reshape(
-            d_in, self.ancilla_dim, d_in, self.ancilla_dim)
-        traced = np.einsum("iaja->ij", gram)
-        if not is_psd(np.eye(d_in) - traced, DEFAULT_TOL):
-            raise TraceConditionViolated("dilation is not trace-nonincreasing")
         object.__setattr__(self, "v", v)
+        from_stinespring(self)  # raises unless sum E'E <= I
 
 
 def _dilation(ops, input_sig: Signature, output_sig: Signature) -> StinespringRep:
@@ -94,18 +74,15 @@ def from_stinespring(rep: StinespringRep) -> KrausSet:
 
 def verify_stinespring(s: KrausSet, rep: StinespringRep,
                        tol: float = DEFAULT_TOL) -> bool:
-    """Check V' (rho (x) I_A) V = sum E rho E' on a spanning set of inputs."""
+    """Is V' (rho (x) I_A) V = sum E rho E' within ``tol``?
+
+    The set read off ``rep`` and ``s`` are compared as superoperators, by
+    their Choi families (:func:`qalt.kraus.ext_equal`).
+    """
     if rep.input_sig != s.input_sig or rep.output_sig != s.output_sig:
         raise DimensionMismatch(
             "representation and Kraus set act on different spaces")
-    eye_a = np.eye(rep.ancilla_dim, dtype=complex)
-    for blocks in basis_elements(s.input_sig):
-        rho = block_diag(blocks)
-        lhs = rep.v.conj().T @ np.kron(rho, eye_a) @ rep.v
-        rhs = apply_full(s, rho)
-        if np.abs(lhs - rhs).max() > tol:
-            return False
-    return True
+    return ext_equal(s, from_stinespring(rep), tol)
 
 
 def alternation_stinespring(s: KrausSet, t: KrausSet) -> StinespringRep:

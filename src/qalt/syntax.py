@@ -27,6 +27,7 @@ away before anything reaches the semantics.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
@@ -581,57 +582,87 @@ def parse(text: str) -> Program:
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
-def expr_str(e: Expr, parent_prec: int = 0, right_side: bool = False) -> str:
-    """Source text of a meta expression, parenthesised only where needed."""
+def expr_str(e: Expr, parent_prec: int = 0, right_side: bool = False,
+             inf: str = "inf") -> str:
+    """Source text of a meta expression, parenthesised only where needed.
+
+    A literal past the float range parses as inf and is written ``inf``;
+    :func:`pretty` passes ``inf="1e999"``, a literal that overflows again.
+    """
     if isinstance(e, Num):
-        return repr(e.value)
+        return inf if e.value == math.inf else repr(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):
-        inner = expr_str(e.operand, 3)
+        inner = expr_str(e.operand, 3, inf=inf)
         return f"-{inner}"
     if isinstance(e, BinOp):
         prec = _PREC[e.op]
-        text = (f"{expr_str(e.left, prec)} {e.op} "
-                f"{expr_str(e.right, prec, right_side=True)}")
+        text = (f"{expr_str(e.left, prec, inf=inf)} {e.op} "
+                f"{expr_str(e.right, prec, right_side=True, inf=inf)}")
         if prec < parent_prec or (prec == parent_prec and right_side):
             return f"({text})"
         return text
     raise TypeError(f"not an expression: {e!r}")
 
 
+def _expr_source(e: Expr) -> str:
+    return expr_str(e, inf="1e999")
+
+
 def _complex_str(z: complex) -> str:
+    """Text that :meth:`_Parser.parse_complex` reads back as ``z``, bit for bit.
+
+    The parser sums its terms in complex arithmetic, where a term with sign
+    s is multiplied by s + 0j, so -0.0 + 0.0 is 0.0 and 0 * inf is nan.  A
+    -0.0, inf or nan part therefore needs its terms in a particular order.
+    """
     re, im = z.real, z.imag
-    if im == 0:
+    if im == 0 and math.copysign(1, im) > 0:
         return _float_str(re)
-    if re == 0:
+    if re == 0 and math.copysign(1, re) > 0:
         return f"{_float_str(im)}i"
-    sign = "+" if im > 0 else "-"
-    return f"{_float_str(re)} {sign} {_float_str(abs(im))}i"
+    if math.isnan(re) or math.isnan(im):
+        # nan is inf - inf, or 0 * inf from an inf term added to 0
+        if math.isnan(re) and math.isnan(im):
+            return "1e999 - 1e999"
+        return "0 + " + (f"{_float_str(im)}i" if math.isnan(re) else _float_str(re))
+    if im != 0 and not math.isinf(im):
+        sign = "+" if im > 0 else "-"
+        return f"{_float_str(re)} {sign} {_float_str(abs(im))}i"
+    # im is -0.0 or inf: the imaginary term first, then real terms that
+    # leave it be ("- -c" keeps a -0.0); an infinite re is two finite terms
+    # that overflow, as an inf term would add 0 * inf = nan to im
+    op = "- -" if im == 0 else "- " if re < 0 else "+ "
+    terms = ["1e308"] * 2 if math.isinf(re) else [_float_str(abs(re))]
+    return f"{_float_str(im)}i " + " ".join(op + t for t in terms)
 
 
 def _float_str(x: float) -> str:
+    """An integer where exact, ``-0`` for -0.0, a literal that overflows for inf."""
+    if math.isinf(x):
+        return "-1e999" if x < 0 else "1e999"
     if x == int(x) and abs(x) < 1e15:
-        return repr(int(x))
+        return repr(int(x)) if x or math.copysign(1, x) > 0 else "-0"
     return repr(x)
 
 
 def _name_str(n: NameRef) -> str:
     if n.index is None:
         return n.base
-    return f"{n.base}[{expr_str(n.index)}]"
+    return f"{n.base}[{_expr_source(n.index)}]"
 
 
 def _gate_str(g) -> str:
     if isinstance(g, NamedGate):
         return g.name
     if isinstance(g, RkGate):
-        return f"Rk({expr_str(g.k)})"
+        return f"Rk({_expr_source(g.k)})"
     if isinstance(g, PhaseGate):
-        return f"Phase({expr_str(g.theta)})"
+        return f"Phase({_expr_source(g.theta)})"
     if isinstance(g, OracleGate):
         bits = "".join(str(b) for b in g.table)
-        return f"OracleU({bits}, {expr_str(g.point)})"
+        return f"OracleU({bits}, {_expr_source(g.point)})"
     if isinstance(g, MatrixGate):
         rows = ", ".join(
             "[" + ", ".join(_complex_str(z) for z in row) + "]"
@@ -675,8 +706,8 @@ def _stmt_lines(stmt, indent: int) -> list[str]:
             lines.append(pad + "  }")
         return lines
     if isinstance(stmt, ForLoop):
-        head = (f"for {stmt.var} = {expr_str(stmt.lo)} "
-                f"to {expr_str(stmt.hi)} {{")
+        head = (f"for {stmt.var} = {_expr_source(stmt.lo)} "
+                f"to {_expr_source(stmt.hi)} {{")
         lines = [pad + head]
         lines += _block_lines(stmt.body, indent + 1)
         lines.append(pad + "}")

@@ -674,3 +674,43 @@ class TestOutputFormat:
         assert rows == ["  " + "  ".join(f"{re:.10g}{im:+.10g}i" for re, im in row)
                         for m in structured_matrices(json.loads(out)) for row in m]
         assert bool(rows) == (argv[0] in ("run", "denote"))
+
+
+IDENTITY4 = "[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"
+
+
+class TestTypedErrors:
+    """One error line and its exit code for each typed error of the checker
+    and of the command line's own inputs."""
+
+    @pytest.mark.parametrize("source, message", [
+        ("a, b *= H", "single-qubit gate applied to a register"),
+        (f"a *= {IDENTITY4}", "matrix literal of shape (4, 4) applied to 1 qubit(s)"),
+        (f"a, a *= {IDENTITY4}", "duplicate gate target in ['a', 'a']"),
+        ("case (a, a) of |00> -> { skip } |_> -> { skip }",
+         "duplicate control in ['a', 'a']"),
+        ("for i = 1 to 2.5 { a *= H }", "expected an integer, got 2.5"),
+    ])
+    def test_program_errors_exit_1(self, runner, tmp_path, source, message):
+        src = write(tmp_path, "p.q", source + "\n")
+        result = runner.invoke(main, ["denote", src, "--ctx", "a,b"])
+        assert (result.exit_code, result.output) == (1, f"error: {message}\n")
+
+    def test_integral_float_bound_is_an_integer(self, runner, tmp_path):
+        src = write(tmp_path, "p.q", "for i = 1 to 2.0 { a *= H }\n")
+        assert runner.invoke(main, ["denote", src, "--ctx", "a,b"]).exit_code == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["denote", "{skip}", "--ctx", "a,a"], "duplicate name 'a' in context"),
+        (["denote", "{skip}", "--ctx", "a:qubit"], "unknown kind 'qubit'"),
+        (["demo", "qft", "--f", "01"], "--f applies only to the deutsch and dj demos"),
+        (["run", "{gate}", "--ctx", "q:qbit", "--init", "{nan}"],
+         "matrix entries must be finite"),
+    ])
+    def test_input_errors_exit_2(self, runner, tmp_path, argv, message):
+        nan = json.dumps(VALID_INIT).replace("0.5", "NaN", 1)
+        paths = {"skip": write(tmp_path, "s.q", "skip\n"),
+                 "gate": write(tmp_path, "g.q", "q *= H\n"),
+                 "nan": write(tmp_path, "nan.json", nan)}
+        result = runner.invoke(main, [a.format(**paths) for a in argv])
+        assert (result.exit_code, result.output) == (2, f"error: {message}\n")

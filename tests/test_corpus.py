@@ -199,6 +199,16 @@ class TestReferenceMatrices:
             assert np.array_equal(p @ p, np.eye(2 ** n))
 
 
+class TestGeneratorErrors:
+    def test_table_entries_must_be_bits(self):
+        with pytest.raises(ValueError, match="table entries must be bits"):
+            TruthTable(1, (0, 2))
+
+    def test_marked_item_must_fit(self):
+        with pytest.raises(ValueError, match="marked item 4 outside range for n=2"):
+            gen_grover_oracle(4, 2)
+
+
 class TestCrossEvaluatorOnCorpus:
     def test_deutsch_scaled_initial(self):
         rng = np.random.default_rng(71)

@@ -153,6 +153,25 @@ def test_parser_never_crashes_on_garbage():
             pass
 
 
+def test_pretty_is_exact_on_fuzzed_programs():
+    # the programs of the fuzzers above and below, and the garbage that parses
+    rng = np.random.default_rng(20240614)
+    alphabet = list("abq01 *=(){}[]|><->,._+-/\n\tifthenelsecasemeasure")
+    trees = []
+    for _ in range(40):
+        trees += [parse(random_program(rng)), parse(looped_program(rng))]
+    for _ in range(2000):
+        text = "".join(alphabet[int(rng.integers(len(alphabet)))]
+                       for _ in range(int(rng.integers(1, 60))))
+        try:
+            trees.append(parse(text))
+        except ParseError:
+            pass
+    assert len(trees) > 80
+    for tree in trees:
+        assert repr(parse(pretty(tree))) == repr(tree)
+
+
 # ---------------------------------------------------------------------------
 # A quantum if is the one-control case
 # ---------------------------------------------------------------------------

@@ -244,6 +244,37 @@ class TestPrettyRoundTrip:
         for program in programs:
             assert parse(pretty(program)) == program
 
+    # ``==`` on a tree holds for -0.0 against 0.0 and fails for nan, so an
+    # exact round trip is checked on ``repr``
+    EXACT_SOURCES = [
+        "q *= [[-0.0, 1], [1, 0]]",
+        "q *= [[-0i, 1], [1, 0]]",
+        "q *= [[1e400, 0], [0, 1]]",
+        "q *= [[1e400i, 0], [0, 1]]",
+        "q *= Phase(1e400)",
+        "for i = 1 to 1e400 { skip }",
+        # sums with a -0.0, inf or nan part
+        "q *= [[-0 - 1i, -0i - -2.5, 1e400i - 1, -1e400 + 1i, 1 + 1e400i, 1 - 1e400]]",
+        "q *= [[1e400 - 1e400, 1e400i + 1e308 + 1e308, -0i - -1e308 - -1e308]]",
+    ]
+
+    @pytest.mark.parametrize("source", EXACT_SOURCES)
+    def test_exact_round_trip(self, source):
+        tree = parse(source)
+        assert repr(parse(pretty(tree))) == repr(tree)
+
+    def test_negative_zero_keeps_its_denotation(self):
+        ctx = Context.of(("q", "qbit"))
+        tree = parse("q *= [[-0.0, 1], [1, 0]]")
+        assert pretty(tree) == "q *= [[-0, 1], [1, 0]]\n"
+        [a] = denote(tree, ctx).kraus.ops
+        [b] = denote(pretty(tree), ctx).kraus.ops
+        assert a.tobytes() == b.tobytes()
+
+    def test_overflowed_literals_overflow_again(self):
+        assert pretty(parse("q *= Phase(1e400)")) == "q *= Phase(1e999)\n"
+        assert pretty(parse("q *= [[1e400i, -1e400]]")) == "q *= [[1e999i, -1e999]]\n"
+
 
 #: Words of the seeded parser inputs: every keyword, gate and symbol, some
 #: names and numbers, a comment and characters the tokenizer rejects.
@@ -335,6 +366,18 @@ class TestParserPinned:
         digest = hashlib.sha256("\0".join(outcomes).encode()).hexdigest()
         assert (parsed, digest) == (
             1284, "22592496a4305a26d2c6bec3e2b62061c908423f58e7742ade332aa6d4db252a")
+
+
+    def test_pretty_is_exact_on_seeded_inputs(self):
+        trees = []
+        for source in parser_inputs(2024, 20000):
+            try:
+                trees.append(parse(source))
+            except ParseError:
+                pass
+        assert len(trees) == 1284
+        for tree in trees:
+            assert repr(parse(pretty(tree))) == repr(tree)
 
 
 class TestTypecheck:

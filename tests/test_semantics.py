@@ -38,7 +38,7 @@ from qalt import kraus, semantics
 from qalt import syntax as ast
 from qalt.core import H, ID2, KET0, KET1, NAMED_GATES, PI0, PI1, X, dim, freeze
 from qalt.check import control_contexts
-from qalt.errors import KindError, TraceConditionViolated, UnknownName
+from qalt.errors import KindError, SignatureMismatch, TraceConditionViolated, UnknownName
 from qalt.semantics import leading_permutation, signature_of
 
 CTX_Q = Context.of(("q", "qbit"))
@@ -1014,6 +1014,14 @@ class TestOutcomeProbability:
             outcome_probability(rho, ctx, {"q": 0, "nope": 1})
         with pytest.raises(KindError):
             outcome_probability(rho, ctx, {"b": 0})
+
+    def test_state_of_another_signature(self):
+        # (2, 2) is the layout of one bit and one qubit, not of two qubits
+        rho = rand_density(np.random.default_rng(68), Signature((2, 2)))
+        with pytest.raises(SignatureMismatch, match="state does not match"):
+            outcome_probability(rho, CTX_2, {"q0": 0})
+        with pytest.raises(SignatureMismatch, match="initial state does not match"):
+            eval_direct("skip", rho, CTX_2)
 
 
 class TestLeadingPermutation:

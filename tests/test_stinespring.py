@@ -6,6 +6,7 @@ import pytest
 from helpers import rand_kraus, rand_unitary
 from qalt import (
     Signature,
+    dim,
     alternate,
     alternation_stinespring,
     ext_equal,
@@ -15,9 +16,11 @@ from qalt import (
     verify_stinespring,
     zero_kraus,
 )
-from qalt.errors import EmptySetError, TraceConditionViolated
+from qalt.errors import DimensionMismatch, EmptySetError, TraceConditionViolated
+from qalt.kraus import apply_full
 from qalt.stinespring import StinespringRep
-from qalt.core import H, ID2, PI0, PI1, X, Z
+from qalt.core import (DEFAULT_TOL, H, ID2, PI0, PI1, X, Z, basis_elements, block_diag,
+                       is_psd)
 
 Q = Signature((2,))
 
@@ -79,6 +82,11 @@ class TestVerifyStinespring:
             s = rand_kraus(rng, Q, size=int(rng.integers(1, 4)), scale=0.95)
             assert verify_stinespring(s, to_stinespring(s))
 
+    def test_spaces_must_match(self):
+        rep = to_stinespring(make_kraus(Signature((1, 1)), Signature((1, 1)), [ID2]))
+        with pytest.raises(DimensionMismatch, match="act on different spaces"):
+            verify_stinespring(kraus_of(ID2), rep)
+
     def test_wrong_channel(self):
         rep = StinespringRep(1, X.conj().T, Q, Q)
         assert not verify_stinespring(kraus_of(ID2), rep)
@@ -117,6 +125,10 @@ class TestFromStinespring:
             s = rand_kraus(rng, Signature((2, 1)), size=int(rng.integers(1, 4)),
                            scale=0.9)
             assert ext_equal(from_stinespring(to_stinespring(s)), s, 1e-10)
+
+    def test_shape_must_fit_the_spaces(self):
+        with pytest.raises(DimensionMismatch, match=r"shape \(3, 3\), expected \(2, 2\)"):
+            StinespringRep(1, np.eye(3), Q, Q)
 
     def test_overcomplete_rejected(self):
         with pytest.raises(TraceConditionViolated):
@@ -157,3 +169,51 @@ class TestAlternationStinespring:
     def test_empty_branch_refused(self):
         with pytest.raises(EmptySetError):
             alternation_stinespring(kraus_of(ID2), zero_kraus(Q, Q))
+
+
+def spanning_set_verdict(s, rep, tol) -> bool:
+    """V' (rho (x) I_A) V against sum E rho E' on every matrix unit rho."""
+    eye_a = np.eye(rep.ancilla_dim, dtype=complex)
+    for blocks in basis_elements(s.input_sig):
+        rho = block_diag(blocks)
+        lhs = rep.v.conj().T @ np.kron(rho, eye_a) @ rep.v
+        if np.abs(lhs - apply_full(s, rho)).max() > tol:
+            return False
+    return True
+
+
+def partial_trace_valid(v, ancilla_dim: int, d_in: int) -> bool:
+    """I minus the ancilla partial trace of VV' is positive at the default tol."""
+    gram = (v @ v.conj().T).reshape(d_in, ancilla_dim, d_in, ancilla_dim)
+    return is_psd(np.eye(d_in) - np.einsum("iaja->ij", gram), DEFAULT_TOL)
+
+
+class TestAgainstDirectChecks:
+    """Construction and verification agree with the checks written out from
+    the definitions: the ancilla partial trace and the spanning set."""
+
+    SIGNATURES = [Signature((2,)), Signature((2, 1)), Signature((4,)), Signature((1, 1))]
+
+    def test_verdicts_agree(self):
+        rng = np.random.default_rng(29)
+        verdicts = []
+        for k in range(300):
+            sig = self.SIGNATURES[k % 4]
+            scale = 1.0 if k % 2 else float(rng.uniform(0.5, 1.0))
+            s = rand_kraus(rng, sig, size=int(rng.integers(1, 5)), scale=scale)
+            built = to_stinespring(s)
+            for factor in (1.0, 1 - 1e-6, 1 + 1e-6):
+                v = built.v * factor
+                valid = partial_trace_valid(v, built.ancilla_dim, dim(sig))
+                try:
+                    rep = StinespringRep(built.ancilla_dim, v, sig, sig)
+                except TraceConditionViolated:
+                    assert not valid
+                    continue
+                assert valid
+                for tol in (1e-10, 1e-9, 1e-6, 1e-5):
+                    verdict = verify_stinespring(s, rep, tol)
+                    assert verdict == spanning_set_verdict(s, rep, tol)
+                    verdicts.append(verdict)
+        assert len(verdicts) >= 2400
+        assert 0 < sum(verdicts) < len(verdicts)
