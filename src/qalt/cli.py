@@ -50,13 +50,6 @@ SCHEMA = "qalt-output/1"
 # Encoding helpers
 # ---------------------------------------------------------------------------
 
-def _encode_matrix(m) -> list:
-    """``json.dumps``'s ``default``: a matrix as rows of [re, im] pairs."""
-    if not isinstance(m, np.ndarray):
-        raise TypeError(f"Object of type {type(m).__name__} is not JSON serializable")
-    return np.stack([m.real, m.imag], axis=-1).tolist()
-
-
 def _decode_matrix(data) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in data])
 
@@ -77,8 +70,70 @@ def _decode_state(data, tol: float) -> DensityState:
     return DensityState(sig, blocks, tol)
 
 
+def _formatted(x: np.ndarray, fmt) -> np.ndarray:
+    """``fmt`` of each float64 of ``x``, as an object array of ``x``'s shape.
+
+    ``fmt`` runs once per distinct bit pattern, so -0.0 and 0.0 (and nans
+    of different payloads) are formatted apart.
+    """
+    bits, where = np.unique(x.view(np.uint64), return_inverse=True)
+    strings = np.array([fmt(v) for v in bits.view(np.float64).tolist()],
+                       dtype=object)
+    return strings[where].reshape(x.shape)
+
+
+def _json_float(x: float) -> str:
+    """``json.dumps(x)``: ``repr`` when finite, as the standard writer has it."""
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
 def _matrix_lines(m) -> list[str]:
-    return ["  " + "  ".join(f"{z.real:.10g}{z.imag:+.10g}i" for z in row) for row in m]
+    """The text rows of a matrix, each entry as ``{re:.10g}{im:+.10g}i``."""
+    cells = (_formatted(m.real, "{:.10g}".format)
+             + _formatted(m.imag, "{:+.10g}i".format))
+    return ["  " + "  ".join(row) for row in cells.tolist()]
+
+
+def _json_matrix(m: np.ndarray, depth: int) -> str:
+    """A 2-D complex matrix as rows of [re, im] pairs, laid out as
+    ``json.dumps(m_as_lists, indent=2)`` lays out a value ``depth`` levels deep."""
+    if not (m.ndim == 2 and m.dtype == np.complex128):
+        raise TypeError(f"Object of type ndarray ({m.dtype}, {m.ndim}-D) is "
+                        "not JSON serializable")
+    if not m.size:
+        return _json(m.tolist(), depth)
+    i0, i1, i2, i3 = ("\n" + "  " * (depth + k) for k in range(4))
+    pairs = np.stack([m.real, m.imag], axis=-1)
+    # each float followed by the text up to the next one
+    parts = np.empty(pairs.shape + (2,), dtype=object)
+    parts[..., 0] = _formatted(pairs, _json_float)
+    parts[:, :, 0, 1] = "," + i3
+    parts[:, :, 1, 1] = i2 + "]," + i2 + "[" + i3
+    parts[:, -1, 1, 1] = i2 + "]" + i1 + "]," + i1 + "[" + i2 + "[" + i3
+    parts[-1, -1, 1, 1] = i2 + "]" + i1 + "]" + i0 + "]"
+    return "[" + i1 + "[" + i2 + "[" + i3 + "".join(parts.ravel().tolist())
+
+
+def _json(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for a value ``depth``
+    levels deep, with 2-D complex arrays as rows of [re, im] pairs; dict keys
+    are strings."""
+    if isinstance(obj, np.ndarray):
+        return _json_matrix(obj, depth)
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(key)}: {_json(obj[key], depth + 1)}"
+                 for key in sorted(obj)]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items = [_json(item, depth + 1) for item in obj]
+        brackets = "[]"
+    else:
+        return json.dumps(obj)
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return (brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth
+            + brackets[1])
 
 
 # Every echo names its stream: click caches a wrapper per default stream,
@@ -86,11 +141,11 @@ def _matrix_lines(m) -> list[str]:
 
 def _respond(command: list, tol: float, fmt: str, result: dict, lines: list):
     """Print ``result`` as the structured document of ``command``, or ``lines``;
-    matrices stay ndarrays until this writes each once, in the format asked for."""
+    matrices stay ndarrays until this writes each once, in the format asked for,
+    formatting each distinct entry once."""
     if fmt == "structured":
-        doc = {"schema": SCHEMA, "command": command, "tolerance": tol,
-               "result": result}
-        text = json.dumps(doc, indent=2, sort_keys=True, default=_encode_matrix)
+        text = _json({"schema": SCHEMA, "command": command, "tolerance": tol,
+                      "result": result})
     else:
         text = "\n".join(row for line in lines for row in (
             _matrix_lines(line) if isinstance(line, np.ndarray) else [line]))

@@ -481,7 +481,9 @@ class _Parser:
         value = self._complex_term()
         while self.at_sym("+", "-"):
             sign = 1 if self.next().text == "+" else -1
-            value += sign * self._complex_term()
+            # the full complex product, which CPython <= 3.13 also takes for
+            # ``sign * term``; 3.14 multiplies an int by a complex componentwise
+            value += complex(sign, 0.0) * self._complex_term()
         return value
 
     def _complex_term(self) -> complex:

@@ -15,7 +15,8 @@ from click.testing import CliRunner
 from helpers import count_calls
 from qalt import (TruthTable, gen_deutsch, gen_deutsch_jozsa, gen_grover_oracle,
                   gen_qft, pretty)
-from qalt.cli import TOFFOLI_SOURCE, main
+from qalt import cli
+from qalt.cli import SCHEMA, TOFFOLI_SOURCE, main
 from qalt.core import DEFAULT_TOL
 from qalt.syntax import KEYWORDS
 
@@ -631,7 +632,13 @@ FORMAT_FILES = {
     "m": "q *= H\nmeasure q then { skip } else { q *= X }\n",
     "x": "q *= X\n",
     "init": json.dumps(VALID_INIT),
+    # a 3-qubit CNOT chain: few distinct entries, each repeated many times
+    "c": "q0 *= H\nq1 *= H\nq2 *= H\nif q0 then { skip } else { q1 *= X }\n"
+         "if q1 then { skip } else { q2 *= X }\n",
+    "init3": json.dumps({"signature": [8], "blocks": [
+        [[[1.0 if i == j == 0 else 0.0, 0.0] for j in range(8)] for i in range(8)]]}),
 }
+CHAIN_CTX = ["--ctx", "q0:qbit,q1:qbit,q2:qbit"]
 FORMAT_INVOCATIONS = [
     ["run", "{h}"],
     ["run", "{g}", "--ctx", "q:qbit", "--init", "{init}", "--stats", "q"],
@@ -640,6 +647,8 @@ FORMAT_INVOCATIONS = [
     ["equiv", "{g}", "{g}", "--ctx", "q:qbit"],
     ["order", "{g}", "{x}", "--ctx", "q:qbit"],
     ["demo", "dj", "--f", "0110"],
+    ["denote", "{c}", *CHAIN_CTX, "--choi"],
+    ["run", "{c}", *CHAIN_CTX, "--init", "{init3}"],
 ] + [["demo", name] for name in ("deutsch", "dj", "nonmonotone", "phase", "qft",
                                  "toffoli")]
 MATRIX_ROW = re.compile(r"  \S+i(  \S+i)*")
@@ -661,12 +670,28 @@ class TestOutputFormat:
 
     @pytest.mark.parametrize("argv", FORMAT_INVOCATIONS,
                              ids=lambda argv: "-".join(a.strip("{}-") for a in argv))
-    def test_formats_agree(self, runner, tmp_path, argv):
+    def test_formats_agree(self, runner, tmp_path, monkeypatch, argv):
         paths = {key: write(tmp_path, f"{key}.in", text)
                  for key, text in FORMAT_FILES.items()}
         argv = [a.format(**paths) for a in argv]
+        arrays, respond = [], cli._respond
+
+        def collect(value):
+            if isinstance(value, np.ndarray):
+                arrays.append(value)
+            elif isinstance(value, (dict, list, tuple)):
+                for item in (value.values() if isinstance(value, dict) else value):
+                    collect(item)
+
+        def spy(command, tol, fmt, result, lines):
+            collect([result, lines])
+            respond(command, tol, fmt, result, lines)
+
+        monkeypatch.setattr(cli, "_respond", spy)
         text = runner.invoke(main, argv)
         structured = runner.invoke(main, argv + ["--format", "structured"])
+        # the writer takes exactly these arrays; any other one is a TypeError
+        assert all(a.ndim == 2 and a.dtype == np.complex128 for a in arrays)
         assert text.exit_code == structured.exit_code in (0, 2), text.output
         out = structured.stdout
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
@@ -674,6 +699,103 @@ class TestOutputFormat:
         assert rows == ["  " + "  ".join(f"{re:.10g}{im:+.10g}i" for re, im in row)
                         for m in structured_matrices(json.loads(out)) for row in m]
         assert bool(rows) == (argv[0] in ("run", "denote"))
+
+
+#: Floats whose JSON or ``.10g`` form is easy to get wrong.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf,
+               math.nan, 1.0, -1.0, 0.5, 2 ** -0.5, 1 / 3, 1e-17, 123456789.0123]
+
+
+def random_matrix(rng) -> np.ndarray:
+    """A complex matrix, often 1xN or Nx1, whose entries repeat a few values."""
+    rows, cols = (int(n) for n in rng.integers(1, 7, size=2))
+    if rng.random() < 0.25:
+        rows = 1
+    elif rng.random() < 0.25:
+        cols = 1
+    pool = np.array(EDGE_FLOATS)[rng.permutation(len(EDGE_FLOATS))[:rng.integers(1, 6)]]
+    parts = [rng.choice(pool, size=(rows, cols)) for _ in range(2)]
+    if rng.random() < 0.25:
+        parts[int(rng.integers(2))] = rng.normal(size=(rows, cols))
+    m = np.empty((rows, cols), dtype=complex)
+    m.real, m.imag = parts
+    return m
+
+
+def random_value(rng, depth=0):
+    """A document node: a scalar, a matrix, or a possibly empty container."""
+    roll = int(rng.integers(9 if depth < 4 else 5))
+    size = int(rng.integers(4))
+    if roll == 0:
+        return [None, True, False, "s\u00e9\"q"][int(rng.integers(4))]
+    if roll == 1:
+        return int(rng.integers(-3, 300))
+    if roll == 2:
+        return float(rng.choice(EDGE_FLOATS))
+    if roll in (3, 4):
+        return random_matrix(rng)
+    if roll in (5, 6):
+        items = [random_value(rng, depth + 1) for _ in range(size)]
+        return items if roll == 5 else tuple(items)
+    return {f"k{int(rng.integers(20))}": random_value(rng, depth + 1)
+            for _ in range(size)}
+
+
+def responded(*args) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._respond(*args)
+    return out.getvalue()
+
+
+class TestWriter:
+    """``_respond`` against the standard library's writer and the text rows'
+    f-string, on random documents and matrices."""
+
+    @staticmethod
+    def stdlib(doc) -> str:
+        return json.dumps(doc, indent=2, sort_keys=True,
+                          default=lambda m: np.stack([m.real, m.imag], -1).tolist())
+
+    def test_structured_is_the_stdlib_document(self):
+        rng = np.random.default_rng(19)
+        for _ in range(400):
+            result = {f"r{i}": random_value(rng) for i in range(int(rng.integers(4)))}
+            command, tol = ["denote", "p.q"], float(rng.choice([1e-9, 1e-3, 0.5]))
+            doc = {"schema": SCHEMA, "command": command, "tolerance": tol,
+                   "result": result}
+            assert responded(command, tol, "structured", result, []) \
+                == self.stdlib(doc) + "\n"
+
+    @staticmethod
+    def fstring_rows(m) -> list[str]:
+        return ["  " + "  ".join(f"{z.real:.10g}{z.imag:+.10g}i" for z in row)
+                for row in m]
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_matrices(self, shape):
+        m = np.zeros(shape, dtype=complex)
+        doc = {"schema": SCHEMA, "command": [], "tolerance": 1.0, "result": {"m": m}}
+        assert responded([], 1.0, "structured", {"m": m}, []) \
+            == self.stdlib(doc) + "\n"
+        assert responded([], 1.0, "text", {}, ["x", m]) \
+            == "\n".join(["x"] + self.fstring_rows(m)) + "\n"
+
+    def test_text_rows_are_the_fstring_rows(self):
+        rng = np.random.default_rng(20)
+        for _ in range(300):
+            lines = ["a header", random_matrix(rng), random_matrix(rng), "a footer"]
+            expected = [row for line in lines for row in (
+                self.fstring_rows(line) if isinstance(line, np.ndarray) else [line])]
+            assert responded([], 1.0, "text", {}, lines) == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("value", [np.zeros(3, dtype=complex), np.eye(2),
+                                       np.zeros((2, 2, 2), dtype=complex),
+                                       np.eye(2, dtype=np.complex64), object()],
+                             ids=["1-D", "real", "3-D", "complex64", "object"])
+    def test_other_values_are_not_serializable(self, value):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            responded([], 1.0, "structured", {"v": value}, [])
 
 
 IDENTITY4 = "[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import re
@@ -274,6 +275,44 @@ class TestPrettyRoundTrip:
     def test_overflowed_literals_overflow_again(self):
         assert pretty(parse("q *= Phase(1e400)")) == "q *= Phase(1e999)\n"
         assert pretty(parse("q *= [[1e400i, -1e400]]")) == "q *= [[1e999i, -1e999]]\n"
+
+
+class TestComplexLiteral:
+    """A matrix entry sums its terms, each multiplied by its sign as the full
+    complex product (s + 0j) * term, whatever the Python version."""
+
+    TERMS = ["0", "1", "2.5", "1e999", "0i", "1i", "2.5i", "1e999i", "i"]
+    # the first term takes a unary sign, each later one an operator too
+    FIRST, LATER = ["", "-"], ["+ ", "- ", "+ -", "- -"]
+
+    @staticmethod
+    def term(sign: str, text: str) -> tuple:
+        mag = 1.0 if text == "i" else float(text.rstrip("i"))
+        part = -mag if sign.endswith("-") else mag
+        return (0.0, part) if text.endswith("i") else (part, 0.0)
+
+    @staticmethod
+    def signed(op: str, term: tuple) -> tuple:
+        s, (a, b) = (-1.0 if op.startswith("-") else 1.0), term
+        return (s * a - 0.0 * b, s * b + 0.0 * a)
+
+    def test_every_sum_of_up_to_three_terms(self):
+        sources, expected = [], []
+        for k in (1, 2, 3):
+            for texts in itertools.product(self.TERMS, repeat=k):
+                for signs in itertools.product(self.FIRST, *[self.LATER] * (k - 1)):
+                    re, im = self.term(signs[0], texts[0])
+                    for sign, text in zip(signs[1:], texts[1:]):
+                        x, y = self.signed(sign, self.term(sign[1:], text))
+                        re, im = re + x, im + y
+                    sources.append(" ".join(s + t for s, t in zip(signs, texts)))
+                    expected.append(repr(complex(re, im)))
+        tree = parse(f"q *= [[{', '.join(sources)}]]")
+        [row] = tree.body[0].gate.entries
+        assert [repr(z) for z in row] == expected
+        # the sums fall into 198 values (zero signs, infs and nans apart)
+        assert len(set(expected)) == 198
+        assert repr(parse(pretty(tree))) == repr(tree)
 
 
 #: Words of the seeded parser inputs: every keyword, gate and symbol, some
