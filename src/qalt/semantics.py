@@ -16,8 +16,9 @@ Both evaluators take a program through parse -> elaborate -> typecheck
 ``run`` is ``apply(denote(..))`` by design, so the Kraus semantics is what
 ``qalt run`` prints.  The denotation is compositional: [[S1; S2]] is [[S2]]
 after [[S1]].  :func:`_denote_block` denotes a repeated statement once and
-canonicalises a run of one-operator steps once; an alternation is one set
-over its case elements read in the context layout.  A
+canonicalises a run of one-operator steps once, whatever the set it starts
+from; an alternation is one set over its case elements read in the context
+layout.  A
 measurement reads the direct sum of its arms (:func:`qalt.kraus.branch_sum`)
 through one column index map, which gives QPL's
 {E Pi_0 : E in A} u {F Pi_1 : F in B} with no dense measure or merge map.
@@ -42,8 +43,9 @@ and the empty block as {[1]}; an allocation as {|0>}.  An alternation whose
 arms each hold one operator is not checked again: its one element's
 residual is the direct sum of the arms' residuals, and each arm was checked
 when it was denoted.  Other alternations, measurements, discards and
-compositions go through ``make_kraus`` at full width, and so does the raw
-product of a run of one-operator steps, once, when the run ends.
+compositions go through ``make_kraus`` at full width, and so does a run of
+one-operator steps, once, when it ends: the run holds one raw product per
+operator of the set it started from.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ from .kraus import (
     apply_full,
     branch_sum,
     case_elements,
+    coalesces,
     compose,
     diagonal_blocks,
     identity_kraus,
@@ -205,18 +208,26 @@ def _denote_block(block: list, ctx: Context, tol: float) -> tuple[KrausSet, Cont
     step is kept only while its statement occurs again later in the block,
     and only within :data:`MEMO_BYTES` of operators per block.
 
-    While the set so far and the next step each hold one operator, the block
-    keeps the raw product ``step.ops[0] @ acc``: the product ``compose``
-    would form, in the same order.  The run is canonicalised and checked
-    once, by ``make_kraus`` at full width, when it ends: at a step with
-    several operators (or none), which then goes through ``compose``, or at
-    the end of the block.  So a prefix of a run is not checked on its own,
-    and a prefix that exceeds ``tol`` only by rounding passes if the whole
-    run does.  A one-operator step was checked on its own small space when
-    it was denoted (see the module docstring), so a run of one step is not
-    checked again.  The operator tuples are those of composing a fresh
-    denotation of every statement, and every set that is built is still
-    checked at ``tol``.  The empty block denotes {I}, checked as {[1]}.
+    A step of one operator U takes each operator F of the set so far to
+    U F, so the block keeps a run open: one raw product per operator of the
+    set the run started from, each step forming the products ``compose``
+    would form, from the same operands.  A run of several products stays
+    open while :func:`qalt.kraus.coalesces` finds that canonicalising them
+    would drop or merge nothing; their sort keys then differ, so their final
+    order does not depend on the order kept.  A run of one product is not
+    asked: every statement is trace-preserving (a gate within its unitarity
+    tolerance), so the one operator E of a set has E'E = I, and steps of one
+    operator keep U E as far from 0.  At a step of several operators (or
+    none), or one after which something would drop or merge, the run so far is
+    canonicalised and checked by ``make_kraus`` at full width and the step
+    goes through ``compose``; the end of the block ends a run too.  So a
+    prefix of a run is not checked on its own, and a prefix that exceeds
+    ``tol`` only by rounding passes if the whole run does.  A run of one
+    step is not checked again: a one-operator step was checked on its own
+    small space (see the module docstring).  The operator tuples are those
+    of composing a fresh denotation of every statement, and every set that
+    is built is still checked at ``tol``.  The empty block denotes {I},
+    checked as {[1]}.
     """
     if not block:
         return identity_kraus(signature_of(ctx), tol), ctx
@@ -225,7 +236,7 @@ def _denote_block(block: list, ctx: Context, tol: float) -> tuple[KrausSet, Cont
     memo: dict = {}  # statement key -> {context: (step, output context)}
     held = 0
     kset = None
-    product = None  # raw product of the open run of one-operator steps
+    run_ops = None  # the open run: one raw product per operator of kset
     for i, (stmt, key) in enumerate(zip(block, keys)):
         steps = memo.get(key, {})
         if ctx in steps:
@@ -240,16 +251,19 @@ def _denote_block(block: list, ctx: Context, tol: float) -> tuple[KrausSet, Cont
             held -= sum(_nbytes(s) for s, _ in memo.pop(key, {}).values())
         if kset is None:
             kset = step
-        elif len(step.ops) == 1 and (product is not None or len(kset.ops) == 1):
-            product = step.ops[0] @ (kset.ops[0] if product is None else product)
         else:
-            if product is not None:
-                kset = make_kraus(kset.input_sig, step.input_sig, [product], tol)
-                product = None
-            kset = compose(step, kset, tol)
+            run = None
+            if len(step.ops) == 1:
+                u = step.ops[0]
+                run = [u @ p for p in (kset.ops if run_ops is None else run_ops)]
+            if run is None or len(run) > 1 and coalesces(run):
+                if run_ops is not None:
+                    kset = make_kraus(kset.input_sig, step.input_sig, run_ops, tol)
+                kset, run = compose(step, kset, tol), None
+            run_ops = run
         ctx = out
-    if product is not None:
-        kset = make_kraus(kset.input_sig, signature_of(ctx), [product], tol)
+    if run_ops is not None:
+        kset = make_kraus(kset.input_sig, signature_of(ctx), run_ops, tol)
     return kset, ctx
 
 

@@ -293,6 +293,19 @@ class TestTolerance:
         result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
 
+    def test_a_run_after_a_measurement_is_checked_once(self, runner, tmp_path):
+        # after the measurement the set holds two operators; the run keeps
+        # one product per operator and checks them once, when it ends, so
+        # here too the first two gates are not checked on their own
+        measure = "measure q then { skip } else { skip }\n"
+        args = ["denote", write(tmp_path, "f.q", measure + self.NEAR_UNITARY),
+                "--ctx", "q:qbit"]
+        assert runner.invoke(main, args).exit_code == 2
+        args[1] = write(tmp_path, "g.q", measure + self.NEAR_UNITARY
+                        + "q *= [[0.9999999996, 0], [0, 1]]\n")
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+
     def test_tolerance_reaches_the_state_check(self, runner, tmp_path):
         # the output trace is 1 + 1.6e-9, over the default tolerance
         src = write(tmp_path, "f.q", "new qbit q\n" + self.NEAR_UNITARY)

@@ -40,7 +40,7 @@ from qalt.errors import (
 )
 from qalt import kraus
 from qalt.kraus import (COALESCE_TOL, KrausSet, _canonical_key, _coalesce,
-                        case_elements, choi_distance)
+                        case_elements, choi_distance, coalesces)
 
 Q = Signature((2,))
 ONE = Signature((1,))
@@ -290,6 +290,67 @@ class TestMeanPrefilter:
             assert_coalesce_matches_full_scan(ops)
         (folded,) = assert_coalesce_matches_full_scan([k, k, math.sqrt(2) * k])
         assert np.abs(folded - 2 * k).max() < 1e-15
+
+
+class TestCoalesces:
+    """`coalesces(ops)` is False exactly when canonicalising ``ops`` would
+    drop and merge nothing: when the pairwise scan returns every operator."""
+
+    @staticmethod
+    def agrees(ops) -> bool:
+        want = len(pairwise_coalesce(list(ops), COALESCE_TOL)) < len(ops)
+        assert coalesces(list(ops)) == want
+        return want
+
+    def test_random_multisets(self):
+        rng = np.random.default_rng(20)
+        outcomes = []
+        for _ in range(300):
+            ops = random_multiset(rng, int(rng.integers(1, 12)))
+            outcomes.append(self.agrees(ops))
+            outcomes.append(self.agrees(list({m.tobytes(): m for m in ops}.values())))
+        assert 150 < sum(outcomes) < 450, sum(outcomes)
+
+    def test_equal_means_pairs_just_within_and_just_apart(self):
+        rng = np.random.default_rng(21)
+        for d in (2, 4, 8):
+            for scale in (1, 300):
+                twins = [m * scale for m in {m.tobytes(): m for m in mean_twins(rng, d)}.values()]
+                assert not self.agrees(twins)
+                assert self.agrees(twins + [tol_apart(twins[-1], 1j)])
+                assert not self.agrees(twins + [twins[-1] + 2 * COALESCE_TOL])
+
+    def test_keys_n_tol_apart_are_still_compared(self):
+        # b - a is 0.999 COALESCE_TOL conj(w_j) in entry j, which sets the
+        # keys 0.999 N COALESCE_TOL apart, the most a merging pair can be
+        rng = np.random.default_rng(22)
+        for d in (2, 4, 8):
+            a = rng.uniform(-0.5, 0.5, (d, d)) + 1j * rng.uniform(-0.5, 0.5, (d, d))
+            step = 0.999 * COALESCE_TOL * kraus._key_weights(d * d).conj().reshape(d, d)
+            assert self.agrees([a, a + step]) and self.agrees([a + step, -a, a])
+            assert not self.agrees([a, a + 2 * step])
+
+    def test_alternation_elements(self):
+        # 128 elements with many equal entry sums, then a third repeated
+        rng = np.random.default_rng(128)
+        branches = [rand_kraus(rng, Signature((2, 2)), size=n) for n in (16, 8)]
+        elements = case_elements(branches, 1)
+        assert not self.agrees(elements)
+        assert self.agrees(elements + elements[::3])
+
+    def test_drop_threshold_is_inclusive(self):
+        k = np.zeros((2, 2), dtype=complex)
+        k[0, 1] = COALESCE_TOL
+        assert self.agrees([k]) and self.agrees([np.eye(2), k])
+        k[0, 1] = np.nextafter(COALESCE_TOL, 1)
+        assert not self.agrees([k]) and not self.agrees([np.eye(2), k])
+        assert not coalesces([])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_entry_answers_true(self, bad):
+        m = np.eye(2, dtype=complex)
+        m[1, 0] = bad
+        assert coalesces([m]) and coalesces([np.eye(2) / 2, m])
 
 
 #: Programs whose denotations coalesce sets of 16 to 256 raw operators:

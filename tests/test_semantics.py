@@ -556,9 +556,45 @@ def _run_breaking_block(rng) -> str:
     return "\n".join(lines)
 
 
+def _set_then_run_block(rng) -> str:
+    """Sets of 2-16 operators (measurements, discarded ancillas, cases with
+    a measuring arm, a discarded bit), each followed by a run of
+    one-operator statements; some ancillas are rotated by pi/4 + 0.6e-12 to
+    1.2e-12, so their two operators merge under a later Hadamard."""
+    qubits = ["q0", "q1", "q2"]
+    lines = []
+    for _ in range(int(rng.integers(1, 3))):
+        for _ in range(int(rng.integers(1, 3))):
+            q, r, s = (str(x) for x in rng.permutation(qubits))
+            roll = rng.random()
+            if roll < 0.3:
+                lines.append(f"measure {q} then {{ {r} *= H }} else {{ {r} *= S }}")
+            elif roll < 0.5:
+                lines.append(f"new qbit t\nt *= H\nif t then {{ skip }} "
+                             f"else {{ {q} *= X }}\ndiscard t")
+            elif roll < 0.7:
+                theta = math.pi / 4 + float(rng.uniform(0.6e-12, 1.2e-12))
+                c, sn = math.cos(theta), math.sin(theta)
+                lines.append(f"new qbit t\nt *= [[{c!r}, {-sn!r}], [{sn!r}, {c!r}]]\n"
+                             f"discard t\n{q} *= H")
+            elif roll < 0.85:
+                lines.append(f"case ({q}, {r}) of |00> -> {{ measure {s} then {{ skip }} "
+                             f"else {{ {s} *= X }} }} |_> -> {{ {s} *= H }}")
+            else:
+                lines.append("discard b0\nnew bit b0")
+        for _ in range(int(rng.integers(1, 7))):
+            q, r = (str(x) for x in rng.permutation(qubits)[:2])
+            if rng.random() < 0.3:
+                lines.append(f"if {q} then {{ {r} *= H }} else {{ {r} *= Rk(3) }}")
+            else:
+                lines.append(_neutral_stmt(rng, qubits, set(), 2))
+    return "\n".join(lines)
+
+
 class TestFusedRuns:
-    """A block keeps one raw product per run of one-operator steps; its sets
-    are those of composing every step in turn."""
+    """A block keeps one raw product per operator of the set a run of
+    one-operator steps starts from; its sets are those of composing every
+    step in turn."""
 
     CTX = Context.of(("q0", "qbit"), ("b0", "bit"), ("q1", "qbit"), ("q2", "qbit"))
 
@@ -579,10 +615,73 @@ class TestFusedRuns:
                "measure q0 then { skip } else { skip }\nq2 *= H\nq2 *= S", self.CTX)
         # three steps before the measurement; its arms' identities, their
         # sum and the measurement; two gate steps after it; the product of
-        # the first three steps; then one composition per later step, as the
-        # set so far holds two operators
-        assert len(composes) == 3
-        assert len(makes) == 3 + 4 + 2 + 1 + 3
+        # the first three steps; the one composition, of the measurement;
+        # then the run after it, one product per operator of its two, once
+        assert len(composes) == 1
+        assert len(makes) == 3 + 4 + 2 + 1 + 1 + 1
+
+    @pytest.mark.parametrize("gate", [
+        # the discard leaves {1.2e-12 I, I}; the first H takes 1.2e-12 I to
+        # entries of 8.5e-13, which canonicalising drops
+        "[[1, -1.2e-12], [1.2e-12, 1]]",
+        # a rotation by pi/4 + 0.85e-12: the discard leaves cos I and sin I,
+        # 1.2e-12 apart; after the first H they are 8.5e-13 apart and merge
+        "[[0.7071067811859465, -0.7071067811871485], "
+        "[0.7071067811871485, 0.7071067811859465]]",
+    ])
+    def test_a_run_closes_where_its_products_would_coalesce(self, monkeypatch, gate):
+        ctx = Context.of(("q", "qbit"))
+        prefix = f"new qbit t\nt *= {gate}\ndiscard t"
+        src = prefix + "\nq *= H\nq *= H"
+        before = denote(prefix, ctx).kraus
+        assert len(before) == 2
+        # a run kept open across the first H would be apart again after
+        # the second and keep two operators
+        hh = H @ H
+        assert len(make_kraus(before.input_sig, before.output_sig,
+                              [hh @ e for e in before.ops])) == 2
+        got = denote(src, ctx)
+        monkeypatch.setattr(semantics, "_denote_block", _fresh_block)
+        want = denote(src, ctx)
+        assert len(got.kraus) == 1
+        assert got.kraus == want.kraus
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-3])
+    def test_runs_after_sets_of_several_operators_equal_left_fold(self, monkeypatch, tol):
+        rng = np.random.default_rng(20240620)
+        blocks = [_set_then_run_block(rng) for _ in range(100)]
+        answers = []
+
+        def coalesces(ops):
+            answers.append((len(ops), kraus.coalesces(ops)))
+            return answers[-1][1]
+
+        monkeypatch.setattr(semantics, "coalesces", coalesces)
+        fused = []
+        for src in blocks:
+            try:
+                fused.append(denote(src, self.CTX, tol))
+            except TraceConditionViolated:
+                fused.append(None)
+        monkeypatch.setattr(semantics, "_denote_block", _fresh_block)
+        checked = 0
+        for src, got in zip(blocks, fused):
+            try:
+                want = denote(src, self.CTX, tol)
+            except TraceConditionViolated:
+                continue  # a run does not check its prefixes on their own
+            checked += 1
+            assert got is not None, src
+            assert got.output_ctx == want.output_ctx
+            assert got.kraus == want.kraus, src
+        # at tol 1e-12 some merges fail the check in both: cos I and sin I
+        # merge into sqrt(2) sin I when sin I comes first, 1 + 1.7e-12 on I
+        assert checked >= 80
+        # runs were kept open over sets of 2 to 16 operators, and closed
+        # where something would drop or merge
+        sizes = {n for n, answer in answers if not answer}
+        assert min(sizes) == 2 and max(sizes) == 16
+        assert any(answer for _, answer in answers)
 
 
 def _layout_map(a: Context, b: Context) -> np.ndarray:

@@ -23,8 +23,9 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 CTX = Context.of(("q0", "qbit"), ("q1", "qbit"), ("q2", "qbit"))
 
 #: A gate, a measurement, a one-control ``if``, a two-control ``case``, a
-#: repeated gate (one product, checked once) and a gate after a measurement
-#: (a block composes only where a set has several operators).
+#: repeated gate (one product, checked once), a gate after a measurement
+#: (one product per operator, checked once) and a measurement after a gate
+#: (a block composes only at a step of several operators).
 PROGRAMS = [
     "q0 *= H",
     "measure q0 then { q1 *= X } else { skip }",
@@ -33,6 +34,7 @@ PROGRAMS = [
     "|10> -> { q2 *= X } |11> -> { q2 *= S }",
     "q1 *= H\nq1 *= H",
     "measure q0 then { skip } else { q1 *= X }\nq2 *= H",
+    "q2 *= H\nmeasure q0 then { skip } else { q1 *= X }",
 ]
 
 
