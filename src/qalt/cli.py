@@ -186,7 +186,10 @@ def _check_tol(ctx, param, value):
 
 _TOL = click.option("--tol", type=float, default=DEFAULT_TOL, envvar="QALT_TOL",
                     callback=_check_tol,
-                    help="Numeric tolerance (default 1e-9, env QALT_TOL).")
+                    help="Numeric tolerance (default 1e-9, env QALT_TOL).  Values "
+                         "below about 1e-15 are kept, but a run's full-width check "
+                         "then decides on BLAS rounding, which depends on the "
+                         "width of the context.")
 _CTX = click.option("--ctx", "ctx_spec", default="",
                     help="Initial context, e.g. 'q0:qbit,q1:qbit'.")
 

@@ -248,26 +248,6 @@ def block_offsets(sig: Signature) -> list[int]:
     return offs
 
 
-def basis_elements(sig: Signature) -> list[tuple[Matrix, ...]]:
-    """Block-diagonal matrix units spanning the space of block tuples.
-
-    Returns one per-block tuple for each unit e^(i)_{jk}; the elements are
-    generally neither Hermitian nor positive, they are a linear spanning set.
-    """
-    out = []
-    for i, n in enumerate(sig.blocks):
-        for j in range(n):
-            for k in range(n):
-                blocks = []
-                for ii, nn in enumerate(sig.blocks):
-                    b = np.zeros((nn, nn), dtype=complex)
-                    if ii == i:
-                        b[j, k] = 1.0
-                    blocks.append(b)
-                out.append(tuple(blocks))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Density states
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ matrices, extensional equality and the Loewner order.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,8 +41,6 @@ from .errors import (
 
 #: Entrywise tolerance at which two operators count as equal occurrences.
 COALESCE_TOL = 1e-12
-
-_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +123,8 @@ def _coalesce(ops: list[Matrix]) -> list[Matrix]:
     for entries of a few hundred.  A set that passes the trace check at
     ``tol`` has no entry above sqrt(1 + tol), since |E_ij| <= ||E|| and
     ||E||^2 <= ||sum E'E|| <= 1 + tol; a set with larger entries fails that
-    check whatever the grouping.
+    check whatever the grouping.  :func:`coalesces` asks this fold too, so
+    which operators count as equal is decided here alone.
     """
     current = [m for m in ops if np.abs(m).max() > COALESCE_TOL]
     while len(current) > 1:
@@ -148,46 +146,16 @@ def _coalesce(ops: list[Matrix]) -> list[Matrix]:
 
 
 def coalesces(ops: list[Matrix]) -> bool:
-    """Whether canonicalising ``ops`` could drop or merge any of them.
+    """Whether canonicalising ``ops`` would drop or merge any of them.
 
-    False only if :func:`_coalesce` would return ``ops`` as they are: no
-    operator has every entry within :data:`COALESCE_TOL` of 0, and no two
-    lie within it of each other entrywise.  True for a non-finite entry.
-    A pair is compared entrywise only when its keys Re sum_j w_j E_j, with
-    |w_j| = 1 over the N entries, lie within N COALESCE_TOL plus their
-    rounding: a pair within COALESCE_TOL entrywise has keys that close.
-    All operators share one shape.
+    This is :func:`_coalesce`'s own answer: True when it returns fewer
+    operators, so when some operator has every entry within
+    :data:`COALESCE_TOL` of 0 or two lie within it of each other entrywise.
+    True for a non-finite entry.  All operators share one shape.
     """
-    squares = [np.vdot(m, m).real for m in ops]  # sum_j |E_j|^2
-    # above 2 N COALESCE_TOL^2 (the 2 for rounding), it puts an entry above
-    # COALESCE_TOL; only an operator under that needs its entries read
-    floor = 2 * (ops[0].size if ops else 0) * COALESCE_TOL ** 2
-    if not all(floor < x < math.inf for x in squares) and any(
-            not COALESCE_TOL < np.abs(m).max() < math.inf for m in ops):
+    if not all(np.isfinite(m).all() for m in ops):
         return True
-    if len(ops) < 2:
-        return False
-    stack = np.asarray(ops).reshape(len(ops), -1)
-    n, top = stack.shape[1], math.sqrt(max(squares))  # top >= every |E_j|
-    keys = (stack @ _key_weights(n)).real
-    # each key's rounding is under 2 (n + 2) eps sum_j |E_j| <= 2 (n + 2) eps n top
-    margin = n * (COALESCE_TOL + 4 * (n + 2) * _EPS * top)
-    order = np.argsort(keys)
-    ranked = keys[order]
-    gaps = ranked[1:] - ranked[:-1]
-    for a in np.flatnonzero(gaps <= margin).tolist():
-        for b in range(a + 1, len(ranked)):
-            if ranked[b] - ranked[a] > margin:
-                break
-            if np.abs(stack[order[a]] - stack[order[b]]).max() <= COALESCE_TOL:
-                return True
-    return False
-
-
-@functools.lru_cache(maxsize=16)
-def _key_weights(n: int) -> np.ndarray:
-    """Weights e^(ij), j < n, of :func:`coalesces`' keys."""
-    return np.exp(1j * np.arange(n))
+    return len(_coalesce(list(ops))) < len(ops)
 
 
 def make_kraus(input_sig: Signature, output_sig: Signature, raw_ops,

@@ -5,10 +5,11 @@ basis is one index tensor with a length-2 axis per variable, the bits first
 and then the qubits, each in allocation order (:func:`_layout`).  So bits
 select signature blocks (first allocated = most significant) and qubits are
 the tensor factors of a block (first allocated = leading factor).  Every
-layout map is read off that tensor: allocation, discard, measurement and the
-control blocks of an alternation fix values on variables' axes
-(:func:`_where`), and moving the controls of an alternation to the front
-transposes its axes (:func:`leading_permutation`).
+layout map is read off that tensor: a gate acts on its targets' axes
+(:func:`qalt.core.embed_gate` over all of them, bits included), allocation,
+discard, measurement and the control blocks of an alternation fix values on
+variables' axes (:func:`_where`), and moving the controls of an alternation
+to the front transposes its axes (:func:`leading_permutation`).
 
 Both evaluators take a program through parse -> elaborate -> typecheck
 (:func:`_prepare`) and read the same core language as the typechecker.
@@ -166,13 +167,6 @@ def _gate_matrix(gate) -> Matrix:
     raise TypeError(f"gate not elaborated: {gate!r}")
 
 
-def _apply_gate_matrix(ctx: Context, names: list[str], u: Matrix) -> Matrix:
-    qubits = ctx.qubits()
-    positions = [qubits.index(n) for n in names]
-    embedded = embed_gate(u, positions, len(qubits))
-    return np.kron(np.eye(2 ** len(ctx.bits()), dtype=complex), embedded)
-
-
 # ---------------------------------------------------------------------------
 # Denotation
 # ---------------------------------------------------------------------------
@@ -212,9 +206,10 @@ def _denote_block(block: list, ctx: Context, tol: float) -> tuple[KrausSet, Cont
     U F, so the block keeps a run open: one raw product per operator of the
     set the run started from, each step forming the products ``compose``
     would form, from the same operands.  A run of several products stays
-    open while :func:`qalt.kraus.coalesces` finds that canonicalising them
-    would drop or merge nothing; their sort keys then differ, so their final
-    order does not depend on the order kept.  A run of one product is not
+    open while :func:`qalt.kraus.coalesces`, which asks the fold
+    ``make_kraus`` runs, finds that canonicalising them would drop or merge
+    nothing; their sort keys then differ, so their final order does not
+    depend on the order kept.  A run of one product is not
     asked: every statement is trace-preserving (a gate within its unitarity
     tolerance), so the one operator E of a set has E'E = I, and steps of one
     operator keep U E as far from 0.  At a step of several operators (or
@@ -302,11 +297,11 @@ def _denote_stmt(stmt, ctx: Context, tol: float) -> tuple[KrausSet, Context]:
         return unchecked_singleton(sig, signature_of(out), op), out
     if isinstance(stmt, ast.ApplyGate):
         # I (x) U re-indexed: residual I (x) (I - U'U), checked as {U}
-        names = [t.base for t in stmt.targets]
         u = _gate_matrix(stmt.gate)
         targets = Signature((len(u),))
         make_kraus(targets, targets, [u], tol)
-        op = _apply_gate_matrix(ctx, names, u)
+        names, _ = _layout(ctx)
+        op = embed_gate(u, [names.index(t.base) for t in stmt.targets], len(names))
         return unchecked_singleton(sig, sig, op), ctx
     if isinstance(stmt, ast.Discard):
         name = stmt.name.base

@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import count_calls, psd_brute_force, rand_unitary
+from helpers import basis_elements, count_calls, psd_brute_force, rand_unitary
 from qalt import (
     DensityState,
     Signature,
     adjoint,
-    basis_elements,
     dim,
     dsum,
     embed_gate,

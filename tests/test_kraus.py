@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (count_calls, pairwise_coalesce, rand_density, rand_kraus,
-                     rand_unitary, superop_matrix)
+from helpers import (basis_elements, count_calls, pairwise_coalesce, rand_density,
+                     rand_kraus, rand_unitary, superop_matrix)
 from qalt import (
     Context,
     DensityState,
@@ -14,7 +14,6 @@ from qalt import (
     alternate_case,
     apply,
     apply_full,
-    basis_elements,
     branch_sum,
     compose,
     denote,
@@ -294,7 +293,8 @@ class TestMeanPrefilter:
 
 class TestCoalesces:
     """`coalesces(ops)` is False exactly when canonicalising ``ops`` would
-    drop and merge nothing: when the pairwise scan returns every operator."""
+    drop and merge nothing: when the pairwise scan returns every operator,
+    for sets that the mean-entry prefilter alone cannot tell apart too."""
 
     @staticmethod
     def agrees(ops) -> bool:
@@ -321,12 +321,12 @@ class TestCoalesces:
                 assert not self.agrees(twins + [twins[-1] + 2 * COALESCE_TOL])
 
     def test_keys_n_tol_apart_are_still_compared(self):
-        # b - a is 0.999 COALESCE_TOL conj(w_j) in entry j, which sets the
-        # keys 0.999 N COALESCE_TOL apart, the most a merging pair can be
+        # b - a is 0.999 COALESCE_TOL e^(-ij) in entry j: every entry just
+        # within COALESCE_TOL, in directions that spread over the unit circle
         rng = np.random.default_rng(22)
         for d in (2, 4, 8):
             a = rng.uniform(-0.5, 0.5, (d, d)) + 1j * rng.uniform(-0.5, 0.5, (d, d))
-            step = 0.999 * COALESCE_TOL * kraus._key_weights(d * d).conj().reshape(d, d)
+            step = 0.999 * COALESCE_TOL * np.exp(1j * np.arange(d * d)).conj().reshape(d, d)
             assert self.agrees([a, a + step]) and self.agrees([a + step, -a, a])
             assert not self.agrees([a, a + 2 * step])
 

@@ -19,6 +19,7 @@ from qalt import (
     denote,
     dsum,
     elaborate,
+    embed_gate,
     eval_direct,
     ext_equal,
     gen_deutsch,
@@ -28,6 +29,7 @@ from qalt import (
     measure_stats,
     oracle_context,
     outcome_probability,
+    parse,
     qft_context,
     run,
     tensor,
@@ -198,6 +200,47 @@ class TestLayoutMaps:
                 # Z in the else arm tells the value-1 branch from the value-0 one
                 d_z = denote(f"measure {name} then {{ skip }} else {{ {name} *= Z }}", ctx)
                 assert kraus_equal(d_z.kraus, sig, sig, [pi0, -pi1]), (ctx, name)
+
+
+class TestGateStep:
+    """A gate step is one ``embed_gate`` over the axes of the context layout,
+    bits included, firing once per step.  Its operator is byte for byte the
+    bits' identity tensored with the gate embedded on the qubits alone."""
+
+    CTX = Context.of(("b0", "bit"), ("q0", "qbit"), ("b1", "bit"), ("q1", "qbit"))
+    SWAP_PHASES = ("q1, q0 *= [[0, 0, -1, 0], [0, 0, 0, 0.6 + 0.8i], "
+                   "[1, 0, 0, 0], [0, -0.8 + 0.6i, 0, 0]]")
+
+    def step(self, monkeypatch, src):
+        """The gate's matrix, its operator in CTX, and the qubit-only reference."""
+        embeds = count_calls(monkeypatch, "embed_gate", semantics)
+        stmt = elaborate(parse(src)).body[0]
+        u = semantics._gate_matrix(stmt.gate)
+        got = denote(src, self.CTX).kraus.ops[0]
+        assert len(embeds) == 1
+        qubits = self.CTX.qubits()
+        want = np.kron(np.eye(2 ** len(self.CTX.bits()), dtype=complex),
+                       embed_gate(u, [qubits.index(t.base) for t in stmt.targets],
+                                  len(qubits)))
+        return u, got, want
+
+    @pytest.mark.parametrize("src", ["q1 *= H", "q0 *= Rk(3)",
+                                     "q1 *= [[-0, -1], [1, -0]]", SWAP_PHASES])
+    def test_bytes_equal_bits_identity_tensor_qubit_embedding(self, monkeypatch, src):
+        _, got, want = self.step(monkeypatch, src)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("src", ["q1 *= Y", "q0 *= Phase(4)"])
+    def test_both_parts_negative_changes_only_signs_of_zero(self, monkeypatch, src):
+        # an entry whose real and imaginary parts are both negative-signed
+        # (Y's -i is -0 - 1i) leaves -0.0 where the qubit-only embedding,
+        # multiplied by the bits' identity, left 0.0
+        u, got, want = self.step(monkeypatch, src)
+        assert (np.signbit(u.real) & np.signbit(u.imag)).any()
+        got, want = got.view(np.float64), want.view(np.float64)
+        moved = got.view(np.uint64) != want.view(np.uint64)
+        assert moved.any()
+        assert not got[moved].any() and not want[moved].any()
 
 
 class TestDenotePrograms:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import rand_kraus, rand_unitary
+from helpers import basis_elements, rand_kraus, rand_unitary
 from qalt import (
     Signature,
     dim,
@@ -19,8 +19,7 @@ from qalt import (
 from qalt.errors import DimensionMismatch, EmptySetError, TraceConditionViolated
 from qalt.kraus import apply_full
 from qalt.stinespring import StinespringRep
-from qalt.core import (DEFAULT_TOL, H, ID2, PI0, PI1, X, Z, basis_elements, block_diag,
-                       is_psd)
+from qalt.core import DEFAULT_TOL, H, ID2, PI0, PI1, X, Z, block_diag, is_psd
 
 Q = Signature((2,))
 
