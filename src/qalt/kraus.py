@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,14 @@ class KrausSet:
 
     def op_shape(self) -> tuple[int, int]:
         return (dim(self.output_sig), dim(self.input_sig))
+
+    def times(self, fs) -> list[Matrix]:
+        """E F for each operator E of this set and F of ``fs``, E major.
+
+        These are the products :func:`compose` forms.  ``fs`` is a sequence
+        or a stack of operators of one shape.
+        """
+        return [e @ f for e in self.ops for f in fs]
 
     def completeness_sum(self) -> Matrix:
         """Sum of E'E over the set (zero matrix for the empty set)."""
@@ -206,11 +215,82 @@ def unchecked_singleton(input_sig: Signature, output_sig: Signature,
     return KrausSet(input_sig, output_sig, (freeze(op),))
 
 
+class LocalKraus(KrausSet):
+    """{I (x) u}: one operator that is ``u`` on a few binary axes of ``sig``.
+
+    The 2^n basis vectors of ``sig`` are read as n binary axes, the first
+    most significant.  ``local()`` returns ``u`` and the axes it acts on,
+    its first listed axis most significant; the operator is the identity
+    on the other axes.  :meth:`times` applies ``u`` to those axes of other
+    operators alone.  Each form is built when first needed: ``local()``
+    when :attr:`form` is read, the one full-width operator, ``dense()``,
+    when ``ops`` is read.  The set checks nothing: like
+    :func:`unchecked_singleton`, the caller owes what ``make_kraus`` would
+    have checked, and ``dense()`` must return the operator I (x) u.  ``len``
+    is 1 and reads nothing.
+    """
+
+    def __init__(self, sig: Signature, local, dense):
+        for name, value in (("input_sig", sig), ("output_sig", sig),
+                            ("local", local), ("dense", dense)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def ops(self) -> tuple[Matrix, ...]:
+        return (freeze(self.dense()),)
+
+    @cached_property
+    def form(self) -> tuple[Matrix, tuple[int, ...], int | None]:
+        """``(u, axes, before)``: the axes increasing, ``u`` re-indexed to
+        match, and 2^(first axis) when the axes are adjacent, else None."""
+        u, axes = self.local()
+        u, axes, t = np.asarray(u, dtype=complex), list(axes), len(axes)
+        if axes != sorted(axes):
+            order = list(np.argsort(axes))
+            u = u.reshape((2,) * (2 * t)).transpose(order + [t + i for i in order])
+            u, axes = u.reshape(2 ** t, 2 ** t), sorted(axes)
+        first = axes[0] if axes else 0
+        before = 2 ** first if axes == list(range(first, first + t)) else None
+        return freeze(u), tuple(axes), before
+
+    def __len__(self) -> int:
+        return 1
+
+    def times(self, fs) -> np.ndarray:
+        """U F for each operator F of ``fs``, contracted on the axes of U alone.
+
+        Returns the products as one stack.  Each product is formed by the
+        same matmul of ``u`` with a view of F, whatever else ``fs`` holds:
+        where the axes are adjacent, F's rows are read as (before, axes,
+        after) with the columns after; elsewhere the axes are moved to the
+        front.  So a product's bytes depend on U and F alone, and a run
+        and :func:`compose` form the same ones.
+        """
+        if not len(fs):
+            return []
+        u, axes, before = self.form
+        stack = np.asarray(fs)
+        k, d, c = stack.shape
+        if before is not None:
+            return np.matmul(u, stack.reshape(k * before, len(u), -1)).reshape(k, d, c)
+        n = d.bit_length() - 1
+        rest = [a for a in range(n) if a not in axes]
+        perm = [0, *(1 + a for a in axes), *(1 + a for a in rest), n + 1]
+        moved = stack.reshape((k,) + (2,) * n + (c,)).transpose(perm)
+        out = np.matmul(u, moved.reshape(k, len(u), -1)).reshape(moved.shape)
+        return out.transpose(np.argsort(perm)).reshape(k, d, c)
+
+
 def identity_kraus(sig: Signature, tol: float = DEFAULT_TOL) -> KrausSet:
-    """{I} on ``sig``, checked as the gate I on no qubit, {[1]}."""
+    """{I} on ``sig``, checked as the gate I on no qubit, {[1]}.
+
+    The set is local on no axis, so its d x d identity is built only when
+    its operators are read.
+    """
     scalar = Signature((1,))
     make_kraus(scalar, scalar, [np.eye(1)], tol)
-    return unchecked_singleton(sig, sig, np.eye(dim(sig), dtype=complex))
+    return LocalKraus(sig, lambda: (np.eye(1), ()),
+                      lambda: np.eye(dim(sig), dtype=complex))
 
 
 def zero_kraus(input_sig: Signature, output_sig: Signature) -> KrausSet:
@@ -218,13 +298,16 @@ def zero_kraus(input_sig: Signature, output_sig: Signature) -> KrausSet:
 
 
 def compose(s: KrausSet, t: KrausSet, tol: float = DEFAULT_TOL) -> KrausSet:
-    """Composition ``s after t``: canonicalized products {E F}."""
+    """Composition ``s after t``: canonicalized products {E F}.
+
+    The products are ``s.times(t.ops)``, so a local set (:class:`LocalKraus`)
+    forms them on its own axes.
+    """
     if t.output_sig != s.input_sig:
         raise DimensionMismatch(
             f"cannot compose: inner output {t.output_sig.blocks} "
             f"!= outer input {s.input_sig.blocks}")
-    products = [e @ f for e in s.ops for f in t.ops]
-    return make_kraus(t.input_sig, s.output_sig, products, tol)
+    return make_kraus(t.input_sig, s.output_sig, s.times(t.ops), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,21 @@ basis is one index tensor with a length-2 axis per variable, the bits first
 and then the qubits, each in allocation order (:func:`_layout`).  So bits
 select signature blocks (first allocated = most significant) and qubits are
 the tensor factors of a block (first allocated = leading factor).  Every
-layout map is read off that tensor: a gate acts on its targets' axes
-(:func:`qalt.core.embed_gate` over all of them, bits included), allocation,
-discard, measurement and the control blocks of an alternation fix values on
-variables' axes (:func:`_where`), and moving the controls of an alternation
-to the front transposes its axes (:func:`leading_permutation`).
+layout map is read off that tensor: a gate acts on its targets' axes,
+allocation, discard, measurement and the control blocks of an alternation
+fix values on variables' axes (:func:`_where`), and moving the controls of
+an alternation to the front transposes its axes
+(:func:`leading_permutation`).
+
+A gate, and an alternation whose arms are each ``skip``, empty or one such
+step, is a local set (:class:`qalt.kraus.LocalKraus`): its small matrix and
+the layout axes it acts on (:func:`_local_alternation` writes the arms'
+matrices into one under the controls).  Its products with other operators
+are contracted on those axes alone.  Its full-width operator is built only
+when something reads it: the first statement of a block, an arm of another
+alternation or of a measurement, or ``apply``; a gate's through
+:func:`qalt.core.embed_gate` over the axes, bits included, an alternation's
+from its case elements placed by :func:`leading_permutation`.
 
 Both evaluators take a program through parse -> elaborate -> typecheck
 (:func:`_prepare`) and read the same core language as the typechecker.
@@ -37,16 +47,16 @@ which follows the typechecker's rule (:func:`qalt.check.control_contexts`).
 
 Where each set is checked (sum E'E <= I at ``tol``): a statement whose set
 holds one operator is checked on the smallest space that fixes that
-operator, and its full-width set is built unchecked
-(:func:`qalt.kraus.unchecked_singleton`).  A gate is checked as {U} on its
+operator, and its full-width set is built unchecked (a local set, or
+:func:`qalt.kraus.unchecked_singleton`).  A gate is checked as {U} on its
 2^t targets, since I (x) U re-indexed has residual I (x) (I - U'U); ``skip``
 and the empty block as {[1]}; an allocation as {|0>}.  An alternation whose
-arms each hold one operator is not checked again: its one element's
-residual is the direct sum of the arms' residuals, and each arm was checked
-when it was denoted.  Other alternations, measurements, discards and
-compositions go through ``make_kraus`` at full width, and so does a run of
-one-operator steps, once, when it ends: the run holds one raw product per
-operator of the set it started from.
+arms each hold one operator, local or not, is not checked again: its one
+element's residual is the direct sum of the arms' residuals, and each arm
+was checked when it was denoted.  Other alternations, measurements,
+discards and compositions go through ``make_kraus`` at full width, and so
+does a run of one-operator steps, once, when it ends: the run holds one
+raw product per operator of the set it started from.
 """
 
 from __future__ import annotations
@@ -74,6 +84,7 @@ from .core import (
 from .errors import SignatureMismatch
 from .kraus import (
     KrausSet,
+    LocalKraus,
     apply,
     apply_full,
     branch_sum,
@@ -200,12 +211,17 @@ def _denote_block(block: list, ctx: Context, tol: float) -> tuple[KrausSet, Cont
     when that pair comes again in this block; ``repr`` of a core node is
     exact for every literal (floats round-trip, -0.0 differs from 0.0).  A
     step is kept only while its statement occurs again later in the block,
-    and only within :data:`MEMO_BYTES` of operators per block.
+    and only within :data:`MEMO_BYTES` of operators per block; a local step
+    is charged its small matrix.  A local step read at full width (the first
+    statement of a block) keeps that operator too, as long as it is kept.
 
     A step of one operator U takes each operator F of the set so far to
     U F, so the block keeps a run open: one raw product per operator of the
-    set the run started from, each step forming the products ``compose``
-    would form, from the same operands.  A run of several products stays
+    set the run started from, each step forming them by ``step.times``, the
+    routine ``compose`` forms its products by, from the same operands.  A
+    local step contracts its small matrix on its own axes of every product
+    at once (:meth:`qalt.kraus.LocalKraus.times`), and a product's bytes do
+    not depend on the others.  A run of several products stays
     open while :func:`qalt.kraus.coalesces`, which asks the fold
     ``make_kraus`` runs, finds that canonicalising them would drop or merge
     nothing; their sort keys then differ, so their final order does not
@@ -238,19 +254,17 @@ def _denote_block(block: list, ctx: Context, tol: float) -> tuple[KrausSet, Cont
             step, out = steps[ctx]
         else:
             step, out = _denote_stmt(stmt, ctx, tol)
-            size = _nbytes(step)
-            if last[key] > i and held + size <= MEMO_BYTES:
+            if last[key] > i and held + _nbytes(step) <= MEMO_BYTES:
                 memo.setdefault(key, {})[ctx] = step, out
-                held += size
+                held += _nbytes(step)
         if last[key] == i:
             held -= sum(_nbytes(s) for s, _ in memo.pop(key, {}).values())
         if kset is None:
             kset = step
         else:
             run = None
-            if len(step.ops) == 1:
-                u = step.ops[0]
-                run = [u @ p for p in (kset.ops if run_ops is None else run_ops)]
+            if len(step) == 1:
+                run = step.times(kset.ops if run_ops is None else run_ops)
             if run is None or len(run) > 1 and coalesces(run):
                 if run_ops is not None:
                     kset = make_kraus(kset.input_sig, step.input_sig, run_ops, tol)
@@ -263,6 +277,9 @@ def _denote_block(block: list, ctx: Context, tol: float) -> tuple[KrausSet, Cont
 
 
 def _nbytes(s: KrausSet) -> int:
+    """Bytes a kept step is charged: a local set's small matrix, else its operators."""
+    if isinstance(s, LocalKraus):
+        return s.form[0].nbytes
     return sum(e.nbytes for e in s.ops)
 
 
@@ -284,6 +301,36 @@ def _alternation(stmt: ast.QCase, ctx: Context, tol: float):
     return names, branches, restore(inner_out)
 
 
+def _local_alternation(ctx: Context, names: list[str], branches):
+    """The local form of the one element sum_k Pi_k (x) U_k of an alternation.
+
+    Arm k is a local set on axes of the inner context (``ctx`` without the
+    controls ``names``).  The element is local on the controls' axes and
+    the arms' axes of ``ctx``: block k of it, where the controls read k, is
+    U_k on arm k's axes and the identity on the arms' other axes.  Every
+    entry is written, none computed.  Returns the matrix and its axes.
+    """
+    layout, _ = _layout(ctx)
+    inner = [n for n in layout if n not in names]
+    controls = [layout.index(n) for n in names]
+    forms = [b.form for b in branches]
+    arms = [[layout.index(inner[a]) for a in axes] for _, axes, _ in forms]
+    axes = sorted(set(controls).union(*arms))
+    index = np.arange(2 ** len(axes)).reshape((2,) * len(axes))
+    u = np.zeros((index.size, index.size), dtype=complex)
+    for k, ((v, _, _), on) in enumerate(zip(forms, arms)):
+        at = [slice(None)] * len(axes)
+        for i, c in enumerate(controls):
+            at[axes.index(c)] = (k >> (len(controls) - 1 - i)) & 1
+        free = [a for a in axes if a not in controls]  # the axes of index[at]
+        lead = [free.index(a) for a in on]
+        rest = [i for i in range(len(free)) if i not in lead]
+        # row g, column h: U_k's entry (g, h) on each value of the other axes
+        block = index[tuple(at)].transpose(lead + rest).reshape(len(v), -1)
+        u[block[:, None], block[None, :]] = v[:, :, None]
+    return u, axes
+
+
 def _denote_stmt(stmt, ctx: Context, tol: float) -> tuple[KrausSet, Context]:
     sig = signature_of(ctx)
     if isinstance(stmt, ast.Skip):
@@ -301,8 +348,9 @@ def _denote_stmt(stmt, ctx: Context, tol: float) -> tuple[KrausSet, Context]:
         targets = Signature((len(u),))
         make_kraus(targets, targets, [u], tol)
         names, _ = _layout(ctx)
-        op = embed_gate(u, [names.index(t.base) for t in stmt.targets], len(names))
-        return unchecked_singleton(sig, sig, op), ctx
+        axes = [names.index(t.base) for t in stmt.targets]
+        return LocalKraus(sig, lambda: (u, axes),
+                          lambda: embed_gate(u, axes, len(names))), ctx
     if isinstance(stmt, ast.Discard):
         name = stmt.name.base
         out = ctx.remove(name)
@@ -323,14 +371,21 @@ def _denote_stmt(stmt, ctx: Context, tol: float) -> tuple[KrausSet, Context]:
         # one set: the case elements, built controls leading, read in the
         # context layout; a permutation keeps coalescing and the order keys
         names, branches, out_ctx = _alternation(stmt, ctx, tol)
-        at = np.ix_(leading_permutation(out_ctx, names),
-                    leading_permutation(ctx, names))
-        ops = [e[at] for e in case_elements(branches, len(names))]
-        if all(len(b.ops) == 1 for b in branches):
-            # one element, the direct sum of the arms re-indexed: its residual
-            # is the direct sum of the arms' residuals, each already checked
-            return unchecked_singleton(sig, signature_of(out_ctx), ops[0]), out_ctx
-        return make_kraus(sig, signature_of(out_ctx), ops, tol), out_ctx
+
+        def elements():
+            at = np.ix_(leading_permutation(out_ctx, names),
+                        leading_permutation(ctx, names))
+            return [e[at] for e in case_elements(branches, len(names))]
+        # one element, the direct sum of the arms re-indexed: its residual is
+        # the direct sum of the arms' residuals, each already checked
+        if all(isinstance(b, LocalKraus) for b in branches):
+            local = LocalKraus(sig, lambda: _local_alternation(ctx, names, branches),
+                               lambda: elements()[0])
+            return local, out_ctx
+        if all(len(b) == 1 for b in branches):
+            return unchecked_singleton(sig, signature_of(out_ctx),
+                                       elements()[0]), out_ctx
+        return make_kraus(sig, signature_of(out_ctx), elements(), tol), out_ctx
     raise TypeError(f"statement not elaborated: {stmt!r}")
 
 

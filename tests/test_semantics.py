@@ -1059,9 +1059,9 @@ class TestStepMemo:
         assert len(makes) == 2
 
     def test_context_is_part_of_the_key(self, monkeypatch):
-        embeds = count_calls(monkeypatch, "embed_gate", semantics)
+        steps = count_calls(monkeypatch, "_denote_stmt", semantics)
         denote("a *= H\nnew qbit b\na *= H", self.CTX_A)
-        assert len(embeds) == 2
+        assert len([s for s, _, _ in steps if isinstance(s, ast.ApplyGate)]) == 2
 
     @pytest.mark.parametrize("x, y", [
         ("Phase(0.1)", "Phase(0.1000000000000001)"),
@@ -1070,9 +1070,9 @@ class TestStepMemo:
     def test_literals_differing_in_the_last_bit_are_separate(self, monkeypatch,
                                                              x, y):
         src = "\n".join(f"a *= {g}" for g in (x, y, x, y))
-        embeds = count_calls(monkeypatch, "embed_gate", semantics)
+        steps = count_calls(monkeypatch, "_denote_stmt", semantics)
         got = denote(src, self.CTX_A)
-        assert len(embeds) == 2
+        assert len(steps) == 2
         monkeypatch.setattr(semantics, "MEMO_BYTES", 0)
         assert self.op_bytes(got) == self.op_bytes(denote(src, self.CTX_A))
 
@@ -1093,12 +1093,125 @@ class TestStepMemo:
         assert self.op_bytes(memoised) == self.op_bytes(fresh)
 
     def test_budget_bounds_the_kept_steps(self, monkeypatch):
-        # room for one 4x4 step: a's is kept, b's is built twice
-        monkeypatch.setattr(semantics, "MEMO_BYTES", 4 * 4 * 16)
-        embeds = count_calls(monkeypatch, "embed_gate", semantics)
+        # room for one 2x2 local step: a's is kept, b's is built twice
+        monkeypatch.setattr(semantics, "MEMO_BYTES", 2 * 2 * 16)
+        steps = count_calls(monkeypatch, "_denote_stmt", semantics)
         denote("a *= H\nb *= H\na *= H\nb *= H",
                Context.of(("a", "qbit"), ("b", "qbit")))
-        assert [args[1] for args in embeds] == [[0], [1], [1]]
+        assert [args[0].targets[0].base for args in steps] == ["a", "b", "b"]
+
+
+def _dense_block(block, ctx):
+    """A one-statement (or empty) block's operator at full width, built from
+    ``embed_gate`` and ``case_elements`` alone, with no local form."""
+    if not block or isinstance(block[0], ast.Skip):
+        return np.eye(dim(signature_of(ctx)), dtype=complex)
+    (stmt,) = block
+    names = ctx.bits() + ctx.qubits()
+    if isinstance(stmt, ast.ApplyGate):
+        u = semantics._gate_matrix(stmt.gate)
+        return embed_gate(u, [names.index(t.base) for t in stmt.targets], len(names))
+    controls = [c.base for c in stmt.controls]
+    inner, _ = control_contexts(ctx, controls)
+    sig = signature_of(inner)
+    arms = [make_kraus(sig, sig, [_dense_block(arm.block, inner)]) for arm in stmt.arms]
+    at = np.ix_(leading_permutation(ctx, controls), leading_permutation(ctx, controls))
+    return kraus.case_elements(arms, len(controls))[0][at]
+
+
+PHASED_SWAP = ("[[0, 0, -1, 0], [0, 0, 0, 0.6 + 0.8i], "
+               "[1, 0, 0, 0], [0, -0.8 + 0.6i, 0, 0]]")
+
+
+def _dj_case(rng) -> str:
+    arms = rng.choice(["", "skip", "q4 *= X", "q4 *= H", "q4 *= Rk(2)"], size=16)
+    return "case (q0, q1, q2, q3) of " + " ".join(
+        f"|{k:04b}> -> {{ {arm} }}" for k, arm in enumerate(arms))
+
+
+class TestLocalProducts:
+    """A gate or an alternation of one-operator arms is applied on its own
+    axes; its products, sets and states agree with the dense full-width
+    operator built from ``embed_gate`` and ``case_elements``."""
+
+    # bits between the qubits in allocation order; axes b0 b1 q0 .. q4
+    CTX = Context.of(("q0", "qbit"), ("b0", "bit"), ("q1", "qbit"), ("q2", "qbit"),
+                     ("b1", "bit"), ("q3", "qbit"), ("q4", "qbit"))
+    PREFIX = "measure q3 then { q1 *= H } else { q2 *= S }"  # two operators
+    STEPS = ([f"q{i} *= {g}" for i in range(5) for g in ("H", "Y", "Rk(3)")]
+             + [f"q{i}, q{j} *= {PHASED_SWAP}"
+                for i, j in itertools.permutations(range(5), 2)]
+             + ["if q1 then { skip } else { q2 *= X }",      # a CNOT link
+                "if q3 then { skip } else { q0 *= Rk(3) }",  # the QFT's Rk
+                "if q4 then { skip } else { if q0 then { skip } else { q2 *= X } }",
+                _dj_case(np.random.default_rng(20241020))])
+
+    @pytest.mark.parametrize("src", STEPS)
+    def test_products_match_the_dense_operator(self, src):
+        stmt = elaborate(parse(src)).body[0]
+        step, _ = semantics._denote_stmt(stmt, self.CTX, 1e-9)
+        assert isinstance(step, kraus.LocalKraus)
+        dense = _dense_block([stmt], self.CTX)
+        rng = np.random.default_rng(len(src))
+        d = dim(signature_of(self.CTX))
+        ops = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+        got = step.times(ops)
+        assert np.abs(got - [dense @ p for p in ops]).max() <= 1e-14
+        assert np.abs(step.ops[0] - dense).max() == 0
+
+    @pytest.mark.parametrize("src", STEPS)
+    def test_sets_and_states_match(self, src):
+        stmt = elaborate(parse(src)).body[0]
+        before = denote(self.PREFIX, self.CTX).kraus
+        want = make_kraus(before.input_sig, before.output_sig,
+                          [_dense_block([stmt], self.CTX) @ e for e in before.ops])
+        got = denote(f"{self.PREFIX}\n{src}", self.CTX).kraus
+        # the same count, and the same canonical order, entry by entry
+        assert len(got) == len(want) == 2
+        for x, y in zip(got.ops, want.ops):
+            assert np.abs(x - y).max() <= 1e-14
+        rho = rand_density(np.random.default_rng(len(src)), signature_of(self.CTX))
+        program = f"{self.PREFIX}\n{src}"
+        assert state_deviation(run(program, rho, self.CTX),
+                               eval_direct(program, rho, self.CTX)) < 1e-9
+
+    def test_steps_after_allocating_from_the_empty_context(self):
+        # operands of one column: d_in = 1
+        alloc = "new qbit a\nnew qbit b\nnew qbit c"
+        steps = ["b *= H", f"c, a *= {PHASED_SWAP}", "a *= Y",
+                 "if c then { skip } else { a *= H }"]
+        ctx = Context.of(("a", "qbit"), ("b", "qbit"), ("c", "qbit"))
+        want = denote(alloc).kraus.ops
+        for src in steps:
+            dense = _dense_block(elaborate(parse(src)).body, ctx)
+            want = [dense @ e for e in want]
+        program = "\n".join([alloc] + steps)
+        got = denote(program).kraus
+        assert len(got) == len(want) == 1
+        assert got.ops[0].shape == (8, 1)
+        assert np.abs(got.ops[0] - want[0]).max() <= 1e-14
+        assert state_deviation(run(program), eval_direct(program)) < 1e-9
+
+
+class TestLocalCounts:
+    """A local step builds its full-width operator only when it is read."""
+
+    def test_chain10_embeds_its_first_gate_only(self, monkeypatch):
+        embeds = count_calls(monkeypatch, "embed_gate", semantics)
+        leads = count_calls(monkeypatch, "leading_permutation", semantics)
+        ctx = Context.of(*((f"q{i}", "qbit") for i in range(10)))
+        denote(_chain(10, "XZYXZYXZY"), ctx)
+        assert [args[1] for args in embeds] == [[0]]
+        assert not leads
+
+    def test_loop_in_a_wide_context_builds_one_full_width_gate(self, monkeypatch):
+        embeds = count_calls(monkeypatch, "embed_gate", semantics)
+        makes = count_calls(monkeypatch, "make_kraus", semantics, kraus)
+        ctx = Context.of(*((f"q{i}", "qbit") for i in range(5)), ("a", "qbit"))
+        denote("for i = 1 to 50 { a *= H }", ctx)
+        assert len(embeds) == 1
+        # the gate's {H}, then the run's one full-width check
+        assert [m[2][0].shape for m in makes] == [(2, 2), (64, 64)]
 
 
 class TestCaseControlOrder:
