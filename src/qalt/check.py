@@ -5,17 +5,24 @@ evaluates each meta expression once, unrolls `for` loops, resolves indexed
 names and truth-table oracles, and turns every alternation into a `case`
 with one arm per label, in label order (an `if` becomes a one-control
 `case`).  It raises every fault in a value it computes, so a meta-level
-fault is reported before any typing fault.  ``typecheck`` then threads a
+fault is reported before any typing fault.  The core program is
+hash-consed: each distinct statement is one node, looked up by an exact
+key and made only when the key misses, and a loop whose body does not
+mention its variable is elaborated once.  ``typecheck`` then threads a
 typing context through the core program, which ``denote`` and
-``eval_direct`` read too, and returns the output context.  Case arms may
+``eval_direct`` read too, and returns the output context; it checks each
+(node, context, blocked controls) triple once, so an unrolled loop body is
+checked once per distinct context.  Case arms may
 not mention their controls, and all branches must map the input context to
 one output context; :func:`control_contexts` holds that rule.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import operator
+import struct
 
 import numpy as np
 
@@ -34,6 +41,8 @@ from .syntax import QBIT, Context
 
 #: Unitarity tolerance for matrix-literal gates.
 GATE_UNITARY_TOL = 1e-9
+
+_F64 = struct.Struct("<d").pack  # a float's exact bits
 
 
 # ---------------------------------------------------------------------------
@@ -107,22 +116,38 @@ def _labels(n: int) -> list[str]:
     return [format(value, f"0{n}b") for value in range(2 ** n)]
 
 
-def _elab_gate(gate, env: dict, n_targets: int):
+def _node(nodes: dict, key: tuple, make):
+    """The one node of ``key`` in this elaboration, made by ``make()`` on a miss."""
+    node = nodes.get(key)
+    if node is None:
+        node = nodes[key] = make()
+    return node
+
+
+def _matrix_gate(nodes: dict, m: np.ndarray, entries):
+    return _node(nodes, (ast.MatrixGate, m.shape, m.tobytes()),
+                 lambda: ast.MatrixGate(entries))
+
+
+def _elab_gate(gate, env: dict, n_targets: int, nodes: dict):
     if isinstance(gate, ast.NamedGate):
-        return ast.NamedGate(gate.name)
+        return _node(nodes, (ast.NamedGate, gate.name), lambda: ast.NamedGate(gate.name))
     if isinstance(gate, ast.RkGate):
         k = eval_int(gate.k, env)
         if k < 0:
             raise InvalidGate("Rk needs a nonnegative index")
-        return ast.RkGate(ast.Num(min(k, RK_IDENTITY)))
+        k = min(k, RK_IDENTITY)
+        return _node(nodes, (ast.RkGate, k), lambda: ast.RkGate(ast.Num(k)))
     if isinstance(gate, ast.PhaseGate):
         try:
-            return ast.PhaseGate(ast.Num(float(eval_expr(gate.theta, env))))
+            theta = float(eval_expr(gate.theta, env))
         except OverflowError:  # an exact int beyond the float range
             raise NonConstantBound(f"meta expression '{ast.expr_str(gate.theta)}' "
                                    "is too large for a float") from None
+        return _node(nodes, (ast.PhaseGate, _F64(theta)),
+                     lambda: ast.PhaseGate(ast.Num(theta)))
     if isinstance(gate, ast.MatrixGate):
-        return ast.MatrixGate(gate.entries)
+        return _matrix_gate(nodes, np.array(gate.entries, dtype=complex), gate.entries)
     if isinstance(gate, ast.OracleGate):
         size = len(gate.table)
         if size < 2 or size & (size - 1):
@@ -132,19 +157,23 @@ def _elab_gate(gate, env: dict, n_targets: int):
             raise InvalidGate(f"oracle point {ast.expr_str(gate.point)} outside table "
                               f"of size {size}")
         u = transposition_gate(gate.table[point], 2 ** n_targets)
-        return ast.MatrixGate(tuple(tuple(z for z in row) for row in u))
+        return _matrix_gate(nodes, u, tuple(map(tuple, u.tolist())))
     raise TypeError(f"not a gate: {gate!r}")
 
 
-def _elab_block(block: list, env: dict) -> list:
+def _elab_block(block: list, env: dict, nodes: dict) -> list:
     out = []
     for stmt in block:
-        out.extend(_elab_stmt(stmt, env))
+        out.extend(_elab_stmt(stmt, env, nodes))
     return out
 
 
-def _sub_block(block: list, env: dict) -> list:
-    return _elab_block(block, env) or [ast.Skip()]
+def _sub_block(block: list, env: dict, nodes: dict) -> list:
+    return _elab_block(block, env, nodes) or [_node(nodes, (ast.Skip,), ast.Skip)]
+
+
+def _ids(block: list) -> tuple:
+    return tuple(map(id, block))
 
 
 def _alternation_arms(stmt) -> tuple[list, list]:
@@ -158,46 +187,78 @@ def _alternation_arms(stmt) -> tuple[list, list]:
     return stmt.controls, stmt.arms
 
 
-def _elab_stmt(stmt, env: dict) -> list:
+def _arm_blocks(stmt) -> tuple[list, list]:
+    """(controls, the source block of each label, in label order) of an alternation.
+
+    ``if q then A else B`` reads as ``case (q) of |0> -> A |1> -> B``.  A
+    fault in a case's labels is raised here.
+    """
+    if isinstance(stmt, ast.QIf):
+        return [stmt.control], [stmt.then_block, stmt.else_block]
+    n = len(stmt.controls)
+    by_label = {}
+    for arm in stmt.arms:
+        if arm.label is not None and len(arm.label) != n:
+            raise KindError(
+                f"case label '{arm.label}' does not match {n} control qubit(s)")
+        if arm.label in by_label:
+            raise DuplicateName(f"duplicate case label '{arm.label or '_'}'")
+        by_label[arm.label] = arm
+    default = by_label.pop(None, None)
+    if default is None and len(by_label) < 2 ** n:
+        raise BranchContextMismatch(
+            f"case over {n} qubit(s) covers {len(by_label)} of {2 ** n} "
+            f"labels and has no default arm")
+    if default is not None and len(by_label) == 2 ** n:
+        raise KindError(f"default arm of a case over {n} qubit(s) matches no label")
+    return stmt.controls, [by_label.get(label, default).block for label in _labels(n)]
+
+
+def _mentions(node, name: str) -> bool:
+    """Whether a ``Var`` called ``name`` occurs anywhere in a surface node or block."""
+    if isinstance(node, ast.Var):
+        return node.name == name
+    if isinstance(node, list):
+        return any(_mentions(x, name) for x in node)
+    # tuples hold literal data (matrix entries, oracle tables), never a Var
+    return dataclasses.is_dataclass(node) and any(
+        _mentions(v, name) for v in vars(node).values())
+
+
+def _elab_stmt(stmt, env: dict, nodes: dict) -> list:
     if isinstance(stmt, ast.Skip):
-        return [ast.Skip()]
+        return [_node(nodes, (ast.Skip,), ast.Skip)]
     if isinstance(stmt, (ast.NewQbit, ast.NewBit, ast.Discard)):
-        return [type(stmt)(ast.NameRef(resolve_name(stmt.name, env)))]
+        name = resolve_name(stmt.name, env)
+        kind = type(stmt)
+        return [_node(nodes, (kind, name), lambda: kind(ast.NameRef(name)))]
     if isinstance(stmt, ast.ApplyGate):
-        targets = [ast.NameRef(resolve_name(t, env)) for t in stmt.targets]
-        return [ast.ApplyGate(targets, _elab_gate(stmt.gate, env, len(targets)))]
+        names = tuple([resolve_name(t, env) for t in stmt.targets])
+        gate = _elab_gate(stmt.gate, env, len(names), nodes)
+        return [_node(nodes, (ast.ApplyGate, names, id(gate)), lambda: ast.ApplyGate(
+            [ast.NameRef(name) for name in names], gate))]
     if isinstance(stmt, ast.MeasureThenElse):
-        return [ast.MeasureThenElse(
-            ast.NameRef(resolve_name(stmt.control, env)),
-            _sub_block(stmt.then_block, env),
-            _sub_block(stmt.else_block, env))]
+        name = resolve_name(stmt.control, env)
+        then = _sub_block(stmt.then_block, env, nodes)
+        else_ = _sub_block(stmt.else_block, env, nodes)
+        return [_node(nodes, (ast.MeasureThenElse, name, _ids(then), _ids(else_)),
+                      lambda: ast.MeasureThenElse(ast.NameRef(name), then, else_))]
     if isinstance(stmt, (ast.QIf, ast.QCase)):
-        controls, source_arms = _alternation_arms(stmt)
-        n = len(controls)
-        by_label = {}
-        for arm in source_arms:
-            if arm.label is not None and len(arm.label) != n:
-                raise KindError(
-                    f"case label '{arm.label}' does not match {n} control qubit(s)")
-            if arm.label in by_label:
-                raise DuplicateName(f"duplicate case label '{arm.label or '_'}'")
-            by_label[arm.label] = arm
-        default = by_label.pop(None, None)
-        if default is None and len(by_label) < 2 ** n:
-            raise BranchContextMismatch(
-                f"case over {n} qubit(s) covers {len(by_label)} of {2 ** n} "
-                f"labels and has no default arm")
-        if default is not None and len(by_label) == 2 ** n:
-            raise KindError(f"default arm of a case over {n} qubit(s) matches no label")
-        arms = [ast.CaseArm(label, _sub_block(by_label.get(label, default).block, env))
-                for label in _labels(n)]
-        return [ast.QCase([ast.NameRef(resolve_name(c, env)) for c in controls], arms)]
+        controls, sources = _arm_blocks(stmt)
+        blocks = [_sub_block(block, env, nodes) for block in sources]
+        names = tuple([resolve_name(c, env) for c in controls])
+        return [_node(nodes, (ast.QCase, names, tuple(map(_ids, blocks))),
+                      lambda: ast.QCase([ast.NameRef(c) for c in names],
+                                        list(map(ast.CaseArm, _labels(len(names)), blocks))))]
     if isinstance(stmt, ast.ForLoop):
         lo = eval_int(stmt.lo, env)
         hi = eval_int(stmt.hi, env)
+        if lo <= hi and not _mentions(stmt.body, stmt.var):
+            # every iteration elaborates to the same nodes
+            return _elab_block(stmt.body, env, nodes) * (hi - lo + 1)
         out = []
         for value in range(lo, hi + 1):
-            out.extend(_elab_block(stmt.body, {**env, stmt.var: value}))
+            out.extend(_elab_block(stmt.body, {**env, stmt.var: value}, nodes))
         return out
     raise TypeError(f"not a statement: {stmt!r}")
 
@@ -212,8 +273,17 @@ def elaborate(program: ast.Program) -> ast.Program:
     literal.  Every fault in a meta-level value is raised here; scope and
     variable kinds are left to :func:`typecheck`.  ``program`` is only read, and the
     result shares no node with it.
+
+    Within one call the result is hash-consed: equal core statements (and
+    gates) are one read-only node, so callers must not mutate them.  A node
+    is looked up by an exact key and made only when the key misses: a
+    literal is keyed by the bits of its floats (-0.0 and 0.0 differ), a
+    compound statement by its children's identities.  A loop whose body
+    mentions no ``Var`` of its variable's name (a nested loop's bounds
+    included) is elaborated once and repeated; one without iterations
+    elaborates nothing.
     """
-    return ast.Program(_elab_block(program.body, {}))
+    return ast.Program(_elab_block(program.body, {}, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +340,19 @@ def _check_gate(gate, n_targets: int):
     raise TypeError(f"gate not elaborated: {gate!r}")
 
 
-def _check_block(block: list, ctx: Context, blocked: frozenset) -> Context:
+def _check_block(block: list, ctx: Context, blocked: frozenset, seen: dict) -> Context:
+    """Thread ``ctx`` through ``block``, checking each (node, context, blocked) once.
+
+    ``seen`` maps a checked triple to its output context for the whole
+    :func:`typecheck` call; a node is keyed by its identity, which is exact
+    on a hash-consed program and only misses more often on any other.
+    """
     for stmt in block:
-        ctx = _check_stmt(stmt, ctx, blocked)
+        key = (id(stmt), ctx, blocked)
+        out = seen.get(key)
+        if out is None:
+            out = seen[key] = _check_stmt(stmt, ctx, blocked, seen)
+        ctx = out
     return ctx
 
 
@@ -305,7 +385,7 @@ def _branch_contexts_equal(a: Context, b: Context):
             f"({a.describe()}) vs ({b.describe()})")
 
 
-def _check_stmt(stmt, ctx: Context, blocked: frozenset) -> Context:
+def _check_stmt(stmt, ctx: Context, blocked: frozenset, seen: dict) -> Context:
     if isinstance(stmt, ast.Skip):
         return ctx
     if isinstance(stmt, (ast.NewQbit, ast.NewBit)):
@@ -326,8 +406,8 @@ def _check_stmt(stmt, ctx: Context, blocked: frozenset) -> Context:
         return ctx.remove(name)
     if isinstance(stmt, ast.MeasureThenElse):
         check_use(_name(stmt.control), ctx, blocked, QBIT)
-        out = _check_block(stmt.then_block, ctx, blocked)
-        _branch_contexts_equal(out, _check_block(stmt.else_block, ctx, blocked))
+        out = _check_block(stmt.then_block, ctx, blocked, seen)
+        _branch_contexts_equal(out, _check_block(stmt.else_block, ctx, blocked, seen))
         return out
     if isinstance(stmt, ast.QCase):
         names = [_name(c) for c in stmt.controls]
@@ -340,9 +420,9 @@ def _check_stmt(stmt, ctx: Context, blocked: frozenset) -> Context:
             check_use(name, ctx, blocked, QBIT)
         inner, restore = control_contexts(ctx, names)
         shielded = blocked | set(names)
-        out = _check_block(stmt.arms[0].block, inner, shielded)
+        out = _check_block(stmt.arms[0].block, inner, shielded, seen)
         for arm in stmt.arms[1:]:
-            _branch_contexts_equal(out, _check_block(arm.block, inner, shielded))
+            _branch_contexts_equal(out, _check_block(arm.block, inner, shielded, seen))
         return restore(out)
     raise TypeError(f"statement not elaborated: {stmt!r}")
 
@@ -356,7 +436,7 @@ def typecheck(program: ast.Program, initial: Context | None = None) -> Context:
     one per label in label order) raises ``TypeError``.
     """
     initial = initial if initial is not None else Context.empty()
-    return _check_block(program.body, initial, frozenset())
+    return _check_block(program.body, initial, frozenset(), {})
 
 
 # ---------------------------------------------------------------------------

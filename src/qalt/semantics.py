@@ -207,12 +207,14 @@ def _denote_block(block: list, ctx: Context, tol: float) -> tuple[KrausSet, Cont
     """[[S1; ...; Sn]] = [[Sn]] after ... after [[S1]], with each repeat denoted once.
 
     A statement's set depends only on the statement and its typing context,
-    so a step is kept under (``repr`` of the statement, context) and reused
-    when that pair comes again in this block; ``repr`` of a core node is
-    exact for every literal (floats round-trip, -0.0 differs from 0.0).  A
-    step is kept only while its statement occurs again later in the block,
-    and only within :data:`MEMO_BYTES` of operators per block; a local step
-    is charged its small matrix.  A local step read at full width (the first
+    so a step is kept under (the statement's node, context) and reused when
+    that pair comes again in this block.  :func:`qalt.check.elaborate`
+    hash-conses the core program, so two statements are one node exactly
+    when they are equal, every literal compared by its bits, and a node is
+    keyed by its identity, which the block keeps alive.  A step is kept
+    only while its statement occurs again later in the block, and only
+    within :data:`MEMO_BYTES` of operators per block; a local step is
+    charged its small matrix.  A local step read at full width (the first
     statement of a block) keeps that operator too, as long as it is kept.
 
     A step of one operator U takes each operator F of the set so far to
@@ -242,9 +244,9 @@ def _denote_block(block: list, ctx: Context, tol: float) -> tuple[KrausSet, Cont
     """
     if not block:
         return identity_kraus(signature_of(ctx), tol), ctx
-    keys = [repr(stmt) for stmt in block] if len(block) > 1 else [None]
+    keys = list(map(id, block)) if len(block) > 1 else [None]
     last = {key: i for i, key in enumerate(keys)}
-    memo: dict = {}  # statement key -> {context: (step, output context)}
+    memo: dict = {}  # node identity -> {context: (step, output context)}
     held = 0
     kset = None
     run_ops = None  # the open run: one raw product per operator of kset

@@ -132,6 +132,38 @@ def test_typecheck_leaves_fuzzed_programs_unchanged(seed):
         assert pickle.dumps(core) == before
 
 
+def _core_statements(block: list):
+    """Every statement of a core block, those in measurement and case arms included."""
+    for stmt in block:
+        yield stmt
+        if isinstance(stmt, ast.MeasureThenElse):
+            inner = [stmt.then_block, stmt.else_block]
+        else:
+            inner = [arm.block for arm in getattr(stmt, "arms", [])]
+        for sub in inner:
+            yield from _core_statements(sub)
+
+
+@pytest.mark.parametrize("seed", [20240607, 20240608, 20240609, 20240610, 20240612,
+                                  20240613])
+def test_interning_is_exactly_as_fine_as_repr(seed):
+    # two core statements are one node exactly when their reprs, exact for
+    # every literal, are equal: the step memo's hits are those of repr keys
+    rng = np.random.default_rng(seed)
+    shared = 0
+    for _ in range(20):
+        source = random_program(rng) if seed < 20240612 else looped_program(rng)
+        stmts = list(_core_statements(elaborate(parse(source)).body))
+        nodes_of, reprs_of = {}, {}
+        for stmt in stmts:
+            nodes_of.setdefault(repr(stmt), set()).add(id(stmt))
+            reprs_of.setdefault(id(stmt), set()).add(repr(stmt))
+        assert all(len(ids) == 1 for ids in nodes_of.values()), source
+        assert all(len(reprs) == 1 for reprs in reprs_of.values()), source
+        shared += len(stmts) - len(reprs_of)
+    assert shared > 0
+
+
 def test_fuzzed_denotations_are_valid_maps():
     rng = np.random.default_rng(20240610)
     for _ in range(15):

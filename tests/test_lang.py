@@ -22,6 +22,8 @@ from qalt import (
     run,
     typecheck,
 )
+from helpers import count_calls
+from qalt import check
 from qalt import syntax as ast
 from qalt.check import lint_closed_system
 from qalt.core import RK_IDENTITY, DensityState, Signature, rk_gate
@@ -675,6 +677,74 @@ class TestElaborate:
     def test_phase_evaluated(self):
         core = elaborate(parse("q *= Phase(pi / 4)"))
         assert core.body[0].gate.theta.value == pytest.approx(math.pi / 4)
+
+
+class TestHashConsing:
+    """elaborate makes each distinct core statement one node; typecheck checks
+    each (node, context, blocked) triple once."""
+
+    def test_invariant_loop_body_is_elaborated_and_checked_once(self, monkeypatch):
+        elabs = count_calls(monkeypatch, "_elab_stmt", check)
+        checks = count_calls(monkeypatch, "_check_stmt", check)
+        core = elaborate(parse("for i = 1 to 50 { a *= H }"))
+        assert len(core.body) == 50 and all(s is core.body[0] for s in core.body)
+        ctx = Context.of(("a", "qbit"))
+        assert typecheck(core, ctx) == ctx
+        assert [type(args[0]) for args in elabs] == [ast.ForLoop, ast.ApplyGate]
+        assert len(checks) == 1
+
+    def test_loop_that_mentions_its_variable_elaborates_each_iteration(self, monkeypatch):
+        elabs = count_calls(monkeypatch, "_elab_stmt", check)
+        core = elaborate(parse("for i = 1 to 3 { q[i] *= H }"))
+        assert len([args for args in elabs if isinstance(args[0], ast.ApplyGate)]) == 3
+        assert [s.targets[0].base for s in core.body] == ["q1", "q2", "q3"]
+        assert core.body[0].gate is core.body[1].gate
+
+    @pytest.mark.parametrize("source, targets", [
+        # the inner bound mentions i
+        ("for i = 1 to 2 { for j = 1 to i { a *= H } }", ["a"] * 3),
+        # the inner loop binds i again, so the outer body counts as mentioning it
+        ("for i = 1 to 3 { for i = 1 to 2 { q[i] *= H } }", ["q1", "q2"] * 3),
+        ("for i = 1 to 2 { for j = 1 to 2 { q[j] *= H } }", ["q1", "q2"] * 2),
+    ])
+    def test_nested_loops(self, source, targets):
+        core = elaborate(parse(source))
+        assert [s.targets[0].base for s in core.body] == targets
+
+    def test_loop_without_iterations_elaborates_nothing(self, monkeypatch):
+        elabs = count_calls(monkeypatch, "_elab_stmt", check)
+        # the body would raise if it were elaborated
+        assert elaborate(parse("for i = 2 to 1 { a *= OracleU(011, 0) }")).body == []
+        assert [type(args[0]) for args in elabs] == [ast.ForLoop]
+
+    def test_same_node_in_a_new_context_is_checked_again(self, monkeypatch):
+        checks = count_calls(monkeypatch, "_check_stmt", check)
+        core = elaborate(parse("for i = 1 to 2 { new qbit t }"))
+        assert core.body[0] is core.body[1]
+        with pytest.raises(DuplicateName) as err:
+            typecheck(core)
+        assert str(err.value) == "name 't' is already in scope"
+        assert len(checks) == 2 and checks[0][0] is checks[1][0]
+
+    def test_ill_typed_long_loop_elaborates_its_body_once(self, monkeypatch):
+        elabs = count_calls(monkeypatch, "_elab_stmt", check)
+        with pytest.raises(UnknownName, match="name 'x' is not in scope"):
+            denote("for i = 1 to 100000 { x *= H }")
+        assert len(elabs) == 2
+
+    @pytest.mark.parametrize("x, y", [
+        ("Phase(0.0)", "Phase(-0.0)"),
+        ("Phase(0.1)", "Phase(0.1000000000000001)"),
+        ("[[1, 0], [0, 1]]", "[[1, -0.0], [0, 1]]"),
+    ])
+    def test_literals_are_keyed_by_their_bits(self, x, y):
+        body = elaborate(parse(f"a *= {x}\na *= {y}\na *= {x}")).body
+        assert body[0] is body[2] and body[0] is not body[1]
+        assert body[0].gate is not body[1].gate
+
+    def test_oracle_and_equal_literal_are_one_node(self):
+        body = elaborate(parse("a *= OracleU(01, 1)\na *= [[0, 1], [1, 0]]")).body
+        assert body[0] is body[1]
 
 
 class TestLint:

@@ -1066,6 +1066,7 @@ class TestStepMemo:
     @pytest.mark.parametrize("x, y", [
         ("Phase(0.1)", "Phase(0.1000000000000001)"),
         ("[[1, 0], [0, 1]]", "[[1, -0.0], [0, 1]]"),
+        ("Phase(0.0)", "Phase(-0.0)"),
     ])
     def test_literals_differing_in_the_last_bit_are_separate(self, monkeypatch,
                                                              x, y):
