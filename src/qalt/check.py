@@ -124,9 +124,9 @@ def _node(nodes: dict, key: tuple, make):
     return node
 
 
-def _matrix_gate(nodes: dict, m: np.ndarray, entries):
+def _matrix_gate(nodes: dict, m: np.ndarray):
     return _node(nodes, (ast.MatrixGate, m.shape, m.tobytes()),
-                 lambda: ast.MatrixGate(entries))
+                 lambda: ast.MatrixGate(tuple(map(tuple, m.tolist()))))
 
 
 def _elab_gate(gate, env: dict, n_targets: int, nodes: dict):
@@ -147,7 +147,7 @@ def _elab_gate(gate, env: dict, n_targets: int, nodes: dict):
         return _node(nodes, (ast.PhaseGate, _F64(theta)),
                      lambda: ast.PhaseGate(ast.Num(theta)))
     if isinstance(gate, ast.MatrixGate):
-        return _matrix_gate(nodes, np.array(gate.entries, dtype=complex), gate.entries)
+        return _matrix_gate(nodes, np.array(gate.entries, dtype=complex))
     if isinstance(gate, ast.OracleGate):
         size = len(gate.table)
         if size < 2 or size & (size - 1):
@@ -157,7 +157,7 @@ def _elab_gate(gate, env: dict, n_targets: int, nodes: dict):
             raise InvalidGate(f"oracle point {ast.expr_str(gate.point)} outside table "
                               f"of size {size}")
         u = transposition_gate(gate.table[point], 2 ** n_targets)
-        return _matrix_gate(nodes, u, tuple(map(tuple, u.tolist())))
+        return _matrix_gate(nodes, u)
     raise TypeError(f"not a gate: {gate!r}")
 
 
