@@ -50,6 +50,13 @@ def freeze(m: Matrix) -> Matrix:
     return out
 
 
+def freeze_fresh(m: Matrix) -> Matrix:
+    """:func:`freeze` for an array no one else holds: in place if it can be."""
+    out = np.asarray(m, dtype=complex, order="C")
+    out.setflags(write=False)
+    return out
+
+
 def exact_eq(a, b):
     """Exact ``==`` of two dataclass values, ``NotImplemented`` for another class.
 

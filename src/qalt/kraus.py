@@ -29,6 +29,7 @@ from .core import (
     dsum,
     exact_eq,
     freeze,
+    freeze_fresh,
     is_psd,
     tensor_sig,
 )
@@ -94,32 +95,48 @@ class KrausSet:
 _SIGN_BIT = np.uint64(1 << 63)
 
 
-def _canonical_key(m: Matrix) -> bytes:
-    """Sort key of one operator of a set: its canonical order as bytes.
+def _canonical_keys(stack: np.ndarray) -> np.ndarray:
+    """Sort keys of a stack of operators: their canonical order as bytes.
 
     The order is lexicographic over the entries rounded to 12 digits, then
     over the exact entries, each entry as (re, im) in row-major order, with
     -0.0 equal to 0.0.  Each float is written as a big-endian unsigned
     integer that orders like the float (negatives bit-flipped, positives
     with the sign bit set), so comparing keys as bytes is that order.
-    All operators of one set share a shape, so the shape is not encoded.
+    Returns one fixed-width bytes item per operator.  The operators share a
+    shape, so the shape is not encoded.
     """
-    # a fresh C-contiguous buffer, so the float view is valid for any m
-    parts = np.empty((2,) + m.shape, dtype=complex)
-    np.round(m, 12, out=parts[0])
-    parts[1] = m
-    bits = (parts.view(np.float64) + 0.0).view(np.uint64)  # + 0.0 folds -0.0
+    # a fresh C-contiguous buffer, so the float view is valid for any stack;
+    # worked on in place, so the keys cost it and one mask of its size
+    parts = np.empty((len(stack), 2) + stack.shape[1:], dtype=complex)
+    np.round(stack, 12, out=parts[:, 0])
+    parts[:, 1] = stack
+    floats = parts.view(np.float64)
+    floats += 0.0  # folds -0.0
+    bits = floats.view(np.uint64)
     # sign set: flip all bits; sign clear: set the sign bit
-    bits ^= (bits.view(np.int64) >> 63).view(np.uint64) | _SIGN_BIT
-    return bits.astype(">u8").tobytes()
+    mask = (bits.view(np.int64) >> 63).view(np.uint64)
+    mask |= _SIGN_BIT
+    bits ^= mask
+    if np.little_endian:
+        bits.byteswap(inplace=True)  # big-endian: bytes compare as the integers
+    rows = parts.reshape(len(stack), -1)
+    return rows.view(f"S{rows.itemsize * rows.shape[1]}")[:, 0]
 
 
-def _coalesce(ops: list[Matrix]) -> list[Matrix]:
+def _canonical_key(m: Matrix) -> bytes:
+    """The sort key of one operator, :func:`_canonical_keys` of one row."""
+    return _canonical_keys(np.asarray(m)[None]).tobytes()
+
+
+def _coalesce(ops) -> list[Matrix]:
     """Drop zero operators and fold l equal occurrences into sqrt(l) * E.
 
     Each operator joins the first group whose representative lies within
     :data:`COALESCE_TOL` of it entrywise, else it starts a group.  Folding
-    repeats until a pass merges nothing.  All operators share one shape.
+    repeats until a pass merges nothing.  ``ops`` is a stack, or operators
+    of one shape, and its zero drop and entry sums are each one array
+    operation; if nothing drops or merges, it returns ``ops``'s operators.
 
     A group is skipped without the entrywise comparison when its
     representative's mean entry is more than 2 * COALESCE_TOL from the
@@ -135,7 +152,11 @@ def _coalesce(ops: list[Matrix]) -> list[Matrix]:
     check whatever the grouping.  :func:`coalesces` asks this fold too, so
     which operators count as equal is decided here alone.
     """
-    current = [m for m in ops if np.abs(m).max() > COALESCE_TOL]
+    stack = np.asarray(ops)
+    if not len(stack):
+        return []
+    keep = np.abs(stack).max(axis=(1, 2)) > COALESCE_TOL
+    current = stack if keep.all() else stack[keep]
     while len(current) > 1:
         margin = 2 * COALESCE_TOL * current[0].size
         groups: list[list] = []  # [entry sum, representative, count]
@@ -151,48 +172,59 @@ def _coalesce(ops: list[Matrix]) -> list[Matrix]:
             break
         # scaling may have created new collisions; fold again
         current = [g[1] * math.sqrt(g[2]) if g[2] > 1 else g[1] for g in groups]
-    return current
+    return list(current)
 
 
-def coalesces(ops: list[Matrix]) -> bool:
+def coalesces(ops) -> bool:
     """Whether canonicalising ``ops`` would drop or merge any of them.
 
     This is :func:`_coalesce`'s own answer: True when it returns fewer
     operators, so when some operator has every entry within
     :data:`COALESCE_TOL` of 0 or two lie within it of each other entrywise.
-    True for a non-finite entry.  All operators share one shape.
+    True for a non-finite entry.  ``ops`` is as for :func:`_coalesce`.
     """
-    if not all(np.isfinite(m).all() for m in ops):
-        return True
-    return len(_coalesce(list(ops))) < len(ops)
+    stack = np.asarray(ops)
+    return not np.isfinite(stack).all() or len(_coalesce(stack)) < len(stack)
 
 
 def make_kraus(input_sig: Signature, output_sig: Signature, raw_ops,
                tol: float = DEFAULT_TOL) -> KrausSet:
     """Canonicalize a multiset of operators into a valid Kraus set.
 
-    Zero operators are dropped and equal occurrences coalesced, then the
-    survivors are sorted into the order described at :class:`KrausSet` (the
-    sort key is a bytes encoding of that order).  The positivity of
-    I - sum E'E is checked on every call.
+    The operators are read into one stack.  Zero operators are dropped and
+    equal occurrences coalesced, then the survivors are sorted into the
+    order described at :class:`KrausSet` (the sort key is a bytes encoding
+    of that order) and stored as read-only views of one reordered stack.
+    The positivity of I - sum E'E is checked on every call.
 
     Raises :class:`DimensionMismatch` if an operator has the wrong shape and
     :class:`TraceConditionViolated` if the coalesced set has sum E'E > I
     beyond ``tol``.
     """
     shape = (dim(output_sig), dim(input_sig))
-    ops = []
-    for raw in raw_ops:
-        m = as_matrix(raw)
-        if m.shape != shape:
-            raise DimensionMismatch(
-                f"operator of shape {m.shape} does not map "
-                f"{input_sig.blocks} into {output_sig.blocks}")
-        ops.append(m)
-    ops = _coalesce(ops)
-    if len(ops) > 1:  # sort computes keys even for a single element
-        ops.sort(key=_canonical_key)
-    kset = KrausSet(input_sig, output_sig, tuple(freeze(m) for m in ops))
+    raw_ops = raw_ops if isinstance(raw_ops, np.ndarray) else list(raw_ops)
+    try:
+        stack = np.array(raw_ops, dtype=complex)
+    except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
+        stack = None
+    if stack is None or stack.shape[1:] != shape or not np.isfinite(stack).all():
+        # one by one, as as_matrix reads them (1-D too): the first fault raises
+        ops = []
+        for raw in raw_ops:
+            m = as_matrix(raw)
+            if m.shape != shape:
+                raise DimensionMismatch(
+                    f"operator of shape {m.shape} does not map "
+                    f"{input_sig.blocks} into {output_sig.blocks}")
+            ops.append(m)
+        stack = np.array(ops, dtype=complex).reshape((len(ops),) + shape)
+    ops = _coalesce(stack)
+    if len(ops) < len(stack):  # else ops are the stack's own rows
+        stack = np.array(ops, dtype=complex).reshape((len(ops),) + shape)
+    if len(stack) > 1:  # one operator needs no key
+        stack = stack[np.argsort(_canonical_keys(stack), kind="stable")]
+    stack.setflags(write=False)
+    kset = KrausSet(input_sig, output_sig, tuple(stack))
     if not is_psd(np.eye(shape[1]) - kset.completeness_sum(), tol):
         raise TraceConditionViolated(
             "sum of E'E exceeds the identity; not trace-nonincreasing")
@@ -226,8 +258,9 @@ class LocalKraus(KrausSet):
     when :attr:`form` is read, the one full-width operator, ``dense()``,
     when ``ops`` is read.  The set checks nothing: like
     :func:`unchecked_singleton`, the caller owes what ``make_kraus`` would
-    have checked, and ``dense()`` must return the operator I (x) u.  ``len``
-    is 1 and reads nothing.
+    have checked, and ``dense()`` must return the operator I (x) u, an
+    array no one else holds (it is frozen in place).  ``len`` is 1 and
+    reads nothing.
     """
 
     def __init__(self, sig: Signature, local, dense):
@@ -237,7 +270,7 @@ class LocalKraus(KrausSet):
 
     @cached_property
     def ops(self) -> tuple[Matrix, ...]:
-        return (freeze(self.dense()),)
+        return (freeze_fresh(self.dense()),)
 
     @cached_property
     def form(self) -> tuple[Matrix, tuple[int, ...], int | None]:
@@ -282,13 +315,15 @@ class LocalKraus(KrausSet):
 
 
 def identity_kraus(sig: Signature, tol: float = DEFAULT_TOL) -> KrausSet:
-    """{I} on ``sig``, checked as the gate I on no qubit, {[1]}.
-
-    The set is local on no axis, so its d x d identity is built only when
-    its operators are read.
-    """
+    """{I} on ``sig``, checked as the gate I on no qubit, {[1]}."""
     scalar = Signature((1,))
     make_kraus(scalar, scalar, [np.eye(1)], tol)
+    return unchecked_identity(sig)
+
+
+def unchecked_identity(sig: Signature) -> KrausSet:
+    """{I} on ``sig`` unchecked (the caller owes {[1]}'s check), local on no
+    axis: its d x d identity is built only when its operators are read."""
     return LocalKraus(sig, lambda: (np.eye(1), ()),
                       lambda: np.eye(dim(sig), dtype=complex))
 
@@ -488,7 +523,7 @@ def to_choi(s: KrausSet) -> ChoiFamily:
     members = []
     for off, n in zip(block_offsets(s.input_sig), s.input_sig.blocks):
         v = stack[:, :, off:off + n].reshape(len(s.ops), d_out * n).T
-        members.append(freeze(v @ v.conj().T))
+        members.append(freeze_fresh(v @ v.conj().T))
     return ChoiFamily(s.input_sig, s.output_sig, tuple(members))
 
 

@@ -50,18 +50,25 @@ holds one operator is checked on the smallest space that fixes that
 operator, and its full-width set is built unchecked (a local set, or
 :func:`qalt.kraus.unchecked_singleton`).  A gate is checked as {U} on its
 2^t targets, since I (x) U re-indexed has residual I (x) (I - U'U); ``skip``
-and the empty block as {[1]}; an allocation as {|0>}.  An alternation whose
+and the empty block as {[1]}; an allocation as {|0>}.  Such a check depends
+on its operator and ``tol`` alone, so one ``denote`` or ``eval_direct`` call
+makes it once per distinct primitive (:func:`_check_once`): once per gate
+node of the hash-consed core program, and once each for {[1]} and {|0>};
+nothing is kept between calls.  An alternation whose
 arms each hold one operator, local or not, is not checked again: its one
 element's residual is the direct sum of the arms' residuals, and each arm
 was checked when it was denoted.  Other alternations, measurements,
 discards and compositions go through ``make_kraus`` at full width, and so
 does a run of one-operator steps, once, when it ends: the run holds one
-raw product per operator of the set it started from.
+raw product per operator of the set it started from.  ``make_kraus``
+canonicalises a set as one stack of its operators.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,8 +99,8 @@ from .kraus import (
     coalesces,
     compose,
     diagonal_blocks,
-    identity_kraus,
     make_kraus,
+    unchecked_identity,
     unchecked_singleton,
 )
 from .syntax import QBIT, Context
@@ -243,7 +250,7 @@ def _denote_block(block: list, ctx: Context, tol: float) -> tuple[KrausSet, Cont
     checked as {[1]}.
     """
     if not block:
-        return identity_kraus(signature_of(ctx), tol), ctx
+        return _identity(signature_of(ctx), tol), ctx
     keys = list(map(id, block)) if len(block) > 1 else [None]
     last = {key: i for i, key in enumerate(keys)}
     memo: dict = {}  # node identity -> {context: (step, output context)}
@@ -333,22 +340,54 @@ def _local_alternation(ctx: Context, names: list[str], branches):
     return u, axes
 
 
+#: Keys of the primitives checked in the running denotation (:func:`_check_once`)
+_CHECKED: ContextVar[dict | None] = ContextVar("qalt_checked", default=None)
+
+
+@contextmanager
+def _one_check_each():
+    token = _CHECKED.set({})
+    try:
+        yield
+    finally:
+        _CHECKED.reset(token)
+
+
+def _check_once(key, input_sig: Signature, output_sig: Signature, op: Matrix,
+                tol: float):
+    """``make_kraus``'s check of {op}, once per ``key`` (the gate node, or the
+    statement class of a constant operator) in one ``denote`` or
+    ``eval_direct`` call; the memo holds each key, so no identity is reused.
+    Outside those calls every call checks."""
+    checked = _CHECKED.get()
+    if checked is None or id(key) not in checked:
+        make_kraus(input_sig, output_sig, [op], tol)
+        if checked is not None:
+            checked[id(key)] = key
+
+
+def _identity(sig: Signature, tol: float) -> KrausSet:
+    """:func:`qalt.kraus.identity_kraus`, its {[1]} checked once per denotation."""
+    _check_once(ast.Skip, Signature((1,)), Signature((1,)), np.eye(1), tol)
+    return unchecked_identity(sig)
+
+
 def _denote_stmt(stmt, ctx: Context, tol: float) -> tuple[KrausSet, Context]:
     sig = signature_of(ctx)
     if isinstance(stmt, ast.Skip):
-        return identity_kraus(sig, tol), ctx
+        return _identity(sig, tol), ctx
     if isinstance(stmt, (ast.NewQbit, ast.NewBit)):
         # appending |0> is an isometry: its residual is 0, as {|0>}'s is
         name = stmt.name.base
         out = ctx.add(name, stmt.kind)
-        make_kraus(Signature((1,)), Signature((2,)), [KET0], tol)
+        _check_once(ast.NewQbit, Signature((1,)), Signature((2,)), KET0, tol)
         op = _bra(out, name, 0).T
         return unchecked_singleton(sig, signature_of(out), op), out
     if isinstance(stmt, ast.ApplyGate):
         # I (x) U re-indexed: residual I (x) (I - U'U), checked as {U}
         u = _gate_matrix(stmt.gate)
         targets = Signature((len(u),))
-        make_kraus(targets, targets, [u], tol)
+        _check_once(stmt.gate, targets, targets, u, tol)
         names, _ = _layout(ctx)
         axes = [names.index(t.base) for t in stmt.targets]
         return LocalKraus(sig, lambda: (u, axes),
@@ -411,7 +450,8 @@ def denote(program, ctx: Context | None = None,
     """
     ctx = ctx if ctx is not None else Context.empty()
     core = _prepare(program, ctx)
-    kset, out_ctx = _denote_block(core.body, ctx, tol)
+    with _one_check_each():
+        kset, out_ctx = _denote_block(core.body, ctx, tol)
     return Denotation(program, kset, ctx, out_ctx)
 
 
@@ -555,7 +595,8 @@ def eval_direct(program, initial: DensityState | None = None,
     if initial.signature != signature_of(ctx):
         raise SignatureMismatch("initial state does not match the context")
     rho = np.array(initial.full())
-    for stmt in _prepare(program, ctx).body:
-        rho, ctx = _direct_step(stmt, rho, ctx, tol)
+    with _one_check_each():
+        for stmt in _prepare(program, ctx).body:
+            rho, ctx = _direct_step(stmt, rho, ctx, tol)
     out_sig = signature_of(ctx)
     return DensityState(out_sig, diagonal_blocks(rho, out_sig, tol), tol)

@@ -5,6 +5,9 @@ import math
 import numpy as np
 
 from qalt import DensityState, dim, make_kraus
+from qalt.core import as_matrix, freeze, is_psd
+from qalt.errors import DimensionMismatch, TraceConditionViolated
+from qalt.kraus import COALESCE_TOL, KrausSet
 
 
 def rand_unitary(rng, d):
@@ -143,3 +146,65 @@ def basis_elements(sig):
                     blocks.append(b)
                 out.append(tuple(blocks))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Per-operator reference canonicalisation
+# ---------------------------------------------------------------------------
+
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def reference_canonical_key(m):
+    """One operator's canonical sort key, built on its own: rounded entries,
+    then exact entries, each float as a big-endian integer that orders like
+    it, with -0.0 folded into 0.0."""
+    parts = np.empty((2,) + m.shape, dtype=complex)
+    np.round(m, 12, out=parts[0])
+    parts[1] = m
+    bits = (parts.view(np.float64) + 0.0).view(np.uint64)
+    bits ^= (bits.view(np.int64) >> 63).view(np.uint64) | _SIGN_BIT
+    return bits.astype(">u8").tobytes()
+
+
+def reference_coalesce(ops):
+    """The first-match fold with the mean-entry prefilter, zeros dropped and
+    entry sums taken one operator at a time."""
+    current = [m for m in ops if np.abs(m).max() > COALESCE_TOL]
+    while len(current) > 1:
+        margin = 2 * COALESCE_TOL * current[0].size
+        groups = []  # [entry sum, representative, count]
+        for m, total in zip(current, np.asarray(current).sum(axis=(1, 2)).tolist()):
+            for g in groups:
+                if (abs(g[0] - total) <= margin
+                        and np.abs(g[1] - m).max() <= COALESCE_TOL):
+                    g[2] += 1
+                    break
+            else:
+                groups.append([total, m, 1])
+        if len(groups) == len(current):
+            break
+        current = [g[1] * math.sqrt(g[2]) if g[2] > 1 else g[1] for g in groups]
+    return current
+
+
+def reference_make_kraus(input_sig, output_sig, raw_ops, tol):
+    """``make_kraus`` one operator at a time: each read and shape-checked in
+    turn, coalesced, sorted by its own key, copied and frozen, then checked."""
+    shape = (dim(output_sig), dim(input_sig))
+    ops = []
+    for raw in raw_ops:
+        m = as_matrix(raw)
+        if m.shape != shape:
+            raise DimensionMismatch(
+                f"operator of shape {m.shape} does not map "
+                f"{input_sig.blocks} into {output_sig.blocks}")
+        ops.append(m)
+    ops = reference_coalesce(ops)
+    if len(ops) > 1:
+        ops.sort(key=reference_canonical_key)
+    kset = KrausSet(input_sig, output_sig, tuple(freeze(m) for m in ops))
+    if not is_psd(np.eye(shape[1]) - kset.completeness_sum(), tol):
+        raise TraceConditionViolated(
+            "sum of E'E exceeds the identity; not trace-nonincreasing")
+    return kset

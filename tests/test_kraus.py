@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import (basis_elements, count_calls, pairwise_coalesce, rand_density,
-                     rand_kraus, rand_unitary, superop_matrix)
+                     rand_kraus, rand_unitary, reference_canonical_key,
+                     reference_make_kraus, superop_matrix)
 from qalt import (
     Context,
     DensityState,
@@ -38,8 +39,8 @@ from qalt.errors import (
     TraceConditionViolated,
 )
 from qalt import kraus
-from qalt.kraus import (COALESCE_TOL, KrausSet, _canonical_key, _coalesce,
-                        case_elements, choi_distance, coalesces)
+from qalt.kraus import (COALESCE_TOL, KrausSet, _canonical_key, _canonical_keys,
+                        _coalesce, case_elements, choi_distance, coalesces)
 
 Q = Signature((2,))
 ONE = Signature((1,))
@@ -351,6 +352,113 @@ class TestCoalesces:
         m = np.eye(2, dtype=complex)
         m[1, 0] = bad
         assert coalesces([m]) and coalesces([np.eye(2) / 2, m])
+
+
+def make_outcome(fn, sig_in, sig_out, raw, tol=1e-9):
+    """The set ``fn`` builds, as signatures and operator bytes, or the type
+    and message of what it raises."""
+    try:
+        s = fn(sig_in, sig_out, raw, tol)
+    except Exception as e:  # compared, type and message, with the reference's
+        return type(e), str(e)
+    assert all(not m.flags.writeable and m.flags.c_contiguous for m in s.ops)
+    return s.input_sig, s.output_sig, [(m.dtype, m.shape, m.tobytes()) for m in s.ops]
+
+
+def within_trace(ops):
+    """``ops`` scaled so that sum E'E <= I: canonicalising them then returns
+    a set, not TraceConditionViolated."""
+    if not ops:
+        return ops
+    norm = np.linalg.norm(sum(m.conj().T @ m for m in ops), 2)
+    return [m / math.sqrt(1.01 * norm) for m in ops] if norm > 1 else ops
+
+
+class TestStackedMakeKraus:
+    """`make_kraus` canonicalises one stack; it builds what the per-operator
+    reference in `helpers` builds, byte for byte and -0.0 for -0.0, and
+    raises what it raises, type and message."""
+
+    @staticmethod
+    def agree(sig_in, sig_out, raw, tol=1e-9):
+        got = make_outcome(make_kraus, sig_in, sig_out, raw, tol)
+        assert got == make_outcome(reference_make_kraus, sig_in, sig_out, raw, tol)
+        return got
+
+    def test_random_multisets_of_0_to_300_operators(self):
+        rng = np.random.default_rng(24)
+        sizes = [0, 1] + [int(rng.integers(2, 301)) for _ in range(40)]
+        built = 0
+        for size in sizes:
+            ops = random_multiset(rng, size) if size else []
+            d = ops[0].shape[0] if ops else 2
+            sig = Signature((d,))
+            for raw in (within_trace(ops), ops):
+                got = self.agree(sig, sig, raw)
+                built += not isinstance(got[0], type)
+            if ops:  # the same operators as one array, and in Fortran order
+                self.agree(sig, sig, np.asarray(within_trace(ops)))
+                self.agree(sig, sig, [np.asfortranarray(m) for m in ops[:40]])
+        assert built > len(sizes)
+
+    def test_awkward_sets_keep_order_and_signed_zeros(self):
+        rng = np.random.default_rng(25)
+        for _ in range(300):
+            ops = within_trace(awkward_set(rng))
+            m, n = ops[0].shape
+            got = self.agree(Signature((n,)), Signature((m,)), ops)
+            assert not isinstance(got[0], type)
+        e = np.array([[complex(-0.0, 0.0), -0.0], [0.5, complex(0.0, -0.0)]])
+        (_, _, ops) = self.agree(Q, Q, [e])
+        assert np.signbit(np.frombuffer(ops[0][2], dtype=np.float64)[[0, 2, 7]]).all()
+
+    def test_below_tolerance_and_cascades(self):
+        k = np.diag([0.5, 0.25]).astype(complex)
+        tiny = np.full((2, 2), COALESCE_TOL)
+        for raw in ([tiny], [tiny, k], [k, k, math.sqrt(2) * k],
+                    [k / 2] * 4 + [k], [k + 1e-13, k, k - 1e-13, tiny / 2]):
+            self.agree(Q, Q, raw)
+
+    def test_one_dimensional_operators(self):
+        sig_in, sig_out = Signature((1,)), Signature((3,))
+        v = np.array([0.6, 0.0, -0.8j])
+        for raw in ([v], [v / 2, v / 2], [v, v.reshape(3, 1)], [list(v)],
+                    np.stack([v, 0.5 * v]), [v[:2]], [v, v[:2]]):
+            self.agree(sig_in, sig_out, raw)
+        assert isinstance(self.agree(sig_in, sig_out, [v[:2]])[0], type)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_faults_raise_as_before_in_operator_order(self, bad):
+        good = ID2 / 2
+        broken = good.copy()
+        broken[0, 1] = bad
+        wide = np.zeros((2, 3))
+        for raw in ([broken], [good, broken], [good, wide], [broken, wide],
+                    [wide, broken], [good, np.zeros((2, 2, 2))], [good, 1.0],
+                    [good, "x"], [good, [[1, 2], [3]]], [good] * 3 + [broken]):
+            got = self.agree(Q, Q, raw)
+            assert got[0] in (ValueError, DimensionMismatch), raw
+        assert self.agree(Q, Q, [broken, wide])[0] is ValueError
+        assert self.agree(Q, Q, [wide, broken])[0] is DimensionMismatch
+
+    def test_a_generator_is_read_once(self):
+        ops = [ID2 / 2, X / 2]
+        assert make_kraus(Q, Q, (m for m in ops)) == make_kraus(Q, Q, ops)
+        with pytest.raises(DimensionMismatch):
+            make_kraus(Q, Q, (m for m in [ID2 / 2, np.zeros((2, 3))]))
+
+    def test_stacked_keys_are_each_operators_key(self):
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            ops = awkward_set(rng)
+            stack = np.array(ops)
+            keys = _canonical_keys(stack)
+            want = [reference_canonical_key(m) for m in ops]
+            assert [keys[i:i + 1].tobytes() for i in range(len(ops))] == want
+            assert [_canonical_key(m) for m in ops] == want
+            # a stable sort of the keys as bytes is the order of the keys
+            assert list(np.argsort(keys, kind="stable")) == \
+                sorted(range(len(ops)), key=want.__getitem__)
 
 
 #: Programs whose denotations coalesce sets of 16 to 256 raw operators:

@@ -656,12 +656,14 @@ class TestFusedRuns:
         composes = count_calls(monkeypatch, "compose", semantics)
         denote("q0 *= H\nnew bit c\nq1 *= X\n"
                "measure q0 then { skip } else { skip }\nq2 *= H\nq2 *= S", self.CTX)
-        # three steps before the measurement; its arms' identities, their
-        # sum and the measurement; two gate steps after it; the product of
-        # the first three steps; the one composition, of the measurement;
-        # then the run after it, one product per operator of its two, once
+        # three steps before the measurement ({H}, {|0>}, {X}); its arms'
+        # identities, one {[1]} check for both, their sum and the
+        # measurement; after it only S, since H was checked in this
+        # denotation; the product of the first three steps; the one
+        # composition, of the measurement; then the run after it, one
+        # product per operator of its two, once
         assert len(composes) == 1
-        assert len(makes) == 3 + 4 + 2 + 1 + 1 + 1
+        assert len(makes) == 3 + 3 + 1 + 1 + 1 + 1 == 10
 
     @pytest.mark.parametrize("gate", [
         # the discard leaves {1.2e-12 I, I}; the first H takes 1.2e-12 I to
@@ -956,11 +958,12 @@ class TestPositivityCounts:
         psd = count_calls(monkeypatch, "is_psd", kraus)
         eig = count_calls(monkeypatch, "eigvalsh", np.linalg)
         denote("\n".join(lines), ctx)
-        # each gate's {U} and, per alternation, the skip arm's {[1]} and the
-        # other arm's {U}; the alternation's one element is not checked again,
-        # and the block, a single run of one-operator steps, once at full width
-        assert len(psd) == 8 + 7 * 2 + 1 == 23
-        assert sorted(len(m) for m, _ in psd) == [1] * 7 + [2] * 15 + [256]
+        # each distinct one-operator primitive once per denotation: the
+        # gates H, X, Z and Y as {U} and the skip arms' {[1]}; the
+        # alternations' one elements are not checked again, and the block,
+        # a single run of one-operator steps, once at full width
+        assert len(psd) == 4 + 1 + 1 == 6
+        assert sorted(len(m) for m, _ in psd) == [1] + [2] * 4 + [256]
         assert not eig
 
 
@@ -1039,6 +1042,98 @@ class TestSmallChecks:
             assert _raises(denote, "a *= T", ctx, tol) == want
         if tol >= 1e-12:
             assert not want
+
+
+def _gate_checks(calls) -> list:
+    """The checks of a primitive's small set among recorded ``make_kraus``
+    calls, as the shape and bytes of its one operator."""
+    return [(np.shape(ops[0]), np.asarray(ops[0]).tobytes()) for _, _, ops, *_ in calls
+            if len(ops) == 1 and np.shape(ops[0]) in ((1, 1), (2, 1), (2, 2))]
+
+
+class TestOneCheckPerPrimitive:
+    """Within one `denote` or `eval_direct` call each distinct one-operator
+    primitive (a gate node, {[1]}, {|0>}) is checked once; nothing of that
+    memo outlives the call."""
+
+    CTX = TestSmallChecks.CTX
+    NEAR = TestSmallChecks.NEAR
+    PHASE = Signature((2,)), Signature((2,)), [NAMED_GATES["T"]]
+
+    def test_each_distinct_primitive_once_per_call(self, monkeypatch):
+        makes = count_calls(monkeypatch, "make_kraus", semantics, kraus)
+        src = ("a *= H\nb *= H\nskip\nif a then { b *= H } else { skip }\n"
+               "new qbit t\nnew bit u\nt *= X\ndiscard t\ndiscard u\nb *= X")
+        denote(src, self.CTX)
+        first = _gate_checks(makes)
+        # H, {[1]}, {|0>} and X, once each
+        assert sorted(shape for shape, _ in first) == [(1, 1), (2, 1), (2, 2), (2, 2)]
+        del makes[:]
+        denote(src, self.CTX)
+        assert _gate_checks(makes) == first  # a second call checks again
+
+    def test_a_second_call_at_a_smaller_tol_checks_again(self):
+        near = f"a *= {self.NEAR}"
+        denote(near, self.CTX, 1e-9)
+        with pytest.raises(TraceConditionViolated):
+            denote(near, self.CTX, 1e-12)
+        # whether T'T rounds away from I at 1e-300 depends on the BLAS
+        # kernel; the second call decides as the check of {T} alone does
+        want = _raises(make_kraus, *self.PHASE, 1e-300)
+        assert not _raises(denote, "a *= Phase(pi / 4)", self.CTX, 1e-9)
+        assert _raises(denote, "a *= Phase(pi / 4)", self.CTX, 1e-300) == want
+
+    def test_a_denotation_that_raises_leaves_no_state(self, monkeypatch):
+        assert semantics._CHECKED.get() is None
+        rho = rand_density(np.random.default_rng(3), Signature((4, 4)))
+        src = f"a *= H\nif a then {{ b *= {self.NEAR} }} else {{ skip }}"
+        for call in (lambda: denote(src, self.CTX, 1e-12),
+                     lambda: eval_direct(src, rho, self.CTX, 1e-12)):
+            with pytest.raises(TraceConditionViolated):
+                call()
+            assert semantics._CHECKED.get() is None
+        makes = count_calls(monkeypatch, "make_kraus", semantics, kraus)
+        denote("a *= H", self.CTX, 1e-12)
+        assert len(_gate_checks(makes)) == 1
+
+    def test_outside_a_denotation_every_gate_is_checked(self, monkeypatch):
+        stmt = elaborate(parse("a *= H")).body[0]
+        makes = count_calls(monkeypatch, "make_kraus", semantics, kraus)
+        for _ in range(3):
+            semantics._denote_stmt(stmt, self.CTX, 1e-9)
+        assert len(_gate_checks(makes)) == 3
+        near = elaborate(parse(f"a *= {self.NEAR}")).body[0]
+        semantics._denote_stmt(near, self.CTX, 1e-9)
+        with pytest.raises(TraceConditionViolated):
+            semantics._denote_stmt(near, self.CTX, 1e-12)
+
+    def test_eval_direct_checks_each_gate_of_its_arms(self, monkeypatch):
+        rho = rand_density(np.random.default_rng(4), Signature((4, 4)))
+        makes = count_calls(monkeypatch, "make_kraus", semantics, kraus)
+        eval_direct("if a then { b *= H } else { b *= X }\n"
+                    "if a then { b *= X } else { b *= H }", rho, self.CTX)
+        assert len(_gate_checks(makes)) == 2  # H and X, once each
+        assert semantics._CHECKED.get() is None
+
+    @pytest.mark.parametrize("src", [
+        "b *= {near}",
+        "b *= {near}\nif a then {{ b *= {near} }} else {{ skip }}",
+        "if a then {{ b *= {near} }} else {{ skip }}",
+        "if a then {{ b *= {near} }} else {{ skip }}\nb *= {near}",
+        "a *= H\nif a then {{ skip }} else {{ b *= {near} }}\nb *= H",
+    ])
+    def test_a_failing_gate_raises_wherever_it_first_occurs(self, src):
+        src = src.format(near=self.NEAR)
+        rho = rand_density(np.random.default_rng(5), Signature((4, 4)))
+        for tol in (1e-12, 1e-300):
+            with pytest.raises(TraceConditionViolated):
+                denote(src, self.CTX, tol)
+            with pytest.raises(TraceConditionViolated):
+                run(src, rho, self.CTX, tol)
+            if "if" in src:  # eval_direct checks the gates of the arms it denotes
+                with pytest.raises(TraceConditionViolated):
+                    eval_direct(src, rho, self.CTX, tol)
+        denote(src, self.CTX, 1e-9)
 
 
 class TestStepMemo:
