@@ -176,17 +176,6 @@ def _ids(block: list) -> tuple:
     return tuple(map(id, block))
 
 
-def _alternation_arms(stmt) -> tuple[list, list]:
-    """(controls, labelled arms) of a quantum alternation.
-
-    ``if q then A else B`` reads as ``case (q) of |0> -> A |1> -> B``.
-    """
-    if isinstance(stmt, ast.QIf):
-        return [stmt.control], [ast.CaseArm("0", stmt.then_block),
-                                ast.CaseArm("1", stmt.else_block)]
-    return stmt.controls, stmt.arms
-
-
 def _arm_blocks(stmt) -> tuple[list, list]:
     """(controls, the source block of each label, in label order) of an alternation.
 
@@ -461,10 +450,12 @@ def lint_closed_system(program: ast.Program) -> list[str]:
                 warnings.append(
                     f"branch of quantum conditional on '{control}' contains "
                     f"non-reversible statement '{type(stmt).__name__}'")
-            if isinstance(stmt, (ast.QIf, ast.QCase)):
-                controls, arms = _alternation_arms(stmt)
-                for arm in arms:
-                    scan(arm.block, ", ".join(c.base for c in controls))
+            if isinstance(stmt, ast.QIf):  # as case (q) of |0> -> A |1> -> B
+                for block in (stmt.then_block, stmt.else_block):
+                    scan(block, stmt.control.base)
+            elif isinstance(stmt, ast.QCase):
+                for arm in stmt.arms:
+                    scan(arm.block, ", ".join(c.base for c in stmt.controls))
             elif isinstance(stmt, ast.MeasureThenElse):
                 scan(stmt.then_block)
                 scan(stmt.else_block)

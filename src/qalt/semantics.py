@@ -1,6 +1,6 @@
 """Denotational semantics: programs to Kraus sets, plus a direct evaluator.
 
-The variable-to-factor layout lives entirely in this module.  A context's
+The variable-to-factor layout is defined in this module.  A context's
 basis is one index tensor with a length-2 axis per variable, the bits first
 and then the qubits, each in allocation order (:func:`_layout`).  So bits
 select signature blocks (first allocated = most significant) and qubits are
@@ -9,7 +9,9 @@ layout map is read off that tensor: a gate acts on its targets' axes,
 allocation, discard, measurement and the control blocks of an alternation
 fix values on variables' axes (:func:`_where`), and moving the controls of
 an alternation to the front transposes its axes
-(:func:`leading_permutation`).
+(:func:`leading_permutation`).  Two readers outside the module take the
+same axis order, the first axis most significant: :func:`qalt.core.embed_gate`
+and :attr:`qalt.kraus.LocalKraus.form`.
 
 A gate, and an alternation whose arms are each ``skip``, empty or one such
 step, is a local set (:class:`qalt.kraus.LocalKraus`): its small matrix and
@@ -51,13 +53,14 @@ operator, and its full-width set is built unchecked (a local set, or
 :func:`qalt.kraus.unchecked_singleton`).  A gate is checked as {U} on its
 2^t targets, since I (x) U re-indexed has residual I (x) (I - U'U); ``skip``
 and the empty block as {[1]}; an allocation as {|0>}.  Such a check depends
-on its operator and ``tol`` alone, so one ``denote`` or ``eval_direct`` call
-makes it once per distinct primitive (:func:`_check_once`): once per gate
-node of the hash-consed core program, and once each for {[1]} and {|0>};
-nothing is kept between calls.  An alternation whose
+on its operator and ``tol`` alone, so :func:`_prepare` makes it once per
+call of ``denote``, ``run`` or ``eval_direct``, after the typecheck and
+before any set is built: once per gate node of the hash-consed core
+program, and once each for {[1]} and {|0>} (:func:`_check_primitives`).
+So both evaluators reject the same primitives.  An alternation whose
 arms each hold one operator, local or not, is not checked again: its one
-element's residual is the direct sum of the arms' residuals, and each arm
-was checked when it was denoted.  Other alternations, measurements,
+element's residual is the direct sum of the arms' residuals, and each
+arm's set is checked already.  Other alternations, measurements,
 discards and compositions go through ``make_kraus`` at full width, and so
 does a run of one-operator steps, once, when it ends: the run holds one
 raw product per operator of the set it started from.  ``make_kraus``
@@ -67,8 +70,6 @@ canonicalises a set as one stack of its operators.
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,7 +251,7 @@ def _denote_block(block: list, ctx: Context, tol: float) -> tuple[KrausSet, Cont
     checked as {[1]}.
     """
     if not block:
-        return _identity(signature_of(ctx), tol), ctx
+        return unchecked_identity(signature_of(ctx)), ctx
     keys = list(map(id, block)) if len(block) > 1 else [None]
     last = {key: i for i, key in enumerate(keys)}
     memo: dict = {}  # node identity -> {context: (step, output context)}
@@ -340,54 +341,19 @@ def _local_alternation(ctx: Context, names: list[str], branches):
     return u, axes
 
 
-#: Keys of the primitives checked in the running denotation (:func:`_check_once`)
-_CHECKED: ContextVar[dict | None] = ContextVar("qalt_checked", default=None)
-
-
-@contextmanager
-def _one_check_each():
-    token = _CHECKED.set({})
-    try:
-        yield
-    finally:
-        _CHECKED.reset(token)
-
-
-def _check_once(key, input_sig: Signature, output_sig: Signature, op: Matrix,
-                tol: float):
-    """``make_kraus``'s check of {op}, once per ``key`` (the gate node, or the
-    statement class of a constant operator) in one ``denote`` or
-    ``eval_direct`` call; the memo holds each key, so no identity is reused.
-    Outside those calls every call checks."""
-    checked = _CHECKED.get()
-    if checked is None or id(key) not in checked:
-        make_kraus(input_sig, output_sig, [op], tol)
-        if checked is not None:
-            checked[id(key)] = key
-
-
-def _identity(sig: Signature, tol: float) -> KrausSet:
-    """:func:`qalt.kraus.identity_kraus`, its {[1]} checked once per denotation."""
-    _check_once(ast.Skip, Signature((1,)), Signature((1,)), np.eye(1), tol)
-    return unchecked_identity(sig)
-
-
 def _denote_stmt(stmt, ctx: Context, tol: float) -> tuple[KrausSet, Context]:
     sig = signature_of(ctx)
     if isinstance(stmt, ast.Skip):
-        return _identity(sig, tol), ctx
+        return unchecked_identity(sig), ctx
     if isinstance(stmt, (ast.NewQbit, ast.NewBit)):
         # appending |0> is an isometry: its residual is 0, as {|0>}'s is
         name = stmt.name.base
         out = ctx.add(name, stmt.kind)
-        _check_once(ast.NewQbit, Signature((1,)), Signature((2,)), KET0, tol)
         op = _bra(out, name, 0).T
         return unchecked_singleton(sig, signature_of(out), op), out
     if isinstance(stmt, ast.ApplyGate):
         # I (x) U re-indexed: residual I (x) (I - U'U), checked as {U}
         u = _gate_matrix(stmt.gate)
-        targets = Signature((len(u),))
-        _check_once(stmt.gate, targets, targets, u, tol)
         names, _ = _layout(ctx)
         axes = [names.index(t.base) for t in stmt.targets]
         return LocalKraus(sig, lambda: (u, axes),
@@ -430,13 +396,47 @@ def _denote_stmt(stmt, ctx: Context, tol: float) -> tuple[KrausSet, Context]:
     raise TypeError(f"statement not elaborated: {stmt!r}")
 
 
-def _prepare(program, ctx: Context) -> ast.Program:
+def _check_primitives(body: list, tol: float) -> None:
+    """``make_kraus``'s check of each distinct one-operator primitive, once.
+
+    The primitives of a core program are {U} for each gate node, {[1]} if
+    it has a ``skip`` or an empty block, and {|0>} if it allocates.  The
+    program is hash-consed, so each node is visited once, by identity.
+    """
+    ops, seen, blocks = {}, set(), [body]  # primitive key -> its one operator
+    while blocks:
+        block = blocks.pop()
+        if not block:
+            ops[ast.Skip] = np.eye(1)
+        for stmt in block:
+            if id(stmt) in seen:
+                continue
+            seen.add(id(stmt))
+            if isinstance(stmt, ast.Skip):
+                ops[ast.Skip] = np.eye(1)
+            elif isinstance(stmt, (ast.NewQbit, ast.NewBit)):
+                ops[ast.NewQbit] = KET0
+            elif isinstance(stmt, ast.ApplyGate):
+                if id(stmt.gate) not in ops:
+                    ops[id(stmt.gate)] = _gate_matrix(stmt.gate)
+            elif isinstance(stmt, ast.MeasureThenElse):
+                blocks += [stmt.then_block, stmt.else_block]
+            elif isinstance(stmt, ast.QCase):
+                blocks += [arm.block for arm in stmt.arms]
+    for op in ops.values():
+        make_kraus(Signature((op.shape[1],)), Signature((op.shape[0],)), [op], tol)
+
+
+def _prepare(program, ctx: Context, tol: float) -> ast.Program:
+    """The core program, elaborated, typechecked from ``ctx`` and with each
+    primitive checked at ``tol`` (:func:`_check_primitives`)."""
     if isinstance(program, str):
         program = ast.parse(program)
     elif not isinstance(program, ast.Program):
         program = ast.Program([program])
     core = elaborate(program)
     typecheck(core, ctx)
+    _check_primitives(core.body, tol)
     return core
 
 
@@ -449,9 +449,7 @@ def denote(program, ctx: Context | None = None,
     of ``ctx``.  Every Kraus set built on the way is checked at ``tol``.
     """
     ctx = ctx if ctx is not None else Context.empty()
-    core = _prepare(program, ctx)
-    with _one_check_each():
-        kset, out_ctx = _denote_block(core.body, ctx, tol)
+    kset, out_ctx = _denote_block(_prepare(program, ctx, tol).body, ctx, tol)
     return Denotation(program, kset, ctx, out_ctx)
 
 
@@ -595,8 +593,7 @@ def eval_direct(program, initial: DensityState | None = None,
     if initial.signature != signature_of(ctx):
         raise SignatureMismatch("initial state does not match the context")
     rho = np.array(initial.full())
-    with _one_check_each():
-        for stmt in _prepare(program, ctx).body:
-            rho, ctx = _direct_step(stmt, rho, ctx, tol)
+    for stmt in _prepare(program, ctx, tol).body:
+        rho, ctx = _direct_step(stmt, rho, ctx, tol)
     out_sig = signature_of(ctx)
     return DensityState(out_sig, diagonal_blocks(rho, out_sig, tol), tol)

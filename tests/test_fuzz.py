@@ -17,7 +17,8 @@ from qalt import (Context, compose, denote, elaborate, eval_direct,
                   lint_closed_system, parse, pretty, run, typecheck)
 from qalt import semantics
 from qalt import syntax as ast
-from qalt.errors import BranchContextMismatch, ControlCapture, ParseError, QaltError
+from qalt.errors import (BranchContextMismatch, ControlCapture, ParseError, QaltError,
+                         TraceConditionViolated)
 from qalt.semantics import signature_of
 
 MAX_QUBITS = 3
@@ -340,6 +341,32 @@ def _fresh_block(block, ctx, tol):
         step, ctx = semantics._denote_stmt(stmt, ctx, tol)
         kset = step if kset is None else compose(step, kset, tol)
     return kset, ctx
+
+
+def _violates(call, *args) -> bool:
+    """Whether ``call(*args)`` raises :class:`TraceConditionViolated`."""
+    try:
+        call(*args)
+    except TraceConditionViolated:
+        return True
+    except ValueError:  # eval_direct's check of its final state, at 1e-300
+        pass
+    return False
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-300])
+@pytest.mark.parametrize("seed", [20240614, 20240615, 20240616])
+def test_eval_direct_violates_the_trace_condition_where_denote_does(seed, tol):
+    # both check each primitive up front; denote also checks the sets it
+    # composes, which eval_direct never forms, so at 1e-300 the rounding of
+    # one can decide alone: measure q0 then { q0 *= H  q0 *= Rk(2) } else
+    # { skip } after new qbit q0 raises from denote and not from eval_direct
+    rng = np.random.default_rng(seed)
+    programs = [random_program(rng) for _ in range(20)]
+    programs += [looped_program(rng) for _ in range(6)]
+    for source in programs:
+        assert _violates(eval_direct, source, None, None, tol) == \
+            _violates(denote, source, None, tol), source
 
 
 @pytest.mark.parametrize("seed", [20240612, 20240613])

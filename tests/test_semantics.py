@@ -1052,9 +1052,9 @@ def _gate_checks(calls) -> list:
 
 
 class TestOneCheckPerPrimitive:
-    """Within one `denote` or `eval_direct` call each distinct one-operator
-    primitive (a gate node, {[1]}, {|0>}) is checked once; nothing of that
-    memo outlives the call."""
+    """Each `denote`, `run` or `eval_direct` call checks each distinct
+    one-operator primitive (a gate node, {[1]}, {|0>}) once, before any set
+    is built; no call depends on an earlier one."""
 
     CTX = TestSmallChecks.CTX
     NEAR = TestSmallChecks.NEAR
@@ -1084,28 +1084,48 @@ class TestOneCheckPerPrimitive:
         assert _raises(denote, "a *= Phase(pi / 4)", self.CTX, 1e-300) == want
 
     def test_a_denotation_that_raises_leaves_no_state(self, monkeypatch):
-        assert semantics._CHECKED.get() is None
         rho = rand_density(np.random.default_rng(3), Signature((4, 4)))
         src = f"a *= H\nif a then {{ b *= {self.NEAR} }} else {{ skip }}"
         for call in (lambda: denote(src, self.CTX, 1e-12),
                      lambda: eval_direct(src, rho, self.CTX, 1e-12)):
             with pytest.raises(TraceConditionViolated):
                 call()
-            assert semantics._CHECKED.get() is None
         makes = count_calls(monkeypatch, "make_kraus", semantics, kraus)
         denote("a *= H", self.CTX, 1e-12)
         assert len(_gate_checks(makes)) == 1
 
-    def test_outside_a_denotation_every_gate_is_checked(self, monkeypatch):
-        stmt = elaborate(parse("a *= H")).body[0]
+    def test_every_call_checks_each_gate_once(self, monkeypatch):
+        rho = rand_density(np.random.default_rng(6), Signature((4, 4)))
+        calls = (lambda src, tol: denote(src, self.CTX, tol),
+                 lambda src, tol: run(src, rho, self.CTX, tol),
+                 lambda src, tol: eval_direct(src, rho, self.CTX, tol))
+        src = "a *= H\nb *= H\nfor i = 1 to 3 { a *= H\nb *= X }"
         makes = count_calls(monkeypatch, "make_kraus", semantics, kraus)
-        for _ in range(3):
-            semantics._denote_stmt(stmt, self.CTX, 1e-9)
-        assert len(_gate_checks(makes)) == 3
-        near = elaborate(parse(f"a *= {self.NEAR}")).body[0]
-        semantics._denote_stmt(near, self.CTX, 1e-9)
-        with pytest.raises(TraceConditionViolated):
-            semantics._denote_stmt(near, self.CTX, 1e-12)
+        for call in calls:
+            for _ in range(2):
+                del makes[:]
+                call(src, 1e-9)
+                assert len(_gate_checks(makes)) == 2  # H and X
+        near = f"a *= H\nb *= {self.NEAR}"
+        for call in calls:
+            call(near, 1e-9)
+            with pytest.raises(TraceConditionViolated):
+                call(near, 1e-12)
+
+    @pytest.mark.parametrize("trace", [1.0, 0.5])
+    def test_a_top_level_gate_is_checked_by_both_evaluators(self, trace):
+        ctx = Context.of(("a", "qbit"))
+        rho = rand_density(np.random.default_rng(7), Signature((2,)), trace=trace)
+        src = f"a *= {self.NEAR}"
+        for call in (run, eval_direct):
+            with pytest.raises(TraceConditionViolated):
+                call(src, rho, ctx, 1e-12)
+            call(src, rho, ctx, 1e-9)
+
+    def test_eval_direct_checks_a_top_level_skip(self, monkeypatch):
+        makes = count_calls(monkeypatch, "make_kraus", semantics, kraus)
+        eval_direct("skip\nskip")
+        assert [shape for shape, _ in _gate_checks(makes)] == [(1, 1)]
 
     def test_eval_direct_checks_each_gate_of_its_arms(self, monkeypatch):
         rho = rand_density(np.random.default_rng(4), Signature((4, 4)))
@@ -1113,7 +1133,6 @@ class TestOneCheckPerPrimitive:
         eval_direct("if a then { b *= H } else { b *= X }\n"
                     "if a then { b *= X } else { b *= H }", rho, self.CTX)
         assert len(_gate_checks(makes)) == 2  # H and X, once each
-        assert semantics._CHECKED.get() is None
 
     @pytest.mark.parametrize("src", [
         "b *= {near}",
@@ -1130,9 +1149,8 @@ class TestOneCheckPerPrimitive:
                 denote(src, self.CTX, tol)
             with pytest.raises(TraceConditionViolated):
                 run(src, rho, self.CTX, tol)
-            if "if" in src:  # eval_direct checks the gates of the arms it denotes
-                with pytest.raises(TraceConditionViolated):
-                    eval_direct(src, rho, self.CTX, tol)
+            with pytest.raises(TraceConditionViolated):
+                eval_direct(src, rho, self.CTX, tol)
         denote(src, self.CTX, 1e-9)
 
 
