@@ -541,14 +541,90 @@ def choi_distance(s: KrausSet, t: KrausSet) -> float:
     return max(float(np.abs(a - b).max()) for a, b in zip(cs.members, ct.members))
 
 
+def _pencil_verdict(s: KrausSet, t: KrausSet, tol: float,
+                    order: bool) -> bool | None:
+    """:func:`lowner_leq` (``order``) or :func:`ext_equal` of ``s`` and ``t``
+    from a small pencil per input block, or None where it does not settle it.
+
+    For a block of n inputs, Choi(t) - Choi(s) = M S M' with M = [vec F_j,
+    vec E_i] the D x (k + l) matrix of the columns :func:`to_choi` stacks
+    (D = dim(output) n, F_j of ``t``, E_i of ``s``) and S = diag(+1 (k
+    times), -1 (l times)).  With M = QR, its nonzero eigenvalues are those
+    of the (k + l) x (k + l) matrix P = R S R', its Frobenius norm is P's,
+    and 0 is one more eigenvalue when k + l < D.  Writing A for the
+    difference, max |a_ij| <= ||A||_2 <= ||A||_F <= D max |a_ij|, so:
+
+    - equal when ||P||_F + b <= tol, and not equal when ||P||_F / D - b >
+      tol (the dense test is max |a_ij| <= tol);
+    - below when min(0, lambda_min(P)) - b >= -tol, and not below when
+      min(0, lambda_min(P)) + b < -tol (the dense test is ``is_psd``).
+
+    b = 16 eps D ||M||_F^2 is the margin for rounding in both forms: the
+    pencil's QR, product and eigenvalues, and the dense Choi entries and
+    their eigenvalues, each of the order of eps times a size at most D
+    times ||M||_F^2 >= ||A||_2.  A block inside a band, or a ``tol`` at or
+    below b (where the dense form also rejects rounding-level non-Hermitian
+    entries), leaves the verdict to the dense form.  So does a block where
+    the pencil is not faster: 4 (k + l) > D, where its QR is not much
+    smaller than the Choi products, or D < 64, where two D x D products
+    cost less than the pencil's fixed overhead.
+    """
+    _check_same_type(s, t)
+    k, l = len(t), len(s)
+    d_out, d_in = s.op_shape()
+    if d_out * min(s.input_sig.blocks) < max(64, 4 * (k + l)):
+        return None
+    stack = np.concatenate([np.asarray(t.ops).reshape(k, d_out, d_in),
+                            np.asarray(s.ops).reshape(l, d_out, d_in)])
+    signs = np.repeat([1.0, -1.0], [k, l])
+    settled = True
+    for off, n in zip(block_offsets(s.input_sig), s.input_sig.blocks):
+        d = d_out * n
+        r = np.linalg.qr(stack[:, :, off:off + n].reshape(k + l, d).T, mode="r")
+        bound = 16 * np.finfo(float).eps * d * np.vdot(r, r).real
+        if tol <= bound:
+            return None
+        pencil = (r * signs) @ r.conj().T
+        if order:
+            low = min(0.0, np.linalg.eigvalsh(pencil).min(initial=0.0))
+            if low + bound < -tol:
+                return False
+            settled = settled and low - bound >= -tol
+        else:
+            norm = np.linalg.norm(pencil)
+            if norm / d - bound > tol:
+                return False
+            settled = settled and norm + bound <= tol
+    return True if settled else None
+
+
 def ext_equal(s: KrausSet, t: KrausSet, tol: float = DEFAULT_TOL) -> bool:
-    """Extensional equality: do the two sets denote the same superoperator?"""
-    return choi_distance(s, t) <= tol
+    """Extensional equality: do the two sets denote the same superoperator?
+
+    The answer is ``choi_distance(s, t) <= tol``.  Where every input block's
+    Choi difference is at least 64 wide and four times the two sets'
+    operator count, the Frobenius norm of a small pencil decides it with a
+    rounding bound (:func:`_pencil_verdict`) and no Choi member is built.
+    A norm within the bound of the band [tol, D tol], or a ``tol`` at or
+    below the bound, leaves it to the dense Choi families.
+    """
+    verdict = _pencil_verdict(s, t, tol, order=False)
+    return choi_distance(s, t) <= tol if verdict is None else verdict
 
 
 def lowner_leq(s: KrausSet, t: KrausSet, tol: float = DEFAULT_TOL) -> bool:
-    """Loewner order: True iff t - s is completely positive on block states."""
-    _check_same_type(s, t)
+    """Loewner order: True iff t - s is completely positive on block states.
+
+    The answer is ``is_psd`` of each block's Choi difference at ``tol``.
+    Where every block's difference is at least 64 wide and four times the
+    two sets' operator count, the smallest eigenvalue of a small pencil
+    decides it with a rounding bound (:func:`_pencil_verdict`) and no Choi
+    member is built.  An eigenvalue within the bound of -``tol``, or a
+    ``tol`` at or below the bound, leaves it to the dense Choi families.
+    """
+    verdict = _pencil_verdict(s, t, tol, order=True)
+    if verdict is not None:
+        return verdict
     cs, ct = to_choi(s), to_choi(t)
     return all(is_psd(b - a, tol) for a, b in zip(cs.members, ct.members))
 

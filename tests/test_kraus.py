@@ -1097,6 +1097,126 @@ class TestPositivityByBound:
         assert not eig
 
 
+class TestPencil:
+    """Verdicts on sets wide enough for the pencil: D >= max(64, 4 (k + l))
+    in every block, so the Choi families are built only on a fallback."""
+
+    TOLS = (1e-12, 1e-9, 1e-6)
+
+    @staticmethod
+    def dense_leq(s, t, tol):
+        cs, ct = to_choi(s), to_choi(t)
+        return all(is_psd(b - a, tol) for a, b in zip(cs.members, ct.members))
+
+    def assert_dense_verdicts(self, s, t, tols=TOLS):
+        dist = choi_distance(s, t)
+        for tol in (*tols, dist, np.nextafter(dist, 0)):
+            assert ext_equal(s, t, tol) == (dist <= tol)
+            assert lowner_leq(s, t, tol) == self.dense_leq(s, t, tol)
+            assert lowner_leq(t, s, tol) == self.dense_leq(t, s, tol)
+
+    @staticmethod
+    def pairs(rng, sig, size):
+        s = rand_kraus(rng, sig, size=size, scale=0.9)
+        phase = np.exp(1j * rng.uniform(0, 2 * math.pi))
+        yield s, rand_kraus(rng, sig, size=size, scale=0.9)
+        yield s, make_kraus(sig, sig, [phase * e for e in s.ops])
+        yield s, make_kraus(sig, sig, [e * (1 + 1e-9 * rng.normal()) for e in s.ops])
+        yield s, make_kraus(sig, sig, [0.8 * e for e in s.ops])
+        # a refinement of s: each operator split in two, the same map
+        yield s, make_kraus(sig, sig, [e * c for e in s.ops for c in (0.6, 0.8)])
+
+    @pytest.mark.parametrize("sig", [Signature((8,)), Signature((16,)),
+                                     Signature((8, 16))], ids=str)
+    def test_verdicts_equal_the_dense_ones(self, sig):
+        rng = np.random.default_rng(131)
+        for size in (1, 3):
+            for s, t in self.pairs(rng, sig, size):
+                self.assert_dense_verdicts(s, t)
+
+    def test_pencil_verdicts_build_no_choi_member(self, monkeypatch):
+        rng = np.random.default_rng(137)
+        sig = Signature((16,))
+        s = rand_kraus(rng, sig, size=3, scale=0.9)
+        twin = make_kraus(sig, sig, [np.exp(0.4j) * e for e in s.ops])
+        other = rand_kraus(rng, sig, size=3, scale=0.9)
+        choi = count_calls(monkeypatch, "to_choi", kraus)
+        eig = count_calls(monkeypatch, "eigvalsh", np.linalg)
+        assert ext_equal(s, twin) and not ext_equal(s, other)
+        assert not eig
+        assert lowner_leq(s, twin) and not lowner_leq(s, other)
+        assert lowner_leq(zero_kraus(sig, sig), s) and not lowner_leq(s, zero_kraus(sig, sig))
+        assert not choi
+        # one eigendecomposition per verdict, of the 6 x 6 (or 3 x 3) pencil
+        assert [a[0].shape for a in eig] == [(6, 6), (6, 6), (3, 3), (3, 3)]
+
+    def test_fallbacks_build_the_choi_families(self, monkeypatch):
+        rng = np.random.default_rng(139)
+        wide = Signature((16,))
+        s = rand_kraus(rng, wide, size=2, scale=0.9)
+        twin = make_kraus(wide, wide, [np.exp(0.4j) * e for e in s.ops])
+        narrow = rand_kraus(rng, Signature((4,)), size=1)  # D = 16 < 64
+        choi = count_calls(monkeypatch, "to_choi", kraus)
+        assert ext_equal(s, twin, 1e-300) == (choi_distance(s, twin) <= 1e-300)
+        assert lowner_leq(s, twin, 1e-300) == self.dense_leq(s, twin, 1e-300)
+        assert ext_equal(narrow, narrow) and lowner_leq(narrow, narrow)
+        dist = choi_distance(s, twin)
+        assert ext_equal(s, twin, dist)  # inside the band
+        assert len(choi) == 2 * 7  # two families per verdict and reference
+
+    @pytest.mark.parametrize("k, l, pencil", [(8, 8, True), (8, 9, False),
+                                              (9, 8, False), (16, 0, True),
+                                              (0, 17, False)])
+    def test_operator_count_around_a_quarter_of_d(self, monkeypatch, k, l, pencil):
+        rng = np.random.default_rng(149)
+        sig = Signature((8,))  # D = 64
+        s = rand_kraus(rng, sig, size=l, scale=0.9) if l else zero_kraus(sig, sig)
+        t = rand_kraus(rng, sig, size=k, scale=0.9) if k else zero_kraus(sig, sig)
+        assert (len(s), len(t)) == (l, k)
+        choi = count_calls(monkeypatch, "to_choi", kraus)
+        verdicts = [ext_equal(s, t), lowner_leq(s, t), lowner_leq(t, s)]
+        assert len(choi) == (0 if pencil else 6)
+        monkeypatch.undo()
+        assert verdicts == [choi_distance(s, t) <= 1e-9, self.dense_leq(s, t, 1e-9),
+                            self.dense_leq(t, s, 1e-9)]
+
+    def test_empty_sets(self):
+        rng = np.random.default_rng(151)
+        sig = Signature((16,))
+        s = rand_kraus(rng, sig, size=2, scale=0.9)
+        zero = zero_kraus(sig, sig)
+        self.assert_dense_verdicts(zero, s)
+        self.assert_dense_verdicts(zero, zero)
+        assert ext_equal(zero, zero, 1e-300) and lowner_leq(zero, zero, 1e-300)
+
+    def test_near_dependent_operators(self):
+        # F = e^{i theta} E (1 + 1e-13) beside E: M has two columns parallel
+        # to 13 digits, so R is ill-conditioned
+        rng = np.random.default_rng(157)
+        sig = Signature((16,))
+        for _ in range(5):
+            base = rand_kraus(rng, sig, size=3, scale=0.5)
+            e = base.ops[0]
+            near = np.exp(1j * rng.uniform(0, 2 * math.pi)) * e * (1 + 1e-13)
+            s = make_kraus(sig, sig, list(base.ops) + [near])
+            self.assert_dense_verdicts(base, s)
+            twin = make_kraus(sig, sig, [near] + list(base.ops[1:]))
+            self.assert_dense_verdicts(base, twin)
+            assert ext_equal(base, twin)
+
+    def test_tol_at_rounding_level_takes_the_dense_form(self, monkeypatch):
+        rng = np.random.default_rng(163)
+        sig = Signature((8, 16))
+        s = rand_kraus(rng, sig, size=2, scale=0.9)
+        for t in (make_kraus(sig, sig, [np.exp(0.3j) * e for e in s.ops]), s):
+            choi = count_calls(monkeypatch, "to_choi", kraus)
+            got = [ext_equal(s, t, 1e-300), lowner_leq(s, t, 1e-300)]
+            assert len(choi) == 4
+            monkeypatch.undo()
+            assert got == [choi_distance(s, t) <= 1e-300,
+                           self.dense_leq(s, t, 1e-300)]
+
+
 class TestLownerOrder:
     def test_zero_is_bottom(self):
         rng = np.random.default_rng(89)
