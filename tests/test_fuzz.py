@@ -18,7 +18,7 @@ from qalt import (Context, compose, denote, elaborate, eval_direct,
 from qalt import semantics
 from qalt import syntax as ast
 from qalt.errors import (BranchContextMismatch, ControlCapture, ParseError, QaltError,
-                         TraceConditionViolated)
+                         SemanticError, TraceConditionViolated)
 from qalt.semantics import signature_of
 
 MAX_QUBITS = 3
@@ -349,7 +349,7 @@ def _violates(call, *args) -> bool:
         call(*args)
     except TraceConditionViolated:
         return True
-    except ValueError:  # eval_direct's check of its final state, at 1e-300
+    except SemanticError:  # eval_direct's check of its final state, at 1e-300
         pass
     return False
 
