@@ -587,10 +587,9 @@ def eval_direct(program, initial: DensityState | None = None,
 
     Agrees with :func:`run` on every well-formed program; used to cross-check
     the composed Kraus semantics (an alternation goes through the
-    interference identity described in the module docstring).  The state is
-    the Hermitian part of the streamed matrix, which is Hermitian but for
-    rounding; a final state that still fails its check at ``tol`` (rounding
-    at a ``tol`` far below it) raises :class:`SemanticError`.
+    interference identity described in the module docstring).  A final state
+    that fails its check at ``tol`` (as rounding can at a ``tol`` far below
+    it) raises :class:`SemanticError`.
     """
     initial, ctx = _start(initial, ctx)
     if initial.signature != signature_of(ctx):
@@ -599,7 +598,6 @@ def eval_direct(program, initial: DensityState | None = None,
     for stmt in _prepare(program, ctx, tol).body:
         rho, ctx = _direct_step(stmt, rho, ctx, tol)
     out_sig = signature_of(ctx)
-    rho = (rho + rho.conj().T) / 2
     try:
         return DensityState(out_sig, diagonal_blocks(rho, out_sig, tol), tol)
     except ValueError as exc:

@@ -349,8 +349,9 @@ def _violates(call, *args) -> bool:
         call(*args)
     except TraceConditionViolated:
         return True
-    except SemanticError:  # eval_direct's check of its final state, at 1e-300
-        pass
+    except SemanticError as exc:  # eval_direct's check of its final state
+        if not isinstance(exc.__cause__, ValueError):
+            raise
     return False
 
 

@@ -1098,7 +1098,7 @@ class TestPositivityByBound:
 
 
 class TestPencil:
-    """Verdicts on sets wide enough for the pencil: D >= max(64, 4 (k + l))
+    """Verdicts on sets wide enough for the pencil: D >= max(128, 4 (k + l))
     in every block, so the Choi families are built only on a fallback."""
 
     TOLS = (1e-12, 1e-9, 1e-6)
@@ -1126,7 +1126,7 @@ class TestPencil:
         # a refinement of s: each operator split in two, the same map
         yield s, make_kraus(sig, sig, [e * c for e in s.ops for c in (0.6, 0.8)])
 
-    @pytest.mark.parametrize("sig", [Signature((8,)), Signature((16,)),
+    @pytest.mark.parametrize("sig", [Signature((12,)), Signature((16,)),
                                      Signature((8, 16))], ids=str)
     def test_verdicts_equal_the_dense_ones(self, sig):
         rng = np.random.default_rng(131)
@@ -1155,7 +1155,7 @@ class TestPencil:
         wide = Signature((16,))
         s = rand_kraus(rng, wide, size=2, scale=0.9)
         twin = make_kraus(wide, wide, [np.exp(0.4j) * e for e in s.ops])
-        narrow = rand_kraus(rng, Signature((4,)), size=1)  # D = 16 < 64
+        narrow = rand_kraus(rng, Signature((4,)), size=1)  # D = 16 < 128
         choi = count_calls(monkeypatch, "to_choi", kraus)
         assert ext_equal(s, twin, 1e-300) == (choi_distance(s, twin) <= 1e-300)
         assert lowner_leq(s, twin, 1e-300) == self.dense_leq(s, twin, 1e-300)
@@ -1164,12 +1164,12 @@ class TestPencil:
         assert ext_equal(s, twin, dist)  # inside the band
         assert len(choi) == 2 * 7  # two families per verdict and reference
 
-    @pytest.mark.parametrize("k, l, pencil", [(8, 8, True), (8, 9, False),
-                                              (9, 8, False), (16, 0, True),
-                                              (0, 17, False)])
+    @pytest.mark.parametrize("k, l, pencil", [(18, 18, True), (18, 19, False),
+                                              (19, 18, False), (36, 0, True),
+                                              (0, 37, False)])
     def test_operator_count_around_a_quarter_of_d(self, monkeypatch, k, l, pencil):
         rng = np.random.default_rng(149)
-        sig = Signature((8,))  # D = 64
+        sig = Signature((12,))  # D = 144
         s = rand_kraus(rng, sig, size=l, scale=0.9) if l else zero_kraus(sig, sig)
         t = rand_kraus(rng, sig, size=k, scale=0.9) if k else zero_kraus(sig, sig)
         assert (len(s), len(t)) == (l, k)
@@ -1179,6 +1179,22 @@ class TestPencil:
         monkeypatch.undo()
         assert verdicts == [choi_distance(s, t) <= 1e-9, self.dense_leq(s, t, 1e-9),
                             self.dense_leq(t, s, 1e-9)]
+
+    @pytest.mark.parametrize("blocks, pencil", [((8,), False), ((11,), False),
+                                                ((12,), True), ((8, 8), True),
+                                                ((4, 12), False)], ids=str)
+    def test_block_width_around_128(self, monkeypatch, blocks, pencil):
+        # D = sum(blocks) n per block n: 64, 121, 144, 128 twice, 64 and 192
+        rng = np.random.default_rng(167)
+        sig = Signature(blocks)
+        s = rand_kraus(rng, sig, size=1, scale=0.9)
+        for t in (make_kraus(sig, sig, [np.exp(0.5j) * s.ops[0]]),
+                  rand_kraus(rng, sig, size=1, scale=0.9)):
+            choi = count_calls(monkeypatch, "to_choi", kraus)
+            verdicts = [ext_equal(s, t), lowner_leq(s, t)]
+            assert len(choi) == (0 if pencil else 4)
+            monkeypatch.undo()
+            assert verdicts == [choi_distance(s, t) <= 1e-9, self.dense_leq(s, t, 1e-9)]
 
     def test_empty_sets(self):
         rng = np.random.default_rng(151)
