@@ -376,7 +376,7 @@ def _demo_toffoli(tol):
 
 
 def _demo_nonmonotone(tol):
-    s = identity_kraus(Signature((1,)), tol)
+    s = identity_kraus(Signature((1,)))
     empty = zero_kraus(s.input_sig, s.output_sig)
     below_zero = lowner_leq(empty, s, tol)
     below_self = lowner_leq(s, s, tol)

@@ -37,6 +37,7 @@ from .errors import (
     BranchCountMismatch,
     DimensionMismatch,
     NonBlockDiagonalResult,
+    SemanticError,
     SignatureMismatch,
     TraceConditionViolated,
 )
@@ -225,10 +226,17 @@ def make_kraus(input_sig: Signature, output_sig: Signature, raw_ops,
         stack = stack[np.argsort(_canonical_keys(stack), kind="stable")]
     stack.setflags(write=False)
     kset = KrausSet(input_sig, output_sig, tuple(stack))
-    if not is_psd(np.eye(shape[1]) - kset.completeness_sum(), tol):
+    _check_residual(kset.completeness_sum(), tol)
+    return kset
+
+
+def _check_residual(gram: Matrix, tol: float) -> None:
+    """Raise :class:`TraceConditionViolated` unless I - ``gram``, a sum of
+    E'E, is positive at ``tol``: the check :func:`make_kraus` ends with,
+    also made on a gate's U'U alone, with no set built."""
+    if not is_psd(np.eye(len(gram)) - gram, tol):
         raise TraceConditionViolated(
             "sum of E'E exceeds the identity; not trace-nonincreasing")
-    return kset
 
 
 def unchecked_singleton(input_sig: Signature, output_sig: Signature,
@@ -239,10 +247,10 @@ def unchecked_singleton(input_sig: Signature, output_sig: Signature,
     returns when that call passes, byte for byte, but it forms no sum E'E.
     The caller owes everything ``make_kraus`` would have checked: ``op`` is a
     finite dim(output) x dim(input) matrix with an entry above
-    :data:`COALESCE_TOL`, and I - op'op is positive at ``tol`` because a set
-    already checked at ``tol`` has a residual that fixes it.  For a gate,
-    op = I (x) U re-indexed and the residual is I (x) (I - U'U), so checking
-    {U} decides it.
+    :data:`COALESCE_TOL`, and I - op'op is positive at ``tol``.  An
+    allocation's op is an isometry, so its residual is exactly 0; an
+    alternation's one element has the direct sum of its arms' residuals,
+    each checked already.
     """
     return KrausSet(input_sig, output_sig, (freeze(op),))
 
@@ -314,16 +322,10 @@ class LocalKraus(KrausSet):
         return out.transpose(np.argsort(perm)).reshape(k, d, c)
 
 
-def identity_kraus(sig: Signature, tol: float = DEFAULT_TOL) -> KrausSet:
-    """{I} on ``sig``, checked as the gate I on no qubit, {[1]}."""
-    scalar = Signature((1,))
-    make_kraus(scalar, scalar, [np.eye(1)], tol)
-    return unchecked_identity(sig)
-
-
-def unchecked_identity(sig: Signature) -> KrausSet:
-    """{I} on ``sig`` unchecked (the caller owes {[1]}'s check), local on no
-    axis: its d x d identity is built only when its operators are read."""
+def identity_kraus(sig: Signature) -> KrausSet:
+    """{I} on ``sig``, local on no axis: its d x d identity is built only
+    when its operators are read.  Its residual is exactly 0, so it needs no
+    check at any ``tol``."""
     return LocalKraus(sig, lambda: (np.eye(1), ()),
                       lambda: np.eye(dim(sig), dtype=complex))
 
@@ -455,25 +457,26 @@ def apply_full(s: KrausSet, full_state: Matrix) -> Matrix:
 def apply(s: KrausSet, rho: DensityState, tol: float = DEFAULT_TOL) -> DensityState:
     """Apply the superoperator to a density state.
 
-    Raises :class:`NonBlockDiagonalResult` if the full-space result carries
-    more than ``tol`` of coherence outside the output signature's blocks;
-    such leakage means the set is not a morphism between the block spaces.
+    The result is read by :func:`diagonal_blocks`, which raises
+    :class:`NonBlockDiagonalResult` for coherence outside the output blocks
+    (the set is not a morphism between the block spaces) and
+    :class:`SemanticError` for a state that fails its check at ``tol``.
     """
     if rho.signature != s.input_sig:
         raise SignatureMismatch(
             f"state on {rho.signature.blocks} fed to map expecting "
             f"{s.input_sig.blocks}")
-    return DensityState(s.output_sig,
-                        diagonal_blocks(apply_full(s, rho.full()), s.output_sig, tol),
-                        tol)
+    return diagonal_blocks(apply_full(s, rho.full()), s.output_sig, tol)
 
 
 def diagonal_blocks(full: Matrix, sig: Signature,
-                    tol: float = DEFAULT_TOL) -> tuple[Matrix, ...]:
-    """The diagonal blocks of a full-space state on ``sig``.
+                    tol: float = DEFAULT_TOL) -> DensityState:
+    """The density state on ``sig`` of a full-space result, built at ``tol``.
 
     Raises :class:`NonBlockDiagonalResult` if ``full`` carries more than
-    ``tol`` of coherence outside those blocks.
+    ``tol`` of coherence outside those blocks, and :class:`SemanticError`,
+    chained from the ``ValueError``, if the state fails its check at ``tol``
+    (as rounding can at a ``tol`` far below it).
     """
     full = as_matrix(full)  # a finite copy, cleared block by block below
     blocks = []
@@ -485,7 +488,11 @@ def diagonal_blocks(full: Matrix, sig: Signature,
     if residual > tol:
         raise NonBlockDiagonalResult(
             f"off-block mass {residual:.3e} exceeds tolerance {tol:.1e}")
-    return tuple(blocks)
+    try:
+        return DensityState(sig, blocks, tol)
+    except ValueError as exc:
+        raise SemanticError(f"final state fails its check at tol {tol:.1e}: "
+                            f"{exc}") from exc
 
 
 # ---------------------------------------------------------------------------

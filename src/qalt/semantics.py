@@ -47,20 +47,19 @@ copy of it.  Both evaluators work out each statement's typing context as
 they go; an alternation's output context comes from :func:`_alternation`,
 which follows the typechecker's rule (:func:`qalt.check.control_contexts`).
 
-Where each set is checked (sum E'E <= I at ``tol``): a statement whose set
-holds one operator is checked on the smallest space that fixes that
-operator, and its full-width set is built unchecked (a local set, or
-:func:`qalt.kraus.unchecked_singleton`).  A gate is checked as {U} on its
-2^t targets, since I (x) U re-indexed has residual I (x) (I - U'U); ``skip``
-and the empty block as {[1]}; an allocation as {|0>}.  Such a check depends
-on its operator and ``tol`` alone, so :func:`_prepare` makes it once per
-call of ``denote``, ``run`` or ``eval_direct``, after the typecheck and
-before any set is built: once per gate node of the hash-consed core
-program, and once each for {[1]} and {|0>} (:func:`_check_primitives`).
-So both evaluators reject the same primitives.  An alternation whose
-arms each hold one operator, local or not, is not checked again: its one
-element's residual is the direct sum of the arms' residuals, and each
-arm's set is checked already.  Other alternations, measurements,
+Where each set is checked (I - sum E'E >= -tol): a statement whose set
+holds one operator is built unchecked at full width (a local set, or
+:func:`qalt.kraus.unchecked_singleton`): a smaller residual decides its
+own, or it is exactly 0.  A gate's, I (x) U re-indexed, is
+I (x) (I - U'U), so :func:`_prepare` checks I - U'U once per gate node of
+the hash-consed core program, per call of ``denote``, ``run`` or
+``eval_direct``, after the typecheck and before any set is built
+(:func:`_check_primitives`): both evaluators reject the same gates.
+``skip``, the empty block and an allocation (an isometry) have residual
+exactly 0, so they pass at every ``tol`` above 0, the only ones
+``_prepare`` accepts, and are not checked.  An alternation whose arms
+each hold one operator is not checked again: its one element's residual
+is the direct sum of the arms'.  Other alternations, measurements,
 discards and compositions go through ``make_kraus`` at full width, and so
 does a run of one-operator steps, once, when it ends: the run holds one
 raw product per operator of the set it started from.  ``make_kraus``
@@ -70,6 +69,7 @@ canonicalises a set as one stack of its operators.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +79,6 @@ from .check import check_use, control_contexts, elaborate, typecheck
 from .core import (
     DEFAULT_TOL,
     DensityState,
-    KET0,
     Matrix,
     NAMED_GATES,
     Signature,
@@ -89,10 +88,11 @@ from .core import (
     rk_gate,
     unit_state,
 )
-from .errors import SemanticError, SignatureMismatch
+from .errors import SignatureMismatch
 from .kraus import (
     KrausSet,
     LocalKraus,
+    _check_residual,
     apply,
     apply_full,
     branch_sum,
@@ -100,8 +100,8 @@ from .kraus import (
     coalesces,
     compose,
     diagonal_blocks,
+    identity_kraus,
     make_kraus,
-    unchecked_identity,
     unchecked_singleton,
 )
 from .syntax import QBIT, Context
@@ -244,14 +244,13 @@ def _denote_block(block: list, ctx: Context, tol: float) -> tuple[KrausSet, Cont
     goes through ``compose``; the end of the block ends a run too.  So a
     prefix of a run is not checked on its own, and a prefix that exceeds
     ``tol`` only by rounding passes if the whole run does.  A run of one
-    step is not checked again: a one-operator step was checked on its own
-    small space (see the module docstring).  The operator tuples are those
-    of composing a fresh denotation of every statement, and every set that
-    is built is still checked at ``tol``.  The empty block denotes {I},
-    checked as {[1]}.
+    step is not checked again (see the module docstring).  The operator
+    tuples are those of composing a fresh denotation of every statement,
+    and every set that is built is still checked at ``tol``.  The empty
+    block denotes {I}.
     """
     if not block:
-        return unchecked_identity(signature_of(ctx)), ctx
+        return identity_kraus(signature_of(ctx)), ctx
     keys = list(map(id, block)) if len(block) > 1 else [None]
     last = {key: i for i, key in enumerate(keys)}
     memo: dict = {}  # node identity -> {context: (step, output context)}
@@ -344,15 +343,15 @@ def _local_alternation(ctx: Context, names: list[str], branches):
 def _denote_stmt(stmt, ctx: Context, tol: float) -> tuple[KrausSet, Context]:
     sig = signature_of(ctx)
     if isinstance(stmt, ast.Skip):
-        return unchecked_identity(sig), ctx
+        return identity_kraus(sig), ctx
     if isinstance(stmt, (ast.NewQbit, ast.NewBit)):
-        # appending |0> is an isometry: its residual is 0, as {|0>}'s is
+        # appending |0> is an isometry: its residual is exactly 0
         name = stmt.name.base
         out = ctx.add(name, stmt.kind)
         op = _bra(out, name, 0).T
         return unchecked_singleton(sig, signature_of(out), op), out
     if isinstance(stmt, ast.ApplyGate):
-        # I (x) U re-indexed: residual I (x) (I - U'U), checked as {U}
+        # I (x) U re-indexed: residual I (x) (I - U'U), checked on U'U
         u = _gate_matrix(stmt.gate)
         names, _ = _layout(ctx)
         axes = [names.index(t.base) for t in stmt.targets]
@@ -397,39 +396,36 @@ def _denote_stmt(stmt, ctx: Context, tol: float) -> tuple[KrausSet, Context]:
 
 
 def _check_primitives(body: list, tol: float) -> None:
-    """``make_kraus``'s check of each distinct one-operator primitive, once.
+    """The residual check I - U'U >= -tol of each gate node, once.
 
-    The primitives of a core program are {U} for each gate node, {[1]} if
-    it has a ``skip`` or an empty block, and {|0>} if it allocates.  The
-    program is hash-consed, so each node is visited once, by identity.
+    It is the check ``make_kraus`` ends with, on U'U, with no set built.
+    The program is hash-consed, so each node is visited once, by identity.
     """
-    ops, seen, blocks = {}, set(), [body]  # primitive key -> its one operator
+    seen, blocks = set(), [body]  # ids of statements and of gate nodes
     while blocks:
-        block = blocks.pop()
-        if not block:
-            ops[ast.Skip] = np.eye(1)
-        for stmt in block:
+        for stmt in blocks.pop():
             if id(stmt) in seen:
                 continue
             seen.add(id(stmt))
-            if isinstance(stmt, ast.Skip):
-                ops[ast.Skip] = np.eye(1)
-            elif isinstance(stmt, (ast.NewQbit, ast.NewBit)):
-                ops[ast.NewQbit] = KET0
-            elif isinstance(stmt, ast.ApplyGate):
-                if id(stmt.gate) not in ops:
-                    ops[id(stmt.gate)] = _gate_matrix(stmt.gate)
+            if isinstance(stmt, ast.ApplyGate) and id(stmt.gate) not in seen:
+                seen.add(id(stmt.gate))
+                u = _gate_matrix(stmt.gate)
+                _check_residual(u.conj().T @ u, tol)
             elif isinstance(stmt, ast.MeasureThenElse):
                 blocks += [stmt.then_block, stmt.else_block]
             elif isinstance(stmt, ast.QCase):
                 blocks += [arm.block for arm in stmt.arms]
-    for op in ops.values():
-        make_kraus(Signature((op.shape[1],)), Signature((op.shape[0],)), [op], tol)
 
 
 def _prepare(program, ctx: Context, tol: float) -> ast.Program:
     """The core program, elaborated, typechecked from ``ctx`` and with each
-    primitive checked at ``tol`` (:func:`_check_primitives`)."""
+    gate checked at ``tol`` (:func:`_check_primitives`).
+
+    Raises ``ValueError`` first for a ``tol`` that is not a finite number
+    above 0, the rule of the CLI's ``--tol``.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and greater than 0, got {tol}")
     if isinstance(program, str):
         program = ast.parse(program)
     elif not isinstance(program, ast.Program):
@@ -597,9 +593,4 @@ def eval_direct(program, initial: DensityState | None = None,
     rho = np.array(initial.full())
     for stmt in _prepare(program, ctx, tol).body:
         rho, ctx = _direct_step(stmt, rho, ctx, tol)
-    out_sig = signature_of(ctx)
-    try:
-        return DensityState(out_sig, diagonal_blocks(rho, out_sig, tol), tol)
-    except ValueError as exc:
-        raise SemanticError(f"final state fails its check at tol {tol:.1e}: "
-                            f"{exc}") from exc
+    return diagonal_blocks(rho, signature_of(ctx), tol)

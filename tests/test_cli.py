@@ -223,6 +223,14 @@ class TestEquivAndOrder:
 
 
 class TestTolerance:
+    def test_rounding_level_final_state_exits_2(self, runner, tmp_path):
+        # H (x) H is off positive by rounding at 1e-300: a typed error
+        src = write(tmp_path, "p.q", "new qbit q0\nq0 *= H\nnew qbit q1\nq1 *= H\n")
+        result = runner.invoke(main, ["run", src, "--tol", "1e-300"])
+        assert (result.exit_code, result.output) == (
+            2, "error: final state fails its check at tol 1.0e-300: "
+               "density block is not positive semidefinite\n")
+
     def _equiv_without_denoting(self, runner, tmp_path, monkeypatch, args, env=None):
         def no_denote(*_args, **_kwargs):
             raise AssertionError("denote reached with an invalid tolerance")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (count_calls, pairwise_coalesce, rand_density, rand_kraus,
-                     state_deviation)
+                     rand_unitary, state_deviation)
 from test_corpus import generated_programs
 from test_fuzz import _fresh_block, _neutral_stmt, looped_program, random_program
 from qalt import (
@@ -653,18 +653,16 @@ class TestFusedRuns:
             assert got.kraus == want.kraus, src
 
     def test_run_is_checked_once(self, monkeypatch):
-        makes = count_calls(monkeypatch, "make_kraus", semantics, kraus)
+        checks = count_calls(monkeypatch, "_check_residual", semantics, kraus)
         composes = count_calls(monkeypatch, "compose", semantics)
         denote("q0 *= H\nnew bit c\nq1 *= X\n"
                "measure q0 then { skip } else { skip }\nq2 *= H\nq2 *= S", self.CTX)
-        # three steps before the measurement ({H}, {|0>}, {X}); its arms'
-        # identities, one {[1]} check for both, their sum and the
-        # measurement; after it only S, since H was checked in this
-        # denotation; the product of the first three steps; the one
-        # composition, of the measurement; then the run after it, one
-        # product per operator of its two, once
+        # the gate nodes H, X and S; the measurement's arm sum and its set;
+        # the product of the three steps before it; the one composition, of
+        # the measurement; then the run after it, one product per operator
+        # of its two, once
         assert len(composes) == 1
-        assert len(makes) == 3 + 3 + 1 + 1 + 1 + 1 == 10
+        assert len(checks) == 3 + 2 + 1 + 1 + 1 == 8
 
     @pytest.mark.parametrize("gate", [
         # the discard leaves {1.2e-12 I, I}; the first H takes 1.2e-12 I to
@@ -928,6 +926,13 @@ class TestEvalDirect:
         assert isinstance(info.value.__cause__, ValueError)
         assert state_deviation(run(src), eval_direct(src)) < 1e-15
 
+    def test_run_rounding_level_final_check_is_typed(self):
+        # apply ends in the same check: H (x) H is off positive by rounding
+        src = "new qbit q0\nq0 *= H\nnew qbit q1\nq1 *= H"
+        with pytest.raises(SemanticError, match="final state") as info:
+            run(src, None, None, 1e-300)
+        assert isinstance(info.value.__cause__, ValueError)
+
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "ROADMAP item 5: at 1e-300 denote checks a composed arm whose sum E'E "
         "rounds above I, a set eval_direct never forms"))
@@ -989,12 +994,11 @@ class TestPositivityCounts:
         psd = count_calls(monkeypatch, "is_psd", kraus)
         eig = count_calls(monkeypatch, "eigvalsh", np.linalg)
         denote("\n".join(lines), ctx)
-        # each distinct one-operator primitive once per denotation: the
-        # gates H, X, Z and Y as {U} and the skip arms' {[1]}; the
-        # alternations' one elements are not checked again, and the block,
-        # a single run of one-operator steps, once at full width
-        assert len(psd) == 4 + 1 + 1 == 6
-        assert sorted(len(m) for m, _ in psd) == [1] + [2] * 4 + [256]
+        # each gate node once per denotation: H, X, Z and Y on U'U; the
+        # skip arms are not checked, nor the alternations' one elements, and
+        # the block, a single run of one-operator steps, once at full width
+        assert len(psd) == 4 + 1 == 5
+        assert sorted(len(m) for m, _ in psd) == [2] * 4 + [256]
         assert not eig
 
 
@@ -1075,33 +1079,65 @@ class TestSmallChecks:
             assert not want
 
 
+def _pushed_literal(rng, d: int) -> ast.ApplyGate:
+    """A gate node holding a random d x d unitary with every entry moved by
+    up to 5e-10 in its real and imaginary parts."""
+    push = rng.uniform(-1, 1, (2, d, d)) * rng.uniform(0, 5e-10)
+    m = rand_unitary(rng, d) + push[0] + 1j * push[1]
+    return ast.ApplyGate([], ast.MatrixGate(tuple(map(tuple, m.tolist()))))
+
+
+class TestResidualParity:
+    """A gate node's residual check decides as ``make_kraus`` of {U} does."""
+
+    TOLS = [1e-6, 1e-9, 1e-12, 1e-15, 1e-300]
+
+    def test_decides_as_make_kraus(self):
+        rng = np.random.default_rng(20241020)
+        texts = list(NAMED_GATES) + [f"Rk({k})" for k in (*range(41), 1077, 1078)]
+        texts += [f"Phase({theta!r})" for theta in rng.uniform(-7, 7, 300).tolist()]
+        nodes = [elaborate(parse(f"a *= {t}")).body[0] for t in texts]
+        nodes += [_pushed_literal(rng, d) for d in (2, 4) for _ in range(200)]
+        decisions = []
+        for node, tol in itertools.product(nodes, self.TOLS):
+            u = semantics._gate_matrix(node.gate)
+            sig = Signature((len(u),))
+            want = _raises(make_kraus, sig, sig, [u], tol)
+            assert _raises(semantics._check_primitives, [node], tol) == want
+            decisions.append(want)
+        # both decisions occur, so the comparison is not vacuous
+        assert 0 < sum(decisions) < len(decisions)
+
+
 def _gate_checks(calls) -> list:
-    """The checks of a primitive's small set among recorded ``make_kraus``
-    calls, as the shape and bytes of its one operator."""
-    return [(np.shape(ops[0]), np.asarray(ops[0]).tobytes()) for _, _, ops, *_ in calls
-            if len(ops) == 1 and np.shape(ops[0]) in ((1, 1), (2, 1), (2, 2))]
+    """Recorded ``_check_residual`` calls as the shape and bytes of each
+    sum E'E.  Counted through the semantics' binding alone, they are the
+    gate nodes' checks of U'U (``make_kraus`` calls the one in
+    ``qalt.kraus``)."""
+    return [(gram.shape, gram.tobytes()) for gram, _ in calls]
 
 
 class TestOneCheckPerPrimitive:
-    """Each `denote`, `run` or `eval_direct` call checks each distinct
-    one-operator primitive (a gate node, {[1]}, {|0>}) once, before any set
-    is built; no call depends on an earlier one."""
+    """Each `denote`, `run` or `eval_direct` call checks the residual
+    I - U'U of each distinct gate node once, before any set is built; no
+    call depends on an earlier one.  ``skip``, the empty block and an
+    allocation have residual exactly 0 and are not checked."""
 
     CTX = TestSmallChecks.CTX
     NEAR = TestSmallChecks.NEAR
     PHASE = Signature((2,)), Signature((2,)), [NAMED_GATES["T"]]
 
     def test_each_distinct_primitive_once_per_call(self, monkeypatch):
-        makes = count_calls(monkeypatch, "make_kraus", semantics, kraus)
+        checks = count_calls(monkeypatch, "_check_residual", semantics)
         src = ("a *= H\nb *= H\nskip\nif a then { b *= H } else { skip }\n"
                "new qbit t\nnew bit u\nt *= X\ndiscard t\ndiscard u\nb *= X")
         denote(src, self.CTX)
-        first = _gate_checks(makes)
-        # H, {[1]}, {|0>} and X, once each
-        assert sorted(shape for shape, _ in first) == [(1, 1), (2, 1), (2, 2), (2, 2)]
-        del makes[:]
+        first = _gate_checks(checks)
+        # H and X, once each; skip, the empty arm and the allocations none
+        assert [shape for shape, _ in first] == [(2, 2), (2, 2)]
+        del checks[:]
         denote(src, self.CTX)
-        assert _gate_checks(makes) == first  # a second call checks again
+        assert _gate_checks(checks) == first  # a second call checks again
 
     def test_a_second_call_at_a_smaller_tol_checks_again(self):
         near = f"a *= {self.NEAR}"
@@ -1121,9 +1157,9 @@ class TestOneCheckPerPrimitive:
                      lambda: eval_direct(src, rho, self.CTX, 1e-12)):
             with pytest.raises(TraceConditionViolated):
                 call()
-        makes = count_calls(monkeypatch, "make_kraus", semantics, kraus)
+        checks = count_calls(monkeypatch, "_check_residual", semantics)
         denote("a *= H", self.CTX, 1e-12)
-        assert len(_gate_checks(makes)) == 1
+        assert len(checks) == 1
 
     def test_every_call_checks_each_gate_once(self, monkeypatch):
         rho = rand_density(np.random.default_rng(6), Signature((4, 4)))
@@ -1131,12 +1167,12 @@ class TestOneCheckPerPrimitive:
                  lambda src, tol: run(src, rho, self.CTX, tol),
                  lambda src, tol: eval_direct(src, rho, self.CTX, tol))
         src = "a *= H\nb *= H\nfor i = 1 to 3 { a *= H\nb *= X }"
-        makes = count_calls(monkeypatch, "make_kraus", semantics, kraus)
+        checks = count_calls(monkeypatch, "_check_residual", semantics)
         for call in calls:
             for _ in range(2):
-                del makes[:]
+                del checks[:]
                 call(src, 1e-9)
-                assert len(_gate_checks(makes)) == 2  # H and X
+                assert len(checks) == 2  # H and X
         near = f"a *= H\nb *= {self.NEAR}"
         for call in calls:
             call(near, 1e-9)
@@ -1153,17 +1189,22 @@ class TestOneCheckPerPrimitive:
                 call(src, rho, ctx, 1e-12)
             call(src, rho, ctx, 1e-9)
 
-    def test_eval_direct_checks_a_top_level_skip(self, monkeypatch):
-        makes = count_calls(monkeypatch, "make_kraus", semantics, kraus)
-        eval_direct("skip\nskip")
-        assert [shape for shape, _ in _gate_checks(makes)] == [(1, 1)]
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+    @pytest.mark.parametrize("src", ["skip", "a *= H"])
+    def test_tol_must_be_finite_and_above_zero(self, src, tol):
+        rho = rand_density(np.random.default_rng(8), Signature((4, 4)))
+        for call in (lambda: denote(src, self.CTX, tol),
+                     lambda: run(src, rho, self.CTX, tol),
+                     lambda: eval_direct(src, rho, self.CTX, tol)):
+            with pytest.raises(ValueError, match="finite and greater than 0"):
+                call()
 
     def test_eval_direct_checks_each_gate_of_its_arms(self, monkeypatch):
         rho = rand_density(np.random.default_rng(4), Signature((4, 4)))
-        makes = count_calls(monkeypatch, "make_kraus", semantics, kraus)
+        checks = count_calls(monkeypatch, "_check_residual", semantics)
         eval_direct("if a then { b *= H } else { b *= X }\n"
                     "if a then { b *= X } else { b *= H }", rho, self.CTX)
-        assert len(_gate_checks(makes)) == 2  # H and X, once each
+        assert len(checks) == 2  # H and X, once each
 
     @pytest.mark.parametrize("src", [
         "b *= {near}",
@@ -1196,11 +1237,11 @@ class TestStepMemo:
 
     def test_loop_embeds_its_gate_once(self, monkeypatch):
         embeds = count_calls(monkeypatch, "embed_gate", semantics)
-        makes = count_calls(monkeypatch, "make_kraus", semantics, kraus)
+        checks = count_calls(monkeypatch, "_check_residual", semantics, kraus)
         denote("for i = 1 to 50 { a *= H }", self.CTX_A)
         assert len(embeds) == 1
-        # the one step, then one check of the run's product
-        assert len(makes) == 2
+        # the gate's H'H, then one check of the run's product
+        assert len(checks) == 2
 
     def test_context_is_part_of_the_key(self, monkeypatch):
         steps = count_calls(monkeypatch, "_denote_stmt", semantics)
@@ -1351,12 +1392,12 @@ class TestLocalCounts:
 
     def test_loop_in_a_wide_context_builds_one_full_width_gate(self, monkeypatch):
         embeds = count_calls(monkeypatch, "embed_gate", semantics)
-        makes = count_calls(monkeypatch, "make_kraus", semantics, kraus)
+        checks = count_calls(monkeypatch, "_check_residual", semantics, kraus)
         ctx = Context.of(*((f"q{i}", "qbit") for i in range(5)), ("a", "qbit"))
         denote("for i = 1 to 50 { a *= H }", ctx)
         assert len(embeds) == 1
-        # the gate's {H}, then the run's one full-width check
-        assert [m[2][0].shape for m in makes] == [(2, 2), (64, 64)]
+        # the gate's H'H, then the run's one full-width check
+        assert [gram.shape for gram, _ in checks] == [(2, 2), (64, 64)]
 
 
 class TestCaseControlOrder:
