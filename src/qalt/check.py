@@ -270,9 +270,13 @@ def elaborate(program: ast.Program) -> ast.Program:
     compound statement by its children's identities.  A loop whose body
     mentions no ``Var`` of its variable's name (a nested loop's bounds
     included) is elaborated once and repeated; one without iterations
-    elaborates nothing.
+    elaborates nothing.  The result's ``gates`` are the gate nodes of the
+    table, so each gate of the body is listed once and nothing else is.
     """
-    return ast.Program(_elab_block(program.body, {}, {}))
+    nodes: dict = {}
+    body = _elab_block(program.body, {}, nodes)
+    return ast.Program(body, tuple(node for node in nodes.values() if isinstance(
+        node, (ast.NamedGate, ast.RkGate, ast.PhaseGate, ast.MatrixGate))))
 
 
 # ---------------------------------------------------------------------------

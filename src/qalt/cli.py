@@ -16,7 +16,7 @@ import sys
 import click
 import numpy as np
 
-from .core import DEFAULT_TOL, DensityState, Signature
+from .core import DEFAULT_TOL, DensityState, Signature, check_tol
 from .corpus import (
     TruthTable,
     balanced_tables,
@@ -179,8 +179,10 @@ _FMT = click.option("--format", "fmt", type=click.Choice(["text", "structured"])
 
 
 def _check_tol(ctx, param, value):
-    if not (math.isfinite(value) and value > 0):
-        raise click.BadParameter(f"must be finite and greater than 0, got {value}")
+    try:
+        check_tol(value)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from None
     return value
 
 

@@ -27,6 +27,13 @@ DEFAULT_TOL = 1e-9
 Matrix = np.ndarray
 
 
+def check_tol(tol: float) -> None:
+    """Raise ``ValueError`` unless ``tol`` is a finite number above 0, the
+    one rule of every public entry that decides at a ``tol``."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and greater than 0, got {tol}")
+
+
 def as_matrix(data) -> Matrix:
     """Coerce ``data`` to a fresh 2-D complex matrix, rejecting NaN/Inf."""
     return _checked(np.array(data, dtype=complex))
@@ -264,8 +271,8 @@ class DensityState:
     """Sub-normalized mixed state: one positive matrix per signature block.
 
     Construction validates hermiticity, positivity and total trace at most 1
-    within ``tol`` (not stored) and freezes the block arrays.  ``==`` is
-    :func:`exact_eq`; states are unhashable.
+    within ``tol`` (not stored; :func:`check_tol` first) and freezes the
+    block arrays.  ``==`` is :func:`exact_eq`; states are unhashable.
     """
 
     signature: Signature
@@ -273,6 +280,7 @@ class DensityState:
     tol: InitVar[float] = DEFAULT_TOL
 
     def __post_init__(self, tol):
+        check_tol(tol)
         sig = self.signature
         blocks = tuple(freeze(as_matrix(b)) for b in self.blocks)
         if len(blocks) != len(sig.blocks):

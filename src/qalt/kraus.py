@@ -6,7 +6,9 @@ dropped, l equal occurrences coalesce into sqrt(l) * E, and the survivors are
 stored in a deterministic order.  On top of that this module provides
 composition, the quantum alternation of two (or 2^n) sets, direct-sum
 branching, the induced superoperator action on density states, per-block Choi
-matrices, extensional equality and the Loewner order.
+matrices, extensional equality and the Loewner order.  Each function that
+decides at a ``tol`` raises ``ValueError`` first for a ``tol`` that is not a
+finite number above 0 (:func:`qalt.core.check_tol`).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .core import (
     Signature,
     as_matrix,
     block_offsets,
+    check_tol,
     dim,
     dsum,
     exact_eq,
@@ -202,6 +205,7 @@ def make_kraus(input_sig: Signature, output_sig: Signature, raw_ops,
     :class:`TraceConditionViolated` if the coalesced set has sum E'E > I
     beyond ``tol``.
     """
+    check_tol(tol)
     shape = (dim(output_sig), dim(input_sig))
     raw_ops = raw_ops if isinstance(raw_ops, np.ndarray) else list(raw_ops)
     try:
@@ -478,6 +482,7 @@ def diagonal_blocks(full: Matrix, sig: Signature,
     chained from the ``ValueError``, if the state fails its check at ``tol``
     (as rounding can at a ``tol`` far below it).
     """
+    check_tol(tol)
     full = as_matrix(full)  # a finite copy, cleared block by block below
     blocks = []
     for off, n in zip(block_offsets(sig), sig.blocks):
@@ -621,6 +626,7 @@ def ext_equal(s: KrausSet, t: KrausSet, tol: float = DEFAULT_TOL) -> bool:
     A norm within the bound of the band [tol, D tol], or a ``tol`` at or
     below the bound, leaves it to the dense Choi families.
     """
+    check_tol(tol)
     verdict = _pencil_verdict(s, t, tol, order=False)
     return choi_distance(s, t) <= tol if verdict is None else verdict
 
@@ -635,6 +641,7 @@ def lowner_leq(s: KrausSet, t: KrausSet, tol: float = DEFAULT_TOL) -> bool:
     member is built.  An eigenvalue within the bound of -``tol``, or a
     ``tol`` at or below the bound, leaves it to the dense Choi families.
     """
+    check_tol(tol)
     verdict = _pencil_verdict(s, t, tol, order=True)
     if verdict is not None:
         return verdict
@@ -645,6 +652,7 @@ def lowner_leq(s: KrausSet, t: KrausSet, tol: float = DEFAULT_TOL) -> bool:
 
 def is_reversible(s: KrausSet, tol: float = 1e-10) -> bool:
     """True iff the set is a single unitary operator."""
+    check_tol(tol)
     if s.input_sig != s.output_sig:
         raise SignatureMismatch("reversibility needs equal input and output")
     if len(s.ops) != 1:

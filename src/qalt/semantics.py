@@ -51,25 +51,25 @@ Where each set is checked (I - sum E'E >= -tol): a statement whose set
 holds one operator is built unchecked at full width (a local set, or
 :func:`qalt.kraus.unchecked_singleton`): a smaller residual decides its
 own, or it is exactly 0.  A gate's, I (x) U re-indexed, is
-I (x) (I - U'U), so :func:`_prepare` checks I - U'U once per gate node of
-the hash-consed core program, per call of ``denote``, ``run`` or
-``eval_direct``, after the typecheck and before any set is built
-(:func:`_check_primitives`): both evaluators reject the same gates.
-``skip``, the empty block and an allocation (an isometry) have residual
-exactly 0, so they pass at every ``tol`` above 0, the only ones
-``_prepare`` accepts, and are not checked.  An alternation whose arms
-each hold one operator is not checked again: its one element's residual
-is the direct sum of the arms'.  Other alternations, measurements,
-discards and compositions go through ``make_kraus`` at full width, and so
-does a run of one-operator steps, once, when it ends: the run holds one
-raw product per operator of the set it started from.  ``make_kraus``
-canonicalises a set as one stack of its operators.
+I (x) (I - U'U), so :func:`_prepare` checks I - U'U once per entry of the
+core program's ``gates``, the gate nodes of ``elaborate``'s hash-cons
+table, per call of ``denote``, ``run`` or ``eval_direct``, after the
+typecheck and before any set is built: both evaluators reject the same
+gates, wherever they sit.  ``skip``, the empty block and an allocation (an
+isometry) have residual exactly 0, so they pass at every ``tol`` above 0,
+the only ones :func:`qalt.core.check_tol` lets through, and are not
+checked.  An alternation whose arms each hold one operator is not checked
+again: its one element's residual is the direct sum of the arms'.  Other
+alternations, measurements, discards and compositions go through
+``make_kraus`` at full width, and so does a run of one-operator steps,
+once, when it ends: the run holds one raw product per operator of the set
+it started from.  ``make_kraus`` canonicalises a set as one stack of its
+operators.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +82,7 @@ from .core import (
     Matrix,
     NAMED_GATES,
     Signature,
+    check_tol,
     dim,
     embed_gate,
     phase_gate,
@@ -395,44 +396,24 @@ def _denote_stmt(stmt, ctx: Context, tol: float) -> tuple[KrausSet, Context]:
     raise TypeError(f"statement not elaborated: {stmt!r}")
 
 
-def _check_primitives(body: list, tol: float) -> None:
-    """The residual check I - U'U >= -tol of each gate node, once.
-
-    It is the check ``make_kraus`` ends with, on U'U, with no set built.
-    The program is hash-consed, so each node is visited once, by identity.
-    """
-    seen, blocks = set(), [body]  # ids of statements and of gate nodes
-    while blocks:
-        for stmt in blocks.pop():
-            if id(stmt) in seen:
-                continue
-            seen.add(id(stmt))
-            if isinstance(stmt, ast.ApplyGate) and id(stmt.gate) not in seen:
-                seen.add(id(stmt.gate))
-                u = _gate_matrix(stmt.gate)
-                _check_residual(u.conj().T @ u, tol)
-            elif isinstance(stmt, ast.MeasureThenElse):
-                blocks += [stmt.then_block, stmt.else_block]
-            elif isinstance(stmt, ast.QCase):
-                blocks += [arm.block for arm in stmt.arms]
-
-
 def _prepare(program, ctx: Context, tol: float) -> ast.Program:
-    """The core program, elaborated, typechecked from ``ctx`` and with each
-    gate checked at ``tol`` (:func:`_check_primitives`).
+    """The core program, elaborated, typechecked from ``ctx`` and with the
+    residual I - U'U of each of its gates checked at ``tol``, the check
+    ``make_kraus`` ends with, with no set built.
 
     Raises ``ValueError`` first for a ``tol`` that is not a finite number
-    above 0, the rule of the CLI's ``--tol``.
+    above 0 (:func:`qalt.core.check_tol`).
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and greater than 0, got {tol}")
+    check_tol(tol)
     if isinstance(program, str):
         program = ast.parse(program)
     elif not isinstance(program, ast.Program):
         program = ast.Program([program])
     core = elaborate(program)
     typecheck(core, ctx)
-    _check_primitives(core.body, tol)
+    for gate in core.gates:
+        u = _gate_matrix(gate)
+        _check_residual(u.conj().T @ u, tol)
     return core
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple
 
 from .errors import ParseError
@@ -182,7 +182,12 @@ class ForLoop:
 
 @dataclass
 class Program:
+    """A block of statements.  On a core program ``gates`` lists each distinct
+    gate node of ``body`` once, in the order :func:`qalt.check.elaborate`
+    made them; it is left out of ``==`` and ``repr``."""
+
     body: list
+    gates: tuple = field(default=(), compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1110,7 +1110,8 @@ class TestPencil:
 
     def assert_dense_verdicts(self, s, t, tols=TOLS):
         dist = choi_distance(s, t)
-        for tol in (*tols, dist, np.nextafter(dist, 0)):
+        # a verdict takes only a tol above 0, so dist = 0 adds no tol
+        for tol in [x for x in (*tols, dist, np.nextafter(dist, 0)) if x > 0]:
             assert ext_equal(s, t, tol) == (dist <= tol)
             assert lowner_leq(s, t, tol) == self.dense_leq(s, t, tol)
             assert lowner_leq(t, s, tol) == self.dense_leq(t, s, tol)
@@ -1319,3 +1320,24 @@ class TestIsReversible:
     def test_signature_precondition(self):
         with pytest.raises(SignatureMismatch):
             is_reversible(make_kraus(ONE, Q, [np.array([[1.0], [0.0]])]))
+
+
+class TestTolRule:
+    """Every public entry that decides at a ``tol`` takes only a finite one
+    above 0, with the wording of ``--tol``; ``is_psd`` still answers at 0."""
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+    def test_entries_raise_value_error(self, tol):
+        s = identity_kraus(Q)
+        half = np.eye(2) / 2
+        for call in (lambda: make_kraus(Q, Q, [ID2], tol),
+                     lambda: ext_equal(s, s, tol),
+                     lambda: lowner_leq(s, s, tol),
+                     lambda: is_reversible(s, tol),
+                     lambda: kraus.diagonal_blocks(half, Q, tol),
+                     lambda: apply(s, DensityState(Q, (half,)), tol),
+                     lambda: DensityState(Q, (half,), tol)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"tol must be finite and greater than 0, got {tol}"
+        assert is_psd(np.zeros((2, 2)), 0.0)

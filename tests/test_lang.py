@@ -746,6 +746,37 @@ class TestHashConsing:
         body = elaborate(parse("a *= OracleU(01, 1)\na *= [[0, 1], [1, 0]]")).body
         assert body[0] is body[1]
 
+    def test_gates_lists_each_distinct_gate_node_once(self):
+        nines = "9" * 4000
+        core = elaborate(parse("\n".join([
+            "a *= H", "b *= H", "for i = 1 to 3 { a *= X\nb *= Phase(0.5) }",
+            "case (a, b) of |00> -> { c *= Y } |_> -> { c *= H }",
+            "a *= OracleU(01, 1)", "a *= [[0, 1], [1, 0]]",
+            "a *= Rk(1078)", f"a *= Rk({nines} * {nines})",
+            "for i = 2 to 1 { a *= Z }"])))
+
+        def gates(block):  # the gate nodes of a core block
+            for stmt in block:
+                if isinstance(stmt, ast.ApplyGate):
+                    yield stmt.gate
+                elif isinstance(stmt, ast.QCase):
+                    for arm in stmt.arms:
+                        yield from gates(arm.block)
+        assert {id(g): g for g in gates(core.body)} == {id(g): g for g in core.gates}
+        assert len(set(map(id, core.gates))) == len(core.gates)
+        # in the order elaboration made them; Z sits in a loop without iterations
+        assert core.gates == (
+            ast.NamedGate("H"), ast.NamedGate("X"), ast.PhaseGate(ast.Num(0.5)),
+            ast.NamedGate("Y"), ast.MatrixGate(((0j, 1 + 0j), (1 + 0j, 0j))),
+            ast.RkGate(ast.Num(1078)))
+
+    def test_gates_change_neither_eq_nor_repr(self):
+        core = elaborate(parse("a *= H\nif a then { b *= X } else { skip }"))
+        bare = ast.Program(core.body)
+        assert len(core.gates) == 2 and bare.gates == ()
+        assert core == bare and repr(core) == repr(bare)
+        assert core == parse("a *= H\ncase (a) of |0> -> { b *= X } |1> -> { skip }")
+
 
 class TestLint:
     def test_flags_measurement_in_quantum_branch(self):

@@ -1088,7 +1088,7 @@ def _pushed_literal(rng, d: int) -> ast.ApplyGate:
 
 
 class TestResidualParity:
-    """A gate node's residual check decides as ``make_kraus`` of {U} does."""
+    """A gate's residual check of U'U decides as ``make_kraus`` of {U} does."""
 
     TOLS = [1e-6, 1e-9, 1e-12, 1e-15, 1e-300]
 
@@ -1103,7 +1103,7 @@ class TestResidualParity:
             u = semantics._gate_matrix(node.gate)
             sig = Signature((len(u),))
             want = _raises(make_kraus, sig, sig, [u], tol)
-            assert _raises(semantics._check_primitives, [node], tol) == want
+            assert _raises(kraus._check_residual, u.conj().T @ u, tol) == want
             decisions.append(want)
         # both decisions occur, so the comparison is not vacuous
         assert 0 < sum(decisions) < len(decisions)
@@ -1198,6 +1198,17 @@ class TestOneCheckPerPrimitive:
                      lambda: eval_direct(src, rho, self.CTX, tol)):
             with pytest.raises(ValueError, match="finite and greater than 0"):
                 call()
+
+    def test_prepare_checks_each_listed_gate_once(self, monkeypatch):
+        checks = count_calls(monkeypatch, "_check_residual", semantics)
+        # the failing gate sits only in a loop without iterations
+        src = (f"a *= H\nfor i = 1 to 4 {{ b *= X\na *= H }}\n"
+               f"for i = 2 to 1 {{ b *= {self.NEAR} }}\n"
+               "if a then { b *= Y } else { measure b then { b *= Z } else { skip } }")
+        core = semantics._prepare(src, self.CTX, 1e-12)
+        assert len(core.gates) == 4  # H, X, Y and Z
+        grams = [u.conj().T @ u for u in map(semantics._gate_matrix, core.gates)]
+        assert _gate_checks(checks) == _gate_checks([(g, None) for g in grams])
 
     def test_eval_direct_checks_each_gate_of_its_arms(self, monkeypatch):
         rho = rand_density(np.random.default_rng(4), Signature((4, 4)))
