@@ -161,15 +161,26 @@ def _elab_gate(gate, env: dict, n_targets: int, nodes: dict):
     raise TypeError(f"not a gate: {gate!r}")
 
 
-def _elab_block(block: list, env: dict, nodes: dict) -> list:
+def _elab_block(block: list, env: dict, nodes: dict, done: dict) -> list:
+    """The core statements of ``block`` under ``env``.
+
+    ``done`` maps each surface statement elaborated under ``env`` so far,
+    by identity, to its core statements, so a statement that
+    :func:`qalt.syntax.parse` shares between lines is elaborated once per
+    environment.  Each loop iteration starts its own and drops it at its
+    end.  A fault is raised where it occurs, and nothing is kept for it.
+    """
     out = []
     for stmt in block:
-        out.extend(_elab_stmt(stmt, env, nodes))
+        core = done.get(id(stmt))
+        if core is None:
+            core = done[id(stmt)] = _elab_stmt(stmt, env, nodes, done)
+        out.extend(core)
     return out
 
 
-def _sub_block(block: list, env: dict, nodes: dict) -> list:
-    return _elab_block(block, env, nodes) or [_node(nodes, (ast.Skip,), ast.Skip)]
+def _sub_block(block: list, env: dict, nodes: dict, done: dict) -> list:
+    return _elab_block(block, env, nodes, done) or [_node(nodes, (ast.Skip,), ast.Skip)]
 
 
 def _ids(block: list) -> tuple:
@@ -214,7 +225,7 @@ def _mentions(node, name: str) -> bool:
         _mentions(v, name) for v in vars(node).values())
 
 
-def _elab_stmt(stmt, env: dict, nodes: dict) -> list:
+def _elab_stmt(stmt, env: dict, nodes: dict, done: dict) -> list:
     if isinstance(stmt, ast.Skip):
         return [_node(nodes, (ast.Skip,), ast.Skip)]
     if isinstance(stmt, (ast.NewQbit, ast.NewBit, ast.Discard)):
@@ -228,13 +239,13 @@ def _elab_stmt(stmt, env: dict, nodes: dict) -> list:
             [ast.NameRef(name) for name in names], gate))]
     if isinstance(stmt, ast.MeasureThenElse):
         name = resolve_name(stmt.control, env)
-        then = _sub_block(stmt.then_block, env, nodes)
-        else_ = _sub_block(stmt.else_block, env, nodes)
+        then = _sub_block(stmt.then_block, env, nodes, done)
+        else_ = _sub_block(stmt.else_block, env, nodes, done)
         return [_node(nodes, (ast.MeasureThenElse, name, _ids(then), _ids(else_)),
                       lambda: ast.MeasureThenElse(ast.NameRef(name), then, else_))]
     if isinstance(stmt, (ast.QIf, ast.QCase)):
         controls, sources = _arm_blocks(stmt)
-        blocks = [_sub_block(block, env, nodes) for block in sources]
+        blocks = [_sub_block(block, env, nodes, done) for block in sources]
         names = tuple([resolve_name(c, env) for c in controls])
         return [_node(nodes, (ast.QCase, names, tuple(map(_ids, blocks))),
                       lambda: ast.QCase([ast.NameRef(c) for c in names],
@@ -244,10 +255,10 @@ def _elab_stmt(stmt, env: dict, nodes: dict) -> list:
         hi = eval_int(stmt.hi, env)
         if lo <= hi and not _mentions(stmt.body, stmt.var):
             # every iteration elaborates to the same nodes
-            return _elab_block(stmt.body, env, nodes) * (hi - lo + 1)
+            return _elab_block(stmt.body, env, nodes, done) * (hi - lo + 1)
         out = []
         for value in range(lo, hi + 1):
-            out.extend(_elab_block(stmt.body, {**env, stmt.var: value}, nodes))
+            out.extend(_elab_block(stmt.body, {**env, stmt.var: value}, nodes, {}))
         return out
     raise TypeError(f"not a statement: {stmt!r}")
 
@@ -270,11 +281,14 @@ def elaborate(program: ast.Program) -> ast.Program:
     compound statement by its children's identities.  A loop whose body
     mentions no ``Var`` of its variable's name (a nested loop's bounds
     included) is elaborated once and repeated; one without iterations
-    elaborates nothing.  The result's ``gates`` are the gate nodes of the
-    table, so each gate of the body is listed once and nothing else is.
+    elaborates nothing.  A surface statement met again under the same loop
+    variables, such as a line that :func:`qalt.syntax.parse` shared, gives
+    the core statements of its first elaboration without a second one.  The
+    result's ``gates`` are the gate nodes of the table, so each gate of the
+    body is listed once and nothing else is.
     """
     nodes: dict = {}
-    body = _elab_block(program.body, {}, nodes)
+    body = _elab_block(program.body, {}, nodes, {})
     return ast.Program(body, tuple(node for node in nodes.values() if isinstance(
         node, (ast.NamedGate, ast.RkGate, ast.PhaseGate, ast.MatrixGate))))
 

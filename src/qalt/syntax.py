@@ -27,7 +27,10 @@ away before anything reaches the semantics.
 
 from __future__ import annotations
 
+import bisect
+import collections
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple
@@ -276,38 +279,70 @@ class Context:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-#: One token or skipped span (space, comment) per match; each named group is
-#: a token kind, and BAD is any character that no other kind admits.
+#: One token per match, after the space and comments before it; each named
+#: group is a token kind, and BAD is any character that no other kind admits.
+#: A match of no group is the space and comments that end the text.
 _TOKEN = re.compile(r"""
-    [ \t\r\n]+ | //[^\n]*
-  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<NUM>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
-  | (?P<SYM>->|\*=|[{}()\[\],|>=+\-*/])
-  | (?P<BAD>.)
+    [ \t\r\n]* (?://.*[ \t\r\n]*)*
+    (?: (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<NUM>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
+      | (?P<SYM>->|\*=|[{}()\[\],|>=+\-*/])
+      | (?P<BAD>.) )?
 """, re.VERBOSE)
 
 
 class Token(NamedTuple):
     kind: str  # IDENT, NUM, SYM, EOF
     text: str
-    at: int  # offset in the source text
+    at: int  # offset in its piece of the source (see _pieces)
 
 
-def _line_col(text: str, at: int) -> tuple[int, int]:
-    """1-based (line, column) of offset ``at``: worked out only for an error."""
-    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+def _line_col(text: str, at: int, first: int = 1) -> tuple[int, int]:
+    """1-based (line, column) of offset ``at`` in ``text``, whose first line
+    is line ``first`` of the source: worked out only for an error."""
+    return first + text.count("\n", 0, at), at - text.rfind("\n", 0, at)
+
+
+def _pieces(text: str) -> list[tuple[int, str, bool]]:
+    """``text`` cut into pieces of whole lines, each (number of its first
+    line, its text, shared).  A line that occurs more than once is a shared
+    piece of its own; each run of lines between such lines is one piece.
+    No token or comment runs past a newline, so each piece is scanned alone.
+    """
+    lines = text.split("\n")
+    counts = collections.Counter(lines)
+    if len(counts) == len(lines):
+        return [(1, text, False)]
+    pieces, run = [], 0
+    for i in [i for i, line in enumerate(lines) if counts[line] > 1]:
+        if run < i:
+            pieces.append((run + 1, "\n".join(lines[run:i]), False))
+        pieces.append((i + 1, lines[i], True))
+        run = i + 1
+    if run < len(lines):
+        pieces.append((run + 1, "\n".join(lines[run:]), False))
+    return pieces
+
+
+def _scan(piece: str, first: int) -> list[Token]:
+    """The tokens of ``piece``, a piece of the source from line ``first`` on."""
+    tokens = [Token(kind, m.group(kind), m.start(kind))
+              for m in _TOKEN.finditer(piece) if (kind := m.lastgroup)]
+    if "BAD" in map(operator.itemgetter(0), tokens):
+        bad = next(tok for tok in tokens if tok.kind == "BAD")
+        what = "non-ASCII" if ord(bad.text) > 127 else "unexpected"
+        raise ParseError(f"{what} character {bad.text!r}", *_line_col(piece, bad.at, first))
+    return tokens
 
 
 def _tokenize(text: str) -> list[Token]:
-    tokens = [Token(m.lastgroup, m.group(), m.start())
-              for m in _TOKEN.finditer(text) if m.lastgroup]
-    bad = next((tok for tok in tokens if tok.kind == "BAD"), None)
-    if bad is not None:
-        what = "non-ASCII" if ord(bad.text) > 127 else "unexpected"
-        raise ParseError(f"{what} character {bad.text!r}", *_line_col(text, bad.at))
-    # EOF after a comment on the last line is at the comment's start
-    end = text.find("//", text.rfind("\n") + 1)
-    return tokens + [Token("EOF", "", end if end >= 0 else len(text))]
+    """The tokens of ``text`` and EOF, each at its offset in ``text``."""
+    parser = _Parser(text)
+    starts = [0]
+    for line in text.split("\n"):
+        starts.append(starts[-1] + len(line) + 1)
+    return [tok._replace(at=starts[parser.piece(k)[0] - 1] + tok.at)
+            for k, tok in enumerate(parser.tokens)]
 
 
 # ---------------------------------------------------------------------------
@@ -328,18 +363,55 @@ def _num_value(text: str):
     return int(text)
 
 
+def _open_end(stmt) -> str | None:
+    """The text of a next token that would continue ``stmt``, if any: one
+    more arm of a case, or an index for a name without one at the end."""
+    if isinstance(stmt, QCase):
+        return "|"
+    if isinstance(stmt, (NewQbit, NewBit, Discard)) and stmt.name.index is None:
+        return "["
+    return None
+
+
 class _Parser:
     """Recursive descent with one method per grammar form.
 
     A symbol's text is only ever a SYM token and a keyword's text only ever
     an IDENT token, so :meth:`accept` and :meth:`expect` compare text alone.
+    Each piece of the source (see :func:`_pieces`) is tokenized once and its
+    tokens are shared by its copies, so a token's offset is within its
+    piece; :meth:`piece` finds the piece of a token for an error.
     """
 
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = tokens = []
+        #: the index of each piece's first token (or of the token after it),
+        #: and each piece's (number of its first line, text)
+        self.firsts, self.pieces = [], []
+        #: (text, end) of each shared line that holds a token, by its first
+        #: token's index; ``end`` is the index of the token after the line
+        self.lines = {}
+        #: a statement that filled a line, and its open end, by (text, depth)
+        self.memo = {}
+        scanned = {}
+        for first, piece, shared in _pieces(text):
+            piece_tokens = scanned.get(piece)
+            if piece_tokens is None:
+                piece_tokens = scanned[piece] = _scan(piece, first)
+            if shared and piece_tokens:
+                self.lines[len(tokens)] = piece, len(tokens) + len(piece_tokens)
+            self.firsts.append(len(tokens))
+            self.pieces.append((first, piece))
+            tokens += piece_tokens
+        # EOF after a comment on the last line is at the comment's start
+        end = piece.find("//", piece.rfind("\n") + 1)
+        tokens.append(Token("EOF", "", end if end >= 0 else len(piece)))
         self.pos = 0
         self.depth = 0
+
+    def piece(self, k: int) -> tuple[int, str]:
+        """(number of its first line, text) of the piece of token ``k``."""
+        return self.pieces[bisect.bisect_right(self.firsts, k) - 1]
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -349,15 +421,17 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: Token | None = None):
-        at = (tok or self.peek()).at
-        raise ParseError(message, *_line_col(self.text, at))
+    def fail(self, message: str, k: int | None = None):
+        """Raise at the token of index ``k``, the next token by default."""
+        k = self.pos if k is None else k
+        first, piece = self.piece(k)
+        raise ParseError(message, *_line_col(piece, self.tokens[k].at, first))
 
-    def nest(self, tok: Token):
-        """Enter one nesting level, opened by ``tok``."""
+    def nest(self):
+        """Enter one nesting level, opened by the token just consumed."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            self.fail(f"nesting deeper than {MAX_NESTING} levels", tok)
+            self.fail(f"nesting deeper than {MAX_NESTING} levels", self.pos - 1)
 
     def at_sym(self, *syms: str) -> bool:
         return self.tokens[self.pos].text in syms
@@ -397,18 +471,18 @@ class _Parser:
         depth = self.depth
         node = self.parse_term()
         while self.at_sym("+", "-"):
-            op = self.next()
-            self.nest(op)
-            node = BinOp(op.text, node, self.parse_term())
+            op = self.next().text
+            self.nest()
+            node = BinOp(op, node, self.parse_term())
         self.depth = depth
         return node
 
     def parse_term(self) -> Expr:
         node = self.parse_factor()
         while self.at_sym("*", "/"):
-            op = self.next()
-            self.nest(op)
-            node = BinOp(op.text, node, self.parse_factor())
+            op = self.next().text
+            self.nest()
+            node = BinOp(op, node, self.parse_factor())
         return node
 
     def parse_factor(self) -> Expr:
@@ -425,7 +499,8 @@ class _Parser:
             return Var(tok.text)
         if not self.at_sym("-", "("):
             self.fail(f"expected an expression, found {tok.text!r}")
-        self.nest(self.next())
+        self.next()
+        self.nest()
         if tok.text == "-":
             node = Neg(self.parse_factor())
         else:
@@ -510,14 +585,40 @@ class _Parser:
     # -- statements --
 
     def parse_block(self) -> list:
-        self.nest(self.expect("{"))
+        self.expect("{")
+        self.nest()
         body = []
         while not self.accept("}"):
             if self.peek().kind == "EOF":
                 self.fail("unterminated block")
-            body.append(self.parse_stmt())
+            body.append(self.statement())
         self.depth -= 1
         return body if body else [Skip()]
+
+    def statement(self):
+        """The next statement, read from the memo where a parse here would
+        give a node already made.
+
+        A statement that fills a line that occurs more than once, from the
+        line's first token to its last, is kept by the line's text and the
+        depth.  A later copy of that line at that depth is the same node,
+        unless the token after it would continue the statement (see
+        :func:`_open_end`).  Only a parse that succeeds is kept, so an error
+        is raised where it occurs.
+        """
+        line = self.lines.get(self.pos)
+        if line is None:
+            return self.parse_stmt()
+        text, end = line
+        key = text, self.depth
+        kept = self.memo.get(key)
+        if kept is not None and self.tokens[end].text != kept[1]:
+            self.pos = end
+            return kept[0]
+        node = self.parse_stmt()
+        if self.pos == end:
+            self.memo[key] = node, _open_end(node)
+        return node
 
     def parse_stmt(self):
         tok = self.peek()
@@ -570,7 +671,7 @@ class _Parser:
     def parse_program(self) -> Program:
         body = []
         while self.peek().kind != "EOF":
-            body.append(self.parse_stmt())
+            body.append(self.statement())
         return Program(body)
 
 
@@ -578,6 +679,10 @@ def parse(text: str) -> Program:
     """Parse source text into an AST, raising :class:`ParseError` on failure.
 
     Nesting deeper than :data:`MAX_NESTING` levels is a :class:`ParseError`.
+    Within one call, each distinct line is tokenized once, and a statement
+    that fills a line is parsed once per distinct line text and depth:
+    repeated lines share one read-only statement node, so the tree must not
+    be mutated.  ``==`` and ``repr`` are as if each copy were parsed afresh.
     """
     return _Parser(text).parse_program()
 

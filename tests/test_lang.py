@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -776,6 +777,161 @@ class TestHashConsing:
         assert len(core.gates) == 2 and bare.gates == ()
         assert core == bare and repr(core) == repr(bare)
         assert core == parse("a *= H\ncase (a) of |0> -> { b *= X } |1> -> { skip }")
+
+
+def distinct_lines(source: str) -> str:
+    """``source`` with a comment that differs on each line: the same tokens at
+    the same columns, with no line repeated, so no parse is read from the memo."""
+    return "\n".join(f"{line}//{i}" for i, line in enumerate(source.split("\n")))
+
+
+#: Lines that fill a statement, lines that continue or open one, and traps.
+MEMO_LINES = [
+    "a *= H", "  a *= H", "a *= H\r", "a *= H // é", "a *= H b *= X", "skip",
+    "discard a", "new qbit a", "new bit b", "discard a[0]", "[0] *= H", "[0]",
+    "case (a) of |0> -> { skip } |1> -> { b *= X }", "|_> -> { skip }",
+    "|1> -> { a *= X }", "case (a) of", "measure a then {", "} else {", "}",
+    "} else { skip }", "if a then { b *= H } else { skip }",
+    "for i = 1 to 3 {", "q[i] *= Rk(i)", "a *= Phase(-(-1))", "a *= Rk(2", ")",
+    "a, b *= [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]",
+    "", "// only a comment", "a *= é", "  ",
+]
+
+
+class TestParseMemo:
+    """parse tokenizes and parses each distinct line once; elaborate reuses the
+    core statements of a shared surface node."""
+
+    def test_repeated_line_is_one_node(self):
+        source = "a *= H\nb *= X\na *= H\n a *= H\na *= H"
+        p = parse(source)
+        assert p.body[0] is p.body[2] is p.body[4]
+        assert p.body[3] is not p.body[0] and p.body[3] == p.body[0]
+        fresh = parse(distinct_lines(source))
+        assert len({id(s) for s in fresh.body}) == 5
+        assert p == fresh and repr(p) == repr(fresh)
+
+    def test_each_distinct_line_is_tokenized_and_parsed_once(self, monkeypatch):
+        source = "\n".join(["a *= H", "b *= Rk(3)"] * 300 + ["measure a then {",
+                                                            "  a *= H", "} else {",
+                                                            "  a *= H", "}"] * 2)
+        tokens = count_calls(monkeypatch, "Token", ast)
+        stmts = count_calls(monkeypatch, "parse_stmt", ast._Parser)
+        p = parse(source)
+        assert len(p.body) == 602
+        # 3 + 6 + 4 + 3 + 3 + 1 tokens in the distinct lines, and EOF
+        assert len(tokens) == 21
+        # a *= H, b *= Rk(3), two measurements (no line holds one) and
+        # the indented line, one level deep in all four blocks
+        assert len(stmts) == 5
+        arms = [p.body[600].then_block[0], p.body[600].else_block[0],
+                p.body[601].then_block[0]]
+        assert all(s is arms[0] for s in arms) and arms[0] == p.body[0]
+
+    def test_program_without_repeated_lines_builds_each_token_once(self, monkeypatch):
+        source = "new qbit a // é\na *= Rk(2 * 3)\nmeasure a then {\n  a *= H\n} else { skip }"
+        expected = len(ast._tokenize(source))
+        tokens = count_calls(monkeypatch, "Token", ast)
+        stmts = count_calls(monkeypatch, "parse_stmt", ast._Parser)
+        parse(source)
+        assert len(tokens) == expected == 24
+        assert len(stmts) == 5
+
+    def test_elaborate_elaborates_each_distinct_surface_node_once(self, monkeypatch):
+        elabs = count_calls(monkeypatch, "_elab_stmt", check)
+        program = parse("\n".join(["a *= H", "if a then { b *= X } else { skip }",
+                                   "b *= Phase(pi / 4)"] * 100))
+        core = elaborate(program)
+        assert [type(args[0]) for args in elabs] == [ast.ApplyGate, ast.QIf, ast.ApplyGate,
+                                                     ast.Skip, ast.ApplyGate]
+        assert core.body == elaborate(parse(distinct_lines(pretty(program)))).body
+        assert [core.body[3 * i + j] is core.body[j] for i in range(100)
+                for j in range(3)] == [True] * 300
+
+        def nodes(node):  # every dataclass node and list under ``node``
+            if isinstance(node, list) or dataclasses.is_dataclass(node):
+                yield node
+                for child in node if isinstance(node, list) else vars(node).values():
+                    yield from nodes(child)
+        # the result still shares no node with its input
+        assert not {id(n) for n in nodes(program)} & {id(n) for n in nodes(core)}
+
+    def test_shared_line_elaborates_once_per_loop_value(self, monkeypatch):
+        elabs = count_calls(monkeypatch, "_elab_stmt", check)
+        core = elaborate(parse("for i = 1 to 3 {\n  q[i] *= H\n  q[i] *= H\n}"))
+        assert [type(args[0]) for args in elabs] == [ast.ForLoop] + [ast.ApplyGate] * 3
+        assert [s.targets[0].base for s in core.body] == ["q1", "q1", "q2", "q2", "q3", "q3"]
+
+    @pytest.mark.parametrize("source, outcome", [
+        # the name takes the index on the next line
+        ("discard a\ndiscard a\n[0]",
+         "Program(body=[Discard(name=NameRef(base='a', index=None)), "
+         "Discard(name=NameRef(base='a', index=Num(value=0)))])"),
+        ("new qbit a\nnew qbit a\n[0] *= H",
+         repr(("3:5: expected a statement, found '*='", 3, 5))),
+        # the case takes the arm on the next line
+        ("case (a) of |0> -> { skip } |1> -> { b *= X }\n" * 2 + "|_> -> { skip }",
+         None),
+        # a comment with non-ASCII characters, and a line with one outside it
+        ("a *= H // é\na *= H // é\na *= é // é",
+         repr(("3:6: non-ASCII character 'é'", 3, 6))),
+        # "\r" ends no line and counts as a column
+        ("a *= H\r\na *= H\r\n$\r\n", repr(("3:1: unexpected character '$'", 3, 1))),
+        ("a *= H\r\na *= H\r\na *= H", None),
+        # EOF after a comment on the last line is at the comment's start
+        ("x *= H // c\nx *= H // c\nmeasure x then { x *= H // c",
+         repr(("3:25: unterminated block", 3, 25))),
+        ("x *= H // c\nmeasure x then { x *= H // c\nx *= H // c",
+         repr(("3:8: unterminated block", 3, 8))),
+    ])
+    def test_memo_gives_what_a_fresh_parse_gives(self, source, outcome):
+        got = parser_outcome(source)
+        assert got == parser_outcome(distinct_lines(source))
+        if outcome is not None:
+            assert got == outcome
+        if source.startswith("case"):
+            p = parse(source)
+            assert [len(s.arms) for s in p.body] == [2, 3]
+
+    def test_same_line_one_level_deeper_can_exceed_the_bound(self):
+        line = "measure q then { q *= H } else { skip }"
+        opener = "measure q then {"
+        head = [opener] * (ast.MAX_NESTING - 1) + [line, line]
+        close = ["} else { skip }"] * (ast.MAX_NESTING - 1)
+        p = parse("\n".join(head + close))
+        inner = p.body[0]
+        for _ in range(ast.MAX_NESTING - 2):
+            inner = inner.then_block[0]
+        assert inner.then_block[0] is inner.then_block[1]
+        source = "\n".join(head + [opener, line, "}"] + close)
+        with pytest.raises(ParseError) as info:
+            parse(source)
+        assert str(info.value) == f"{ast.MAX_NESTING + 3}:16: nesting deeper than 200 levels"
+
+    @pytest.mark.parametrize("source, position", [
+        ("a *= Rk(2)\nb *= X\na *= Rk(2 + )", (3, 13)),
+        ("a *= Rk(2)\nb *= X\na *= Rk(2", (3, 10)),
+        ("discard a\ndiscard a\ndiscard", (3, 8)),
+        ("new qbit a\nnew qbit a\nnew qbit", (3, 9)),
+    ])
+    def test_error_in_a_near_duplicate_is_at_its_own_position(self, source, position):
+        with pytest.raises(ParseError) as info:
+            parse(source)
+        assert (info.value.line, info.value.col) == position
+
+    def test_memo_agrees_with_fresh_parses_on_seeded_line_mixes(self):
+        rng = random.Random(29)
+        parsed = shared = 0
+        for _ in range(3000):
+            source = "\n".join(rng.choices(MEMO_LINES, k=rng.randint(2, 12)))
+            outcome = parser_outcome(source)
+            assert outcome == parser_outcome(distinct_lines(source)), source
+            if outcome.startswith("Program("):
+                parsed += 1
+                body = parse(source).body
+                shared += len(body) - len({id(s) for s in body})
+        # both outcomes occur, and many parses reuse a node
+        assert 100 < parsed < 2900 and shared > 20
 
 
 class TestLint:
