@@ -39,10 +39,10 @@ def as_matrix(data) -> Matrix:
     return _checked(np.array(data, dtype=complex))
 
 
-def _checked(m: np.ndarray) -> Matrix:
+def _checked(m: np.ndarray, stack: bool = False) -> Matrix:
     if m.ndim == 1:
         m = m.reshape(-1, 1)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stack and m.ndim == 3):
         raise DimensionMismatch(f"expected a 2-D matrix, got {m.ndim} axes")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
@@ -96,26 +96,33 @@ def adjoint(a: Matrix) -> Matrix:
 def is_psd(a: Matrix, tol: float = DEFAULT_TOL) -> bool:
     """Positivity oracle: Hermitian within ``tol`` and min eigenvalue >= -tol.
 
-    The matrix is symmetrized once, H = (A + A')/2, and its Gershgorin lower
-    bound min_i (h_ii - sum_{j != i} |h_ij|) is computed in O(d^2).  A bound
-    >= -tol is a proof, in exact arithmetic, that every eigenvalue of H is
-    >= -tol (Horn & Johnson, *Matrix Analysis*, Thm 6.1.1); the computed row
-    sums carry at most about d * eps * ||H||_inf of rounding, the order of
-    ``eigvalsh``'s own backward error.  Only when the bound fails is the
-    smallest eigenvalue computed, so a Hermitian matrix is only ever rejected
-    by ``eigvalsh``.  A complex ndarray input is read in place, not copied.
+    ``a`` is a matrix, or a non-empty stack that passes when each member
+    does.  Each is symmetrized once, H = (A + A')/2, and its Gershgorin
+    lower bound min_i (h_ii - sum_{j != i} |h_ij|) is computed in O(d^2).
+    A bound >= -tol is a proof, in exact arithmetic, that every eigenvalue
+    of H is >= -tol (Horn & Johnson, *Matrix Analysis*, Thm 6.1.1); the
+    computed row sums carry at most about d * eps * ||H||_inf of rounding,
+    the order of ``eigvalsh``'s own backward error.  Only a member whose
+    bound fails gets its smallest eigenvalue computed, so a Hermitian
+    matrix is only ever rejected by ``eigvalsh``.  A complex ndarray input
+    is read in place, not copied.
     """
-    m = _checked(np.asarray(a, dtype=complex))
-    if m.shape[0] != m.shape[1]:
+    m = _checked(np.asarray(a, dtype=complex), stack=True)
+    if m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"is_psd needs a square matrix, got {m.shape}")
-    adj = m.conj().T
+    adj = m.conj().transpose(0, 2, 1) if m.ndim == 3 else m.conj().T
     if np.abs(m - adj).max() > tol:
         return False
     herm = m + adj
     herm *= 0.5
-    diag = herm.diagonal().real
-    radii = np.abs(herm).sum(axis=1) - np.abs(diag)
-    if (diag - radii).min() >= -tol:
+    diag = herm.diagonal(0, -2, -1).real
+    radii = np.abs(herm).sum(axis=-1) - np.abs(diag)
+    bound = (diag - radii).min(axis=-1)
+    if m.ndim == 3:
+        herm = herm[~(bound >= -tol)]
+        if not len(herm):
+            return True
+    elif bound >= -tol:
         return True
     return float(np.linalg.eigvalsh(herm).min()) >= -tol
 

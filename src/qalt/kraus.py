@@ -136,10 +136,12 @@ def _canonical_key(m: Matrix) -> bytes:
 def _coalesce(ops) -> list[Matrix]:
     """Drop zero operators and fold l equal occurrences into sqrt(l) * E.
 
-    Each operator joins the first group whose representative lies within
-    :data:`COALESCE_TOL` of it entrywise, else it starts a group.  Folding
-    repeats until a pass merges nothing.  ``ops`` is a stack, or operators
-    of one shape, and its zero drop and entry sums are each one array
+    Each operator whose largest entry modulus lies in (COALESCE_TOL, inf)
+    joins the first group whose representative lies within
+    :data:`COALESCE_TOL` of it entrywise, else it starts a group; the rest,
+    zero or not finite (``make_kraus`` rejects those first), are dropped.
+    Folding repeats until a pass merges nothing.  ``ops`` is a stack, or
+    operators of one shape, and its peaks and entry sums are each one array
     operation; if nothing drops or merges, it returns ``ops``'s operators.
 
     A group is skipped without the entrywise comparison when its
@@ -159,8 +161,9 @@ def _coalesce(ops) -> list[Matrix]:
     stack = np.asarray(ops)
     if not len(stack):
         return []
-    keep = np.abs(stack).max(axis=(1, 2)) > COALESCE_TOL
-    current = stack if keep.all() else stack[keep]
+    keep = [COALESCE_TOL < peak < math.inf
+            for peak in np.abs(stack).max(axis=(1, 2)).tolist()]
+    current = stack if all(keep) else stack[keep]
     while len(current) > 1:
         margin = 2 * COALESCE_TOL * current[0].size
         groups: list[list] = []  # [entry sum, representative, count]
@@ -184,11 +187,11 @@ def coalesces(ops) -> bool:
 
     This is :func:`_coalesce`'s own answer: True when it returns fewer
     operators, so when some operator has every entry within
-    :data:`COALESCE_TOL` of 0 or two lie within it of each other entrywise.
-    True for a non-finite entry.  ``ops`` is as for :func:`_coalesce`.
+    :data:`COALESCE_TOL` of 0 or is not finite, or two lie within it of each
+    other entrywise.  ``ops`` is as for :func:`_coalesce`.
     """
     stack = np.asarray(ops)
-    return not np.isfinite(stack).all() or len(_coalesce(stack)) < len(stack)
+    return len(_coalesce(stack)) < len(stack)
 
 
 def make_kraus(input_sig: Signature, output_sig: Signature, raw_ops,
@@ -237,8 +240,8 @@ def make_kraus(input_sig: Signature, output_sig: Signature, raw_ops,
 def _check_residual(gram: Matrix, tol: float) -> None:
     """Raise :class:`TraceConditionViolated` unless I - ``gram``, a sum of
     E'E, is positive at ``tol``: the check :func:`make_kraus` ends with,
-    also made on a gate's U'U alone, with no set built."""
-    if not is_psd(np.eye(len(gram)) - gram, tol):
+    also made on a stack of gates' U'U, with no set built."""
+    if not is_psd(np.eye(gram.shape[-1]) - gram, tol):
         raise TraceConditionViolated(
             "sum of E'E exceeds the identity; not trace-nonincreasing")
 

@@ -51,20 +51,20 @@ Where each set is checked (I - sum E'E >= -tol): a statement whose set
 holds one operator is built unchecked at full width (a local set, or
 :func:`qalt.kraus.unchecked_singleton`): a smaller residual decides its
 own, or it is exactly 0.  A gate's, I (x) U re-indexed, is
-I (x) (I - U'U), so :func:`_prepare` checks I - U'U once per entry of the
-core program's ``gates``, the gate nodes of ``elaborate``'s hash-cons
-table, per call of ``denote``, ``run`` or ``eval_direct``, after the
-typecheck and before any set is built: both evaluators reject the same
-gates, wherever they sit.  ``skip``, the empty block and an allocation (an
-isometry) have residual exactly 0, so they pass at every ``tol`` above 0,
-the only ones :func:`qalt.core.check_tol` lets through, and are not
-checked.  An alternation whose arms each hold one operator is not checked
-again: its one element's residual is the direct sum of the arms'.  Other
-alternations, measurements, discards and compositions go through
-``make_kraus`` at full width, and so does a run of one-operator steps,
-once, when it ends: the run holds one raw product per operator of the set
-it started from.  ``make_kraus`` canonicalises a set as one stack of its
-operators.
+I (x) (I - U'U), so :func:`_prepare` checks I - U'U for the entries of
+the core program's ``gates``, the gate nodes of ``elaborate``'s hash-cons
+table, by one stacked test per gate shape, per call of ``denote``, ``run``
+or ``eval_direct``, after the typecheck and before any set is built: both
+evaluators reject the same gates, wherever they sit.  ``skip``, the empty
+block and an allocation (an isometry) have residual exactly 0, so they
+pass at every ``tol`` above 0, the only ones :func:`qalt.core.check_tol`
+lets through, and are not checked.  An alternation whose arms each hold
+one operator is not checked again: its one element's residual is the
+direct sum of the arms'.  Other alternations, measurements, discards and
+compositions go through ``make_kraus`` at full width, and so does a run
+of one-operator steps, once, when it ends: the run holds one raw product
+per operator of the set it started from.  ``make_kraus`` canonicalises a
+set as one stack of its operators.
 """
 
 from __future__ import annotations
@@ -398,8 +398,8 @@ def _denote_stmt(stmt, ctx: Context, tol: float) -> tuple[KrausSet, Context]:
 
 def _prepare(program, ctx: Context, tol: float) -> ast.Program:
     """The core program, elaborated, typechecked from ``ctx`` and with the
-    residual I - U'U of each of its gates checked at ``tol``, the check
-    ``make_kraus`` ends with, with no set built.
+    residual I - U'U of its gates checked at ``tol`` by one stacked test
+    per gate shape: the check ``make_kraus`` ends with, with no set built.
 
     Raises ``ValueError`` first for a ``tol`` that is not a finite number
     above 0 (:func:`qalt.core.check_tol`).
@@ -411,9 +411,14 @@ def _prepare(program, ctx: Context, tol: float) -> ast.Program:
         program = ast.Program([program])
     core = elaborate(program)
     typecheck(core, ctx)
+    by_shape: dict = {}
     for gate in core.gates:
         u = _gate_matrix(gate)
-        _check_residual(u.conj().T @ u, tol)
+        by_shape.setdefault(u.shape, []).append(u)
+    for us in by_shape.values():
+        # row i of the stacked U'U has the bytes of us[i].conj().T @ us[i]
+        s = np.array(us)
+        _check_residual(s.conj().transpose(0, 2, 1) @ s, tol)
     return core
 
 

@@ -353,6 +353,46 @@ class TestCoalesces:
         m[1, 0] = bad
         assert coalesces([m]) and coalesces([np.eye(2) / 2, m])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_random_multisets_with_a_non_finite_member(self, bad):
+        # the fold drops the non-finite operator as it drops a zero one and
+        # folds the others as the pairwise scan does without it
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            ops = random_multiset(rng, int(rng.integers(1, 12)))
+            m = ops[int(rng.integers(len(ops)))].copy()
+            part = m.real if rng.random() < 0.5 else m.imag
+            part.flat[rng.integers(m.size)] = bad
+            mixed = list(ops)
+            mixed.insert(int(rng.integers(len(ops) + 1)), m)
+            assert coalesces(mixed) and coalesces(np.array(mixed))
+            got = _coalesce(np.array(mixed))
+            want = pairwise_coalesce(list(ops), COALESCE_TOL)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+class TestNonFiniteFold:
+    """The fold drops a NaN or inf operator, and ``make_kraus`` rejects
+    non-finite input before it folds, so its results and errors stay."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_make_kraus_rejects_before_the_fold(self, bad):
+        # ``broken`` is 0 but for its fault: folded first, it would drop
+        broken = np.zeros((2, 2), dtype=complex)
+        broken[1, 0] = bad
+        for raw in ([broken], [ID2 / 2, broken], [broken, ID2 / 2],
+                    np.stack([ID2 / 2, X / 2, broken])):
+            with pytest.raises(ValueError) as err:
+                make_kraus(Q, Q, raw)
+            assert type(err.value) is ValueError
+            assert str(err.value) == "matrix entries must be finite"
+
+    def test_finite_stacks_fold_as_the_pairwise_scan(self):
+        rng = np.random.default_rng(24)
+        for _ in range(300):
+            ops = random_multiset(rng, int(rng.integers(1, 16)))
+            assert_coalesce_matches_full_scan(np.array(ops))
+
 
 def make_outcome(fn, sig_in, sig_out, raw, tol=1e-9):
     """The set ``fn`` builds, as signatures and operator bytes, or the type

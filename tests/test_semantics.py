@@ -657,12 +657,12 @@ class TestFusedRuns:
         composes = count_calls(monkeypatch, "compose", semantics)
         denote("q0 *= H\nnew bit c\nq1 *= X\n"
                "measure q0 then { skip } else { skip }\nq2 *= H\nq2 *= S", self.CTX)
-        # the gate nodes H, X and S; the measurement's arm sum and its set;
-        # the product of the three steps before it; the one composition, of
-        # the measurement; then the run after it, one product per operator
-        # of its two, once
+        # the gate nodes H, X and S, one stack; the measurement's arm sum
+        # and its set; the product of the three steps before it; the one
+        # composition, of the measurement; then the run after it, one
+        # product per operator of its two, once
         assert len(composes) == 1
-        assert len(checks) == 3 + 2 + 1 + 1 + 1 == 8
+        assert len(_grams(checks)) == 3 + 2 + 1 + 1 + 1 == 8
 
     @pytest.mark.parametrize("gate", [
         # the discard leaves {1.2e-12 I, I}; the first H takes 1.2e-12 I to
@@ -994,11 +994,12 @@ class TestPositivityCounts:
         psd = count_calls(monkeypatch, "is_psd", kraus)
         eig = count_calls(monkeypatch, "eigvalsh", np.linalg)
         denote("\n".join(lines), ctx)
-        # each gate node once per denotation: H, X, Z and Y on U'U; the
-        # skip arms are not checked, nor the alternations' one elements, and
-        # the block, a single run of one-operator steps, once at full width
-        assert len(psd) == 4 + 1 == 5
-        assert sorted(len(m) for m, _ in psd) == [2] * 4 + [256]
+        # each gate node once per denotation: H, X, Z and Y on U'U, one
+        # stack; the skip arms are not checked, nor the alternations' one
+        # elements, and the block, a single run of one-operator steps, once
+        # at full width
+        assert len(_grams(psd)) == 4 + 1 == 5
+        assert sorted(len(m) for m in _grams(psd)) == [2] * 4 + [256]
         assert not eig
 
 
@@ -1092,29 +1093,93 @@ class TestResidualParity:
 
     TOLS = [1e-6, 1e-9, 1e-12, 1e-15, 1e-300]
 
-    def test_decides_as_make_kraus(self):
-        rng = np.random.default_rng(20241020)
+    @staticmethod
+    def nodes(rng) -> list:
+        """750 gate nodes: the named gates, Rk, Phase and pushed literals."""
         texts = list(NAMED_GATES) + [f"Rk({k})" for k in (*range(41), 1077, 1078)]
         texts += [f"Phase({theta!r})" for theta in rng.uniform(-7, 7, 300).tolist()]
         nodes = [elaborate(parse(f"a *= {t}")).body[0] for t in texts]
-        nodes += [_pushed_literal(rng, d) for d in (2, 4) for _ in range(200)]
+        return nodes + [_pushed_literal(rng, d) for d in (2, 4) for _ in range(200)]
+
+    @staticmethod
+    def kraus_fails(node, tol) -> bool:
+        u = semantics._gate_matrix(node.gate)
+        sig = Signature((len(u),))
+        return _raises(make_kraus, sig, sig, [u], tol)
+
+    @staticmethod
+    def prepare_fails(monkeypatch, nodes, tol) -> bool:
+        """Whether ``_prepare`` raises on a core program whose gates are
+        ``nodes``, in that order."""
+        monkeypatch.setattr(semantics, "elaborate",
+                            lambda program: ast.Program([], tuple(n.gate for n in nodes)))
+        monkeypatch.setattr(semantics, "typecheck", lambda core, ctx: None)
+        return _raises(semantics._prepare, ast.Program([]), Context(), tol)
+
+    def test_decides_as_make_kraus(self):
         decisions = []
-        for node, tol in itertools.product(nodes, self.TOLS):
+        for node, tol in itertools.product(self.nodes(np.random.default_rng(20241020)),
+                                           self.TOLS):
             u = semantics._gate_matrix(node.gate)
-            sig = Signature((len(u),))
-            want = _raises(make_kraus, sig, sig, [u], tol)
+            want = self.kraus_fails(node, tol)
             assert _raises(kraus._check_residual, u.conj().T @ u, tol) == want
             decisions.append(want)
         # both decisions occur, so the comparison is not vacuous
         assert 0 < sum(decisions) < len(decisions)
 
+    def test_stacked_check_raises_where_some_gate_fails(self, monkeypatch):
+        rng = np.random.default_rng(20241021)
+        nodes = self.nodes(rng) + [_pushed_literal(rng, 8) for _ in range(40)]
+        mixed = 0
+        for tol in self.TOLS:
+            fails = [self.kraus_fails(node, tol) for node in nodes]
+            passing = [n for n, f in zip(nodes, fails) if not f]
+            failing = [n for n, f in zip(nodes, fails) if f]
+            assert self.prepare_fails(monkeypatch, nodes, tol) == bool(failing)
+            assert not self.prepare_fails(monkeypatch, passing, tol)
+            # one failing gate among passing ones of every shape
+            for i in rng.permutation(len(failing))[:30]:
+                some = [passing[j] for j in rng.permutation(len(passing))[:60]]
+                some.insert(int(rng.integers(len(some) + 1)), failing[i])
+                assert self.prepare_fails(monkeypatch, some, tol)
+                mixed += len({semantics._gate_matrix(n.gate).shape for n in some}) == 3
+            for _ in range(40):
+                pick = rng.random(len(nodes)) < rng.uniform(0, 0.1)
+                some = [n for n, p in zip(nodes, pick) if p]
+                want = any(f for f, p in zip(fails, pick) if p)
+                assert self.prepare_fails(monkeypatch, some, tol) == want
+        assert mixed > 0
+
+    def test_stacked_grams_equal_each_gates_own(self, monkeypatch):
+        # the stacked U'U depends on the BLAS kernels as U'U alone does
+        rng = np.random.default_rng(20241022)
+        nodes = self.nodes(rng)
+        nodes += [_pushed_literal(rng, d) for d in (8, 16) for _ in range(40)]
+        checks = count_calls(monkeypatch, "_check_residual", semantics)
+        for size in (1, 2, 7, 64, 300, len(nodes)):
+            some = [nodes[j] for j in rng.permutation(len(nodes))[:size]]
+            del checks[:]
+            assert not self.prepare_fails(monkeypatch, some, 1e-6)
+            us = [semantics._gate_matrix(n.gate) for n in some]
+            shapes = list(dict.fromkeys(u.shape for u in us))
+            # one stack per gate shape, in order of first appearance
+            assert [m.shape[1:] for m, _ in checks] == shapes
+            want = [u.conj().T @ u for shape in shapes for u in us if u.shape == shape]
+            assert _gate_checks(checks) == _gate_checks([(g, None) for g in want])
+
+
+def _grams(calls) -> list:
+    """The matrices checked by recorded ``_check_residual`` or ``is_psd``
+    calls: each row of a stacked argument, or the one matrix."""
+    return [g for m, _ in calls for g in (m if m.ndim == 3 else [m])]
+
 
 def _gate_checks(calls) -> list:
     """Recorded ``_check_residual`` calls as the shape and bytes of each
-    sum E'E.  Counted through the semantics' binding alone, they are the
-    gate nodes' checks of U'U (``make_kraus`` calls the one in
-    ``qalt.kraus``)."""
-    return [(gram.shape, gram.tobytes()) for gram, _ in calls]
+    sum E'E checked.  Counted through the semantics' binding alone, they
+    are the gate nodes' checks of U'U, one stack per gate shape
+    (``make_kraus`` calls the one in ``qalt.kraus``)."""
+    return [(gram.shape, gram.tobytes()) for gram in _grams(calls)]
 
 
 class TestOneCheckPerPrimitive:
@@ -1159,7 +1224,7 @@ class TestOneCheckPerPrimitive:
                 call()
         checks = count_calls(monkeypatch, "_check_residual", semantics)
         denote("a *= H", self.CTX, 1e-12)
-        assert len(checks) == 1
+        assert len(_grams(checks)) == 1
 
     def test_every_call_checks_each_gate_once(self, monkeypatch):
         rho = rand_density(np.random.default_rng(6), Signature((4, 4)))
@@ -1172,7 +1237,7 @@ class TestOneCheckPerPrimitive:
             for _ in range(2):
                 del checks[:]
                 call(src, 1e-9)
-                assert len(checks) == 2  # H and X
+                assert len(_grams(checks)) == 2  # H and X
         near = f"a *= H\nb *= {self.NEAR}"
         for call in calls:
             call(near, 1e-9)
@@ -1215,7 +1280,7 @@ class TestOneCheckPerPrimitive:
         checks = count_calls(monkeypatch, "_check_residual", semantics)
         eval_direct("if a then { b *= H } else { b *= X }\n"
                     "if a then { b *= X } else { b *= H }", rho, self.CTX)
-        assert len(checks) == 2  # H and X, once each
+        assert len(_grams(checks)) == 2  # H and X, once each
 
     @pytest.mark.parametrize("src", [
         "b *= {near}",
@@ -1252,7 +1317,7 @@ class TestStepMemo:
         denote("for i = 1 to 50 { a *= H }", self.CTX_A)
         assert len(embeds) == 1
         # the gate's H'H, then one check of the run's product
-        assert len(checks) == 2
+        assert len(_grams(checks)) == 2
 
     def test_context_is_part_of_the_key(self, monkeypatch):
         steps = count_calls(monkeypatch, "_denote_stmt", semantics)
@@ -1408,7 +1473,7 @@ class TestLocalCounts:
         denote("for i = 1 to 50 { a *= H }", ctx)
         assert len(embeds) == 1
         # the gate's H'H, then the run's one full-width check
-        assert [gram.shape for gram, _ in checks] == [(2, 2), (64, 64)]
+        assert [gram.shape for gram in _grams(checks)] == [(2, 2), (64, 64)]
 
 
 class TestCaseControlOrder:
