@@ -102,10 +102,27 @@ def is_psd(a: Matrix, tol: float = DEFAULT_TOL) -> bool:
     A bound >= -tol is a proof, in exact arithmetic, that every eigenvalue
     of H is >= -tol (Horn & Johnson, *Matrix Analysis*, Thm 6.1.1); the
     computed row sums carry at most about d * eps * ||H||_inf of rounding,
-    the order of ``eigvalsh``'s own backward error.  Only a member whose
-    bound fails gets its smallest eigenvalue computed, so a Hermitian
-    matrix is only ever rejected by ``eigvalsh``.  A complex ndarray input
-    is read in place, not copied.
+    the order of ``eigvalsh``'s own backward error.
+
+    A 2-D H at least 32 wide whose bound fails but is finite (no entry or row
+    sum overflowed) is next factored, its diagonal shifted in place.  With s =
+    max |h_ii| + tol, c = 2 d (d + 1) eps (d gamma_{d+1} in complex arithmetic)
+    and the margin m = 2 c s + sqrt(tiny), a failed Cholesky of H + (tol + m) I
+    answers False: it succeeds on any A whose diagonally scaled form has
+    lambda_min above about c (Demmel; Higham, *Accuracy and Stability of
+    Numerical Algorithms*, Thm 10.7), so lambda_min(H) <= c (s + m) - m - tol.
+    A factor of H + (tol - m) I proves True: it is exact for A + E with ||E||_2
+    <= gamma_{d+1} trace(A) <= c s (Higham Thm 10.3), so lambda_min(H) >= m - c
+    s - tol.  Either answer keeps lambda_min(H) about c s away from -tol, beyond
+    ``eigvalsh``'s error of about d eps ||H||_2 with ||H||_2 at most about d s
+    there (by the trace of the factored matrix, or of H, which the negative
+    eigenvalues balance), so ``eigvalsh`` would agree.  The bounds hold barring
+    underflow: sqrt(tiny) sends every tol whose square underflows, 1e-300 among
+    them, to ``eigvalsh``, which scales into range first.  A ``tol <= 2 m``, an
+    H between the shifts (its diagonal restored bit for bit), a narrower H and
+    each stacked member whose bound fails get their smallest eigenvalue
+    computed: below 32 wide only ``eigvalsh`` rejects a Hermitian matrix.  A
+    complex ndarray input is read in place, not copied.
     """
     m = _checked(np.asarray(a, dtype=complex), stack=True)
     if m.shape[-1] != m.shape[-2]:
@@ -124,6 +141,21 @@ def is_psd(a: Matrix, tol: float = DEFAULT_TOL) -> bool:
             return True
     elif bound >= -tol:
         return True
+    elif len(herm) >= 32 and math.isfinite(bound):
+        d, fp, keep = len(herm), np.finfo(float), herm.diagonal().copy()
+        scale = float(np.abs(diag).max()) + tol
+        margin = 4 * d * (d + 1) * fp.eps * scale + math.sqrt(fp.tiny)
+        if tol > 2 * margin:
+            for shift, answer in ((tol + margin, False), (tol - margin, True)):
+                np.fill_diagonal(herm, keep + shift)
+                try:
+                    np.linalg.cholesky(herm)
+                    factored = True
+                except np.linalg.LinAlgError:
+                    factored = False
+                if factored == answer:
+                    return answer
+            np.fill_diagonal(herm, keep)
     return float(np.linalg.eigvalsh(herm).min()) >= -tol
 
 

@@ -128,11 +128,6 @@ def _canonical_keys(stack: np.ndarray) -> np.ndarray:
     return rows.view(f"S{rows.itemsize * rows.shape[1]}")[:, 0]
 
 
-def _canonical_key(m: Matrix) -> bytes:
-    """The sort key of one operator, :func:`_canonical_keys` of one row."""
-    return _canonical_keys(np.asarray(m)[None]).tobytes()
-
-
 def _coalesce(ops) -> list[Matrix]:
     """Drop zero operators and fold l equal occurrences into sqrt(l) * E.
 
@@ -642,7 +637,9 @@ def lowner_leq(s: KrausSet, t: KrausSet, tol: float = DEFAULT_TOL) -> bool:
     two sets' operator count, the smallest eigenvalue of a small pencil
     decides it with a rounding bound (:func:`_pencil_verdict`) and no Choi
     member is built.  An eigenvalue within the bound of -``tol``, or a
-    ``tol`` at or below the bound, leaves it to the dense Choi families.
+    ``tol`` at or below the bound, leaves it to the dense Choi families,
+    where ``is_psd`` settles a difference at least 32 wide by a shifted
+    Cholesky outside its rounding band, and by ``eigvalsh`` inside it.
     """
     check_tol(tol)
     verdict = _pencil_verdict(s, t, tol, order=True)

@@ -335,16 +335,6 @@ def _scan(piece: str, first: int) -> list[Token]:
     return tokens
 
 
-def _tokenize(text: str) -> list[Token]:
-    """The tokens of ``text`` and EOF, each at its offset in ``text``."""
-    parser = _Parser(text)
-    starts = [0]
-    for line in text.split("\n"):
-        starts.append(starts[-1] + len(line) + 1)
-    return [tok._replace(at=starts[parser.piece(k)[0] - 1] + tok.at)
-            for k, tok in enumerate(parser.tokens)]
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------

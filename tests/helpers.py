@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 
-from qalt import DensityState, dim, make_kraus
+from qalt import DensityState, dim, make_kraus, syntax
 from qalt.core import as_matrix, freeze, is_psd
 from qalt.errors import DimensionMismatch, TraceConditionViolated
-from qalt.kraus import COALESCE_TOL, KrausSet
+from qalt.kraus import COALESCE_TOL, KrausSet, _canonical_keys
 
 
 def rand_unitary(rng, d):
@@ -155,6 +155,11 @@ def basis_elements(sig):
 _SIGN_BIT = np.uint64(1 << 63)
 
 
+def canonical_key(m):
+    """The sort key of one operator: ``kraus._canonical_keys`` of one row."""
+    return _canonical_keys(np.asarray(m)[None]).tobytes()
+
+
 def reference_canonical_key(m):
     """One operator's canonical sort key, built on its own: rounded entries,
     then exact entries, each float as a big-endian integer that orders like
@@ -208,3 +213,17 @@ def reference_make_kraus(input_sig, output_sig, raw_ops, tol):
         raise TraceConditionViolated(
             "sum of E'E exceeds the identity; not trace-nonincreasing")
     return kset
+
+
+# ---------------------------------------------------------------------------
+# Parser views
+# ---------------------------------------------------------------------------
+
+def tokenize(text):
+    """The parser's tokens of ``text`` and EOF, each at its offset in ``text``."""
+    parser = syntax._Parser(text)
+    starts = [0]
+    for line in text.split("\n"):
+        starts.append(starts[-1] + len(line) + 1)
+    return [tok._replace(at=starts[parser.piece(k)[0] - 1] + tok.at)
+            for k, tok in enumerate(parser.tokens)]

@@ -163,6 +163,140 @@ class TestIsPsdBound:
         assert not copies
 
 
+def cholesky_margin(h, tol):
+    """The margin m of ``is_psd``'s Cholesky test for the Hermitian ``h``."""
+    d = len(h)
+    scale = float(np.abs(np.diag(h)).max()) + tol
+    return 4 * d * (d + 1) * np.finfo(float).eps * scale + math.sqrt(np.finfo(float).tiny)
+
+
+def hermitian(m):
+    """``m`` made exactly Hermitian, as ``is_psd`` symmetrizes it."""
+    return (m + m.conj().T) / 2
+
+
+def lowest_at_zero(rng, d):
+    """A random Hermitian matrix with spectrum 0 and d - 1 values in (0, 1)."""
+    u = rand_unitary(rng, d)
+    w = rng.uniform(0, 1, size=d)
+    w[0] = 0.0
+    return hermitian((u * w) @ u.conj().T)
+
+
+def zero_diagonal(rng, d, lowest):
+    """A random Hermitian matrix with a zero diagonal and lambda_min ``lowest``
+    (< 0): the shape of the Choi difference of two phase twins."""
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = hermitian(g)
+    np.fill_diagonal(h, 0)
+    return h * (lowest / np.linalg.eigh(h)[0].min())  # eigh: not counted as eigvalsh
+
+
+@pytest.fixture
+def chol_calls(monkeypatch):
+    return count_calls(monkeypatch, "cholesky", np.linalg)
+
+
+class TestIsPsdCholesky:
+    """A matrix at least 32 wide whose bound fails is decided by Cholesky
+    outside a band of width m either side of -tol, and by eigvalsh inside it;
+    every answer is the one eigvalsh alone gives."""
+
+    TOL = 1e-9
+    WIDTHS = [32, 64, 256]
+
+    @pytest.mark.parametrize("d", WIDTHS)
+    @pytest.mark.parametrize("k", [-3.0, -0.25, 0.25, 3.0])
+    def test_band_edges(self, eig_calls, chol_calls, d, k):
+        # lambda_min = -tol + k m: |k| > 1 lies outside the band, |k| < 1 inside
+        h0 = lowest_at_zero(np.random.default_rng(d), d)
+        m = cholesky_margin(h0 - self.TOL * np.eye(d), self.TOL)
+        h = h0 + (k * m - self.TOL) * np.eye(d)
+        reference = eigvalsh_only(h, self.TOL)
+        eig_calls.clear()
+        assert is_psd(h, self.TOL) == reference == (k > 0)
+        assert len(eig_calls) == (0 if abs(k) > 1 else 1)
+        # a False answer takes the first factorisation, True both
+        assert len(chol_calls) == (1 if k < -1 else 2)
+
+    @pytest.mark.parametrize("d", WIDTHS)
+    def test_random_near_band_agree_with_eigvalsh_only(self, eig_calls, d):
+        rng = np.random.default_rng(100 + d)
+        h0 = lowest_at_zero(rng, d)
+        m = cholesky_margin(h0 - self.TOL * np.eye(d), self.TOL)
+        settled = 0
+        for _ in range(40):
+            k = rng.choice([-1, 1]) * 10 ** rng.uniform(-2, 1.5)
+            h = h0 + (k * m - self.TOL) * np.eye(d)
+            reference = eigvalsh_only(h, self.TOL)
+            before = len(eig_calls)
+            assert is_psd(h, self.TOL) == reference, k
+            settled += len(eig_calls) == before
+        assert 0 < settled < 40
+
+    @pytest.mark.parametrize("d", WIDTHS)
+    @pytest.mark.parametrize("rank", ["1", "d/2", "d-1"])
+    def test_near_singular_gram(self, eig_calls, d, rank):
+        rng = np.random.default_rng(7 * d)
+        r = {"1": 1, "d/2": d // 2, "d-1": d - 1}[rank]
+        x = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+        g = hermitian(x @ x.conj().T / r)
+        for tol in (1e-12, 1e-9, 1e-6):
+            reference = eigvalsh_only(g, tol)
+            eig_calls.clear()
+            assert is_psd(g, tol) == reference is True
+            assert len(eig_calls) == (tol <= 2 * cholesky_margin(g, tol))
+
+    @pytest.mark.parametrize("d", WIDTHS)
+    @pytest.mark.parametrize("lowest", [-1e-3, -2e-9, -0.5e-9])
+    def test_zero_diagonal_indefinite(self, eig_calls, chol_calls, d, lowest):
+        h = zero_diagonal(np.random.default_rng(3 * d), d, lowest)
+        reference = eigvalsh_only(h, self.TOL)
+        eig_calls.clear()
+        assert is_psd(h, self.TOL) == reference == (lowest > -self.TOL)
+        assert not eig_calls
+        assert len(chol_calls) == (2 if reference else 1)
+
+    @pytest.mark.parametrize("d", WIDTHS)
+    def test_tiny_tol_reaches_eigvalsh(self, eig_calls, chol_calls, d):
+        rng = np.random.default_rng(11 * d)
+        for h in (zero_diagonal(rng, d, -1e-3), lowest_at_zero(rng, d)):
+            chol_calls.clear()
+            at_floor = 2 * cholesky_margin(h, 0.0)  # below 2 m at itself
+            for tol in (1e-300, 1e-160, at_floor):
+                reference = eigvalsh_only(h, tol)
+                eig_calls.clear()
+                assert is_psd(h, tol) == reference
+                assert len(eig_calls) == 1
+            assert not chol_calls
+            # just above the floor Cholesky decides
+            assert is_psd(h, 3 * at_floor) == eigvalsh_only(h, 3 * at_floor)
+            assert chol_calls
+
+    def test_wide_clear_false_takes_one_failed_factorisation(self, eig_calls, chol_calls):
+        h = zero_diagonal(np.random.default_rng(256), 256, -0.5)
+        assert not is_psd(h, self.TOL)
+        assert not eig_calls and len(chol_calls) == 1
+
+    def test_narrower_than_32_and_stacks_keep_eigvalsh(self, eig_calls, chol_calls):
+        rng = np.random.default_rng(31)
+        narrow = zero_diagonal(rng, 31, -0.5)
+        assert not is_psd(narrow, self.TOL)
+        stack = np.stack([lowest_at_zero(rng, 64) for _ in range(3)])
+        assert is_psd(stack, self.TOL)
+        assert len(eig_calls) == 2 and not chol_calls
+
+    def test_input_is_left_as_it_was(self):
+        rng = np.random.default_rng(5)
+        h0 = lowest_at_zero(rng, 64)
+        m = cholesky_margin(h0, self.TOL)
+        for k in (-3.0, -0.25, 0.25, 3.0):
+            h = h0 + (k * m - self.TOL) * np.eye(64)
+            before = h.tobytes()
+            is_psd(h, self.TOL)
+            assert h.tobytes() == before
+
+
 class TestEmbedGate:
     def test_leading_qubit(self):
         assert np.array_equal(embed_gate(X, [0], 2), tensor(X, ID2))

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (basis_elements, count_calls, pairwise_coalesce, rand_density,
-                     rand_kraus, rand_unitary, reference_canonical_key,
+from helpers import (basis_elements, canonical_key, count_calls, pairwise_coalesce,
+                     rand_density, rand_kraus, rand_unitary, reference_canonical_key,
                      reference_make_kraus, superop_matrix)
 from qalt import (
     Context,
@@ -39,7 +39,7 @@ from qalt.errors import (
     TraceConditionViolated,
 )
 from qalt import kraus
-from qalt.kraus import (COALESCE_TOL, KrausSet, _canonical_key, _canonical_keys,
+from qalt.kraus import (COALESCE_TOL, KrausSet, _canonical_keys,
                         _coalesce, case_elements, choi_distance, coalesces)
 
 Q = Signature((2,))
@@ -144,21 +144,21 @@ class TestCanonicalForm:
             if ops[0].shape[0] == ops[0].shape[1] and rng.random() < 0.3:
                 ops = [m.conj().T for m in ops]  # not C-contiguous
             by_tuple = sorted(range(len(ops)), key=lambda i: tuple_key(ops[i]))
-            by_bytes = sorted(range(len(ops)), key=lambda i: _canonical_key(ops[i]))
+            by_bytes = sorted(range(len(ops)), key=lambda i: canonical_key(ops[i]))
             assert by_bytes == by_tuple
 
     def test_key_folds_signed_zeros_only(self):
         zero = np.array([[0.0 + 0.0j, 1.0]])
         negative_zero = np.array([[complex(-0.0, -0.0), 1.0]])
-        assert _canonical_key(zero) == _canonical_key(negative_zero)
-        assert _canonical_key(zero) < _canonical_key(zero + 1e-300)
-        assert _canonical_key(zero - 1e-300) < _canonical_key(zero)
+        assert canonical_key(zero) == canonical_key(negative_zero)
+        assert canonical_key(zero) < canonical_key(zero + 1e-300)
+        assert canonical_key(zero - 1e-300) < canonical_key(zero)
 
     def test_key_of_non_contiguous_operator(self):
         m = np.arange(6).reshape(2, 3) * (1 - 0.5j)
         view = m.conj().T
         assert not view.flags.c_contiguous
-        assert _canonical_key(view) == _canonical_key(np.ascontiguousarray(view))
+        assert canonical_key(view) == canonical_key(np.ascontiguousarray(view))
 
     def test_single_operator_still_canonicalised_and_checked(self, monkeypatch):
         calls = []
@@ -495,7 +495,7 @@ class TestStackedMakeKraus:
             keys = _canonical_keys(stack)
             want = [reference_canonical_key(m) for m in ops]
             assert [keys[i:i + 1].tobytes() for i in range(len(ops))] == want
-            assert [_canonical_key(m) for m in ops] == want
+            assert [canonical_key(m) for m in ops] == want
             # a stable sort of the keys as bytes is the order of the keys
             assert list(np.argsort(keys, kind="stable")) == \
                 sorted(range(len(ops)), key=want.__getitem__)
@@ -521,7 +521,7 @@ MANY_OPERATORS = [MANY_OPERATORS_IF, MANY_OPERATORS_CASE,
 
 
 def canonical_order(ops):
-    return sorted(range(len(ops)), key=lambda i: _canonical_key(ops[i]))
+    return sorted(range(len(ops)), key=lambda i: canonical_key(ops[i]))
 
 
 class TestNearBoundaryDeterminism:
@@ -1135,6 +1135,69 @@ class TestPositivityByBound:
         assert lowner_leq(identity_kraus(Q), phased)
         assert lowner_leq(phased, identity_kraus(Q))
         assert not eig
+
+
+def _rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return f"[[{c!r}, {-s!r}], [{s!r}, {c!r}]]"
+
+
+class TestPositivityByCholesky:
+    """Dense-path Loewner verdicts at D = 256 that Cholesky settles."""
+
+    #: three work qubits and an idle probe p; measurements and discarded
+    #: ancillas inside alternations give 128 operators
+    SOURCE = "\n".join([
+        "w0 *= H", "w1 *= T", "w2 *= H",
+        f"case (w0, w1) of |00> -> {{ measure w2 then {{ w2 *= {_rotation(0.4)} }} "
+        f"else {{ w2 *= {_rotation(1.1)} }} }} |01> -> {{ w2 *= {_rotation(0.7)} }} "
+        f"|10> -> {{ new qbit a0 a0 *= H if a0 then {{ skip }} else "
+        f"{{ w2 *= {_rotation(2.0)} }} discard a0 }} |_> -> {{ w2 *= {_rotation(1.7)} "
+        f"measure w2 then {{ w2 *= {_rotation(0.9)} }} else {{ w2 *= {_rotation(2.4)} }} }}",
+        f"if w2 then {{ measure w0 then {{ w0 *= {_rotation(1.3)} }} else "
+        f"{{ w0 *= {_rotation(0.5)} }} }} else {{ w1 *= {_rotation(2.2)} new qbit a1 "
+        f"a1 *= H if a1 then {{ skip }} else {{ w0 *= {_rotation(2.6)} }} discard a1 }}",
+        f"if w0 then {{ measure w1 then {{ w1 *= {_rotation(0.3)} }} else "
+        f"{{ w1 *= {_rotation(1.9)} }} }} else {{ w2 *= {_rotation(1.4)} new qbit a2 "
+        f"a2 *= H if a2 then {{ skip }} else {{ w1 *= {_rotation(2.8)} }} discard a2 }}",
+    ])
+
+    @staticmethod
+    def dense_reference(s, t, tol):
+        """``lowner_leq`` from the Choi families and eigvalsh alone."""
+        verdict = True
+        for a, b in zip(to_choi(s).members, to_choi(t).members):
+            diff = np.asarray(b) - np.asarray(a)
+            if np.abs(diff - diff.conj().T).max() > tol:
+                return False
+            low = float(np.linalg.eigvalsh((diff + diff.conj().T) / 2).min())
+            verdict = verdict and low >= -tol
+        return verdict
+
+    def test_phase_twins_decide_as_eigvalsh(self, monkeypatch):
+        ctx = Context.of(("w0", "qbit"), ("w1", "qbit"), ("w2", "qbit"), ("p", "qbit"))
+        base = denote(self.SOURCE, ctx).kraus
+        alternated = denote(self.SOURCE + "\nif p then { skip } else { w0 *= Phase(1.234) }",
+                            ctx).kraus
+        global_phase = denote(self.SOURCE + "\nw0 *= Phase(1.234)", ctx).kraus
+        # 16 x 16 operators: each Choi difference is 256 wide, and 4 (k + l)
+        # exceeds it, so the pencil leaves every verdict to the dense form
+        assert len(base.ops) == len(alternated.ops) == 128
+        pairs = [(base, alternated), (alternated, base), (base, global_phase)]
+        for tol in (1e-12, 1e-9, 1e-6, 1e-300):
+            reference_eig = count_calls(monkeypatch, "eigvalsh", np.linalg)
+            want = [self.dense_reference(s, t, tol) for s, t in pairs]
+            monkeypatch.undo()
+            eig = count_calls(monkeypatch, "eigvalsh", np.linalg)
+            assert [lowner_leq(s, t, tol) for s, t in pairs] == want
+            monkeypatch.undo()
+            assert want[:2] == [False, False]
+            assert want[2] == (tol > 1e-300)
+            # the twins' Choi differences are False by one failed factorisation
+            # and the global phase True by the bound.  At 1e-300 each
+            # difference that passes the Hermitian test takes eigvalsh, as in
+            # the reference; which ones pass depends on the BLAS kernels
+            assert len(eig) == (len(reference_eig) if tol == 1e-300 else 0)
 
 
 class TestPencil:

@@ -23,7 +23,7 @@ from qalt import (
     run,
     typecheck,
 )
-from helpers import count_calls
+from helpers import count_calls, tokenize
 from qalt import check
 from qalt import syntax as ast
 from qalt.check import lint_closed_system
@@ -113,7 +113,7 @@ class TestParse:
     def test_tokenizer_edges(self):
         def tokens(text):
             return [(t.kind, t.text, *ast._line_col(text, t.at))
-                    for t in ast._tokenize(text)]
+                    for t in tokenize(text)]
         # a comment does not move the end-of-input column
         assert tokens("skip // c") == [("IDENT", "skip", 1, 1), ("EOF", "", 1, 6)]
         assert tokens("x\n// c\n") == [("IDENT", "x", 1, 1), ("EOF", "", 3, 1)]
@@ -132,7 +132,7 @@ class TestParse:
                               ("q *= H\nabé1", "2:3: non-ASCII character 'é'"),
                               ("x // é $\n $", "2:2: unexpected character '$'")):
             with pytest.raises(ParseError) as info:
-                ast._tokenize(text)
+                tokenize(text)
             assert str(info.value) == message
 
     def test_non_ascii_allowed_in_comments(self):
@@ -375,7 +375,7 @@ def parser_inputs(seed: int, count: int) -> list[str]:
     """Seeded parser inputs: random word strings, corpus mutants and deep
     nestings."""
     rng = random.Random(seed)
-    programs = [[t.text for t in ast._tokenize(source)[:-1]]
+    programs = [[t.text for t in tokenize(source)[:-1]]
                 for source in PARSER_CORPUS]
     inputs = []
     for _ in range(count):
@@ -830,7 +830,7 @@ class TestParseMemo:
 
     def test_program_without_repeated_lines_builds_each_token_once(self, monkeypatch):
         source = "new qbit a // é\na *= Rk(2 * 3)\nmeasure a then {\n  a *= H\n} else { skip }"
-        expected = len(ast._tokenize(source))
+        expected = len(tokenize(source))
         tokens = count_calls(monkeypatch, "Token", ast)
         stmts = count_calls(monkeypatch, "parse_stmt", ast._Parser)
         parse(source)
